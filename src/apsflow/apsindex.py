@@ -13,9 +13,10 @@ In finite dimensions the index always collapses to
 ``rank P_<0(0) - rank P_<0(T)`` by dimension counting; the informative
 outputs are the kernel and cokernel dimensions separately, their stability
 under grid refinement, and the agreement of independent routes.  Rank
-decisions on propagated subspaces use a dedicated cut (default 1e-4) that
-must dominate the integrator's global error; the exact-arithmetic defaults
-of :mod:`apsflow.matrixcore` are far below that error and would miscount.
+decisions on propagated subspaces use a dedicated cut (default
+``SIGMA_CUT``) that must dominate the integrator's global error; the
+exact-arithmetic defaults of :mod:`apsflow.matrixcore` are far below that
+error and would miscount.
 """
 
 from __future__ import annotations
@@ -32,8 +33,12 @@ from .errors import (
 )
 from .families import OperatorFamily, endpoint_regularize
 from .matrixcore import (
+    GAMMA_MIN,
     NEGATIVE_AXIS,
     NONNEGATIVE_AXIS,
+    SHOOTING_ANGLE_TOL,
+    SIGMA_CUT,
+    TAU_ANGLE,
     TAU_RANK_RELATIVE,
     TAU_ZERO,
     IndexReport,
@@ -48,6 +53,7 @@ from .matrixcore import (
     subspace_intersection,
 )
 from .evolution import (
+    STIFFNESS_BOUND,
     NonunitaryPropagator,
     Propagator,
     evolved_projection,
@@ -55,8 +61,6 @@ from .evolution import (
 )
 from .spectralflow import spectral_flow
 
-SIGMA_CUT = 1e-4  # rank cut for singular values of propagated restrictions
-SHOOTING_ANGLE_TOL = 1e-6  # intersection tolerance for shot subspaces
 COMPLEMENTARITY_ATOL = 1e-10
 DEFAULT_GRID = 64
 DEFAULT_CHECKPOINTS = 8
@@ -126,24 +130,27 @@ def lorentzian_index_projection(
     diagnostics = dict(report.diagnostics)
     diagnostics["t_end"] = float(t_end)
     diagnostics["sigma_cut"] = sigma_cut
-    _gray_zone_warning(diagnostics, diagnostics["singular_values"], sigma_cut)
     return IndexReport(
         ker_dim=report.ker_dim,
         coker_dim=report.coker_dim,
         index=report.index,
         method="projection-pair",
         diagnostics=diagnostics,
+        warnings=_gray_zone_warnings(
+            "projection-pair", t_end, diagnostics["singular_values"], sigma_cut
+        ),
     )
 
 
-def _gray_zone_warning(diagnostics: dict, sigma, cut: float) -> None:
+def _gray_zone_warnings(route: str, t_end: float, sigma, cut: float) -> tuple[str, ...]:
     sigma = np.asarray(sigma)
     gray = sigma[(sigma > cut / 100.0) & (sigma < cut * 100.0)]
-    if gray.size:
-        diagnostics.setdefault("warnings", []).append(
-            f"singular values {gray.tolist()} lie near the rank cut {cut:.1e}; "
-            "integer dimensions may be sensitive to propagator accuracy"
-        )
+    if not gray.size:
+        return ()
+    return (
+        f"{route} at t={t_end:g}: singular values {gray.tolist()} lie near the "
+        f"rank cut {cut:.1e}; integer dimensions may be sensitive to propagator accuracy",
+    )
 
 
 def lorentzian_index_subspace(
@@ -152,7 +159,7 @@ def lorentzian_index_subspace(
     t_end: float | None = None,
     *,
     tau_0: float = TAU_ZERO,
-    tau_angle: float = 1e-9,
+    tau_angle: float = TAU_ANGLE,
     sigma_cut: float = SIGMA_CUT,
 ) -> IndexReport:
     """Index of ``d/dt - iA`` on ``[0, t_end]`` via direct subspace geometry.
@@ -190,13 +197,13 @@ def lorentzian_index_subspace(
         "tau_angle": tau_angle,
         "sigma_cut": sigma_cut,
     }
-    _gray_zone_warning(diagnostics, sigma, sigma_cut)
     return IndexReport(
         ker_dim=ker,
         coker_dim=coker,
         index=ker - coker,
         method="subspace-geometry",
         diagnostics=diagnostics,
+        warnings=_gray_zone_warnings("subspace-geometry", t_end, sigma, sigma_cut),
     )
 
 
@@ -227,6 +234,7 @@ class LorentzianMainRecord:
     family_label: str
     checkpoints: tuple[CheckpointEntry, ...]
     passed: bool
+    warnings: tuple[str, ...] = ()  # gray-zone warnings of the checkpoint indices
 
     def to_dict(self) -> dict:
         return {
@@ -234,6 +242,7 @@ class LorentzianMainRecord:
             "check": "lorentzian-main",
             "passed": self.passed,
             "checkpoints": [c.to_dict() for c in self.checkpoints],
+            "warnings": list(self.warnings),
         }
 
 
@@ -244,6 +253,7 @@ def lorentzian_main_check(
     checkpoints: int = DEFAULT_CHECKPOINTS,
     tau_0: float = TAU_ZERO,
     sigma_cut: float = SIGMA_CUT,
+    gamma_min: float = GAMMA_MIN,
     raise_on_mismatch: bool = True,
 ) -> LorentzianMainRecord:
     """Check ``index on [0, t] == spectral flow on [0, t]`` at grid checkpoints.
@@ -257,12 +267,16 @@ def lorentzian_main_check(
         {max(1, round(j * grid_count / checkpoints)) for j in range(1, checkpoints + 1)}
     )
     entries = []
+    warnings: list[str] = []
     for k in indices:
         t = float(propagator.grid[k])
         rep = lorentzian_index_projection(
             family, propagator, t, tau_0=tau_0, sigma_cut=sigma_cut
         )
-        sfl = spectral_flow(family.restricted(0.0, t), tau_0=tau_0).value
+        warnings.extend(rep.warnings)
+        sfl = spectral_flow(
+            family.restricted(0.0, t), gamma_min=gamma_min, tau_0=tau_0
+        ).value
         entries.append(
             CheckpointEntry(
                 t=t,
@@ -277,6 +291,7 @@ def lorentzian_main_check(
         family_label=family.label,
         checkpoints=tuple(entries),
         passed=all(e.passed for e in entries),
+        warnings=tuple(warnings),
     )
     if not record.passed and raise_on_mismatch:
         bad = [e for e in entries if not e.passed]
@@ -371,7 +386,7 @@ def riemannian_index_discretized(
     *,
     tau_0: float = TAU_ZERO,
     tau_rank: float = TAU_RANK_RELATIVE,
-    stiffness_bound: float = 40.0,
+    stiffness_bound: float = STIFFNESS_BOUND,
     compute_bases: bool = False,
 ) -> IndexReport:
     """Index of ``d/dt + A`` with spectral boundary conditions, by discretization.
@@ -398,9 +413,9 @@ def riemannian_index_discretized(
         "codomain_dim": disc.codomain_dim,
         "left_rank": disc.left_rank,
         "right_rank": disc.right_rank,
+        "tau_rank_relative": tau_rank,
         "gap_ratio": report.gap_ratio,
         "singular_values_near_cut": sigma_tail,
-        "warnings": list(report.warnings),
         "note": (
             "index = domain_dim - codomain_dim by dimension counting; the "
             "informative outputs are ker_dim and coker_dim and their grid stability"
@@ -412,6 +427,7 @@ def riemannian_index_discretized(
         index=report.kernel_dim - report.cokernel_dim,
         method="discretized-bvp",
         diagnostics=diagnostics,
+        warnings=report.warnings,
     )
 
 
@@ -436,7 +452,7 @@ def riemannian_kernel_shooting(
     *,
     tau_0: float = TAU_ZERO,
     angle_tol: float = SHOOTING_ANGLE_TOL,
-    stiffness_bound: float = 40.0,
+    stiffness_bound: float = STIFFNESS_BOUND,
 ) -> IndexReport:
     """Kernel and cokernel of ``d/dt + A`` by ODE shooting.
 
@@ -470,7 +486,6 @@ def riemannian_kernel_shooting(
         "cokernel_cosines": coker_cosines,
         "forward_condition_max": float(np.max(forward.condition_log)),
         "backward_condition_max": float(np.max(backward.condition_log)),
-        "warnings": list(forward.warnings) + list(backward.warnings),
     }
     return IndexReport(
         ker_dim=ker,
@@ -478,6 +493,7 @@ def riemannian_kernel_shooting(
         index=ker - coker,
         method="ode-shooting",
         diagnostics=diagnostics,
+        warnings=forward.warnings + backward.warnings,
     )
 
 
@@ -494,6 +510,10 @@ class RiemannianMainRecord:
     passed: bool
     reports: tuple[IndexReport, ...]
 
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        return tuple(w for r in self.reports for w in r.warnings)
+
     def to_dict(self) -> dict:
         return {
             "family": self.family_label,
@@ -505,6 +525,7 @@ class RiemannianMainRecord:
             "index_regularized": self.index_regularized,
             "passed": self.passed,
             "reports": [r.to_dict() for r in self.reports],
+            "warnings": list(self.warnings),
         }
 
 
@@ -513,6 +534,7 @@ def riemannian_main_check(
     grid_intervals: int = DEFAULT_GRID,
     *,
     tau_0: float = TAU_ZERO,
+    gamma_min: float = GAMMA_MIN,
     epsilon: float = 0.1,
     raise_on_mismatch: bool = True,
 ) -> RiemannianMainRecord:
@@ -522,7 +544,7 @@ def riemannian_main_check(
     singular, repeats both on the endpoint-regularized family and requires
     all four integers to agree.
     """
-    sfl_raw = spectral_flow(family, tau_0=tau_0).value
+    sfl_raw = spectral_flow(family, gamma_min=gamma_min, tau_0=tau_0).value
     rep_raw = riemannian_index_discretized(family, grid_intervals, tau_0=tau_0)
     reports = [rep_raw]
     singular_left = _endpoint_singular(family, 0.0, tau_0)
@@ -531,7 +553,7 @@ def riemannian_main_check(
     sfl_reg = index_reg = None
     if regularized:
         reg = endpoint_regularize(family, epsilon, tau_0=tau_0)
-        sfl_reg = spectral_flow(reg, tau_0=tau_0).value
+        sfl_reg = spectral_flow(reg, gamma_min=gamma_min, tau_0=tau_0).value
         rep_reg = riemannian_index_discretized(reg, grid_intervals, tau_0=tau_0)
         index_reg = rep_reg.index
         reports.append(rep_reg)

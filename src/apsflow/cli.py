@@ -24,7 +24,7 @@ if _threads:
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import click
@@ -45,12 +45,19 @@ from .evolution import (
     SCHEME_CF4,
     SCHEME_MIDPOINT,
     SCHEMES,
+    STIFFNESS_BOUND,
     closed_form_counterexample_propagator,
     convergence_study,
     propagate,
     write_propagator,
 )
-from .families import FamilySpec, family_from_spec
+from .families import (
+    FamilySpec,
+    counterexample_family,
+    family_from_spec,
+    swap_block_family,
+)
+from .matrixcore import ToleranceSet
 from .reporting import (
     canonical_json,
     write_csv,
@@ -70,29 +77,7 @@ CHECK_NAMES = (
 )
 SUITE_NAMES = ("theorems", "counterexample", "convergence", "random", "all")
 RIEMANNIAN_NORM_CAP = 10.0  # ||A|| * T above this skips the shooting cross-check
-SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class ToleranceSet:
-    """The numeric thresholds echoed into every report."""
-
-    tau_0: float = 1e-9
-    tau_rank: float = 1e-8
-    gamma_min: float = 1e-6
-    tau_angle: float = 1e-9
-    sigma_cut: float = 1e-4
-    shooting_angle_tol: float = 1e-6
-
-    def to_dict(self) -> dict:
-        return {
-            "tau_0": self.tau_0,
-            "tau_rank": self.tau_rank,
-            "gamma_min": self.gamma_min,
-            "tau_angle": self.tau_angle,
-            "sigma_cut": self.sigma_cut,
-            "shooting_angle_tol": self.shooting_angle_tol,
-        }
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -118,7 +103,7 @@ class ExperimentConfig:
                 "oracle_tolerance": self.oracle_tolerance,
             },
             "grid": self.grid,
-            "tolerances": self.tolerances.to_dict(),
+            "tolerances": asdict(self.tolerances),
             "checks": list(self.checks),
             "output": {"path": self.output_path, "formats": list(self.formats)},
         }
@@ -151,12 +136,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     tol_raw = raw.get("tolerances", {})
     _require(isinstance(tol_raw, dict), "config.tolerances must be an object")
-    defaults = ToleranceSet()
     values = {}
-    for name in defaults.to_dict():
-        value = float(tol_raw.get(name, getattr(defaults, name)))
-        _require(value > 0, f"config.tolerances.{name} must be positive")
-        values[name] = value
+    for f in fields(ToleranceSet):
+        value = float(tol_raw.get(f.name, f.default))
+        _require(value > 0, f"config.tolerances.{f.name} must be positive")
+        values[f.name] = value
     unknown = set(tol_raw) - set(values)
     _require(not unknown, f"config.tolerances has unknown keys {sorted(unknown)}")
     tolerances = ToleranceSet(**values)
@@ -220,31 +204,30 @@ def _run_flowind(family, config: ExperimentConfig, outdir: Path | None) -> dict:
     if outdir is not None and "csv" in config.formats:
         write_eigenflow_csv(family, outdir / "eigenflow.csv")
         crossing_log_to_csv(rec.sfl_report, outdir / "crossings.csv")
-    result = rec.to_dict()
-    result["tolerances"] = {
-        "tau_0": tol.tau_0,
-        "gamma_min": tol.gamma_min,
-        "tau_rank": tol.tau_rank,
-    }
-    return result
+    return rec.to_dict()
+
+
+def _transport_routes(family, prop, tol: ToleranceSet):
+    """The projection-pair and subspace-geometry transport indices at ``T``."""
+    proj = lorentzian_index_projection(family, prop, tau_0=tol.tau_0, sigma_cut=tol.sigma_cut)
+    sub = lorentzian_index_subspace(
+        family, prop, tau_0=tol.tau_0, tau_angle=tol.tau_angle, sigma_cut=tol.sigma_cut
+    )
+    return proj, sub
 
 
 def _run_lorentzian_main(family, config: ExperimentConfig, outdir: Path | None) -> dict:
     tol = config.tolerances
     prop = propagate(family, config.steps, scheme=config.scheme)
     rec = lorentzian_main_check(
-        family, prop, tau_0=tol.tau_0, sigma_cut=tol.sigma_cut, raise_on_mismatch=False
-    )
-    proj = lorentzian_index_projection(
-        family, prop, tau_0=tol.tau_0, sigma_cut=tol.sigma_cut
-    )
-    sub = lorentzian_index_subspace(
         family,
         prop,
         tau_0=tol.tau_0,
-        tau_angle=tol.tau_angle,
         sigma_cut=tol.sigma_cut,
+        gamma_min=tol.gamma_min,
+        raise_on_mismatch=False,
     )
+    proj, sub = _transport_routes(family, prop, tol)
     agree = (proj.ker_dim, proj.coker_dim, proj.index) == (
         sub.ker_dim,
         sub.coker_dim,
@@ -262,14 +245,18 @@ def _run_lorentzian_main(family, config: ExperimentConfig, outdir: Path | None) 
         "scheme": config.scheme,
         "unitarity_defect": prop.unitarity_defect(),
     }
-    result["tolerances"] = {"sigma_cut": tol.sigma_cut, "tau_angle": tol.tau_angle}
+    result["warnings"] = [*prop.warnings, *rec.warnings, *proj.warnings, *sub.warnings]
     return result
 
 
 def _run_riemannian_main(family, config: ExperimentConfig, outdir: Path | None) -> dict:
     tol = config.tolerances
     rec = riemannian_main_check(
-        family, config.grid, tau_0=tol.tau_0, raise_on_mismatch=False
+        family,
+        config.grid,
+        tau_0=tol.tau_0,
+        gamma_min=tol.gamma_min,
+        raise_on_mismatch=False,
     )
     result = rec.to_dict()
     passed = rec.passed
@@ -281,6 +268,7 @@ def _run_riemannian_main(family, config: ExperimentConfig, outdir: Path | None) 
         shoot_agrees = (shoot.ker_dim, shoot.coker_dim) == (disc.ker_dim, disc.coker_dim)
         result["shooting_route"] = shoot.to_dict()
         result["shooting_agrees"] = shoot_agrees
+        result["warnings"] += shoot.warnings
         passed = passed and shoot_agrees
     else:
         result["shooting_route"] = None
@@ -290,10 +278,6 @@ def _run_riemannian_main(family, config: ExperimentConfig, outdir: Path | None) 
         write_singular_values_csv(sigma, outdir / "singular_values.csv")
     result["passed"] = passed
     result["grid"] = config.grid
-    result["tolerances"] = {
-        "tau_0": tol.tau_0,
-        "shooting_angle_tol": tol.shooting_angle_tol,
-    }
     return result
 
 
@@ -305,10 +289,7 @@ def _run_counterexample_growth(family, config: ExperimentConfig, outdir: Path | 
     prop = propagate(family, config.steps, scheme=config.scheme)
     exact = closed_form_counterexample_propagator(lambdas, 1.0)
     defect = float(np.linalg.norm(prop.unitaries[-1] - exact, 2))
-    proj = lorentzian_index_projection(family, prop, tau_0=tol.tau_0, sigma_cut=tol.sigma_cut)
-    sub = lorentzian_index_subspace(
-        family, prop, tau_0=tol.tau_0, tau_angle=tol.tau_angle, sigma_cut=tol.sigma_cut
-    )
+    proj, sub = _transport_routes(family, prop, tol)
     sfl = spectral_flow(family, gamma_min=tol.gamma_min, tau_0=tol.tau_0).value
     passed = (
         defect <= config.oracle_tolerance
@@ -329,6 +310,7 @@ def _run_counterexample_growth(family, config: ExperimentConfig, outdir: Path | 
         "oracle_tolerance": config.oracle_tolerance,
         "propagator": {"steps": config.steps, "scheme": config.scheme},
         "passed": passed,
+        "warnings": [*prop.warnings, *proj.warnings, *sub.warnings],
     }
 
 
@@ -350,6 +332,32 @@ _RUNNERS = {
     "counterexample-growth": _run_counterexample_growth,
     "propagator-convergence": _run_propagator_convergence,
 }
+# the ToleranceSet fields each check applies, echoed into its records
+_TOLERANCES_USED = {
+    "flowind": ("tau_0", "tau_rank", "gamma_min"),
+    "lorentzian-main": ("tau_0", "gamma_min", "sigma_cut", "tau_angle"),
+    "riemannian-main": ("tau_0", "gamma_min", "shooting_angle_tol"),
+    "counterexample-growth": ("tau_0", "gamma_min", "sigma_cut", "tau_angle"),
+    "propagator-convergence": (),
+}
+
+
+def _run_check(name: str, family, config: ExperimentConfig, outdir: Path | None = None) -> dict:
+    """One check record, echoing the tolerances the check applies and
+    listing every warning; a typed error becomes a failed entry."""
+    try:
+        entry = _RUNNERS[name](family, config, outdir)
+    except ApsflowError as exc:
+        entry = {
+            "check": name,
+            "family": family.label,
+            "passed": False,
+            "error": f"{type(exc).__name__}: {exc}",
+        }
+    entry["tolerances"] = {k: getattr(config.tolerances, k) for k in _TOLERANCES_USED[name]}
+    warnings = [*family.construction_warnings, *entry.get("warnings", ())]
+    entry["warnings"] = list(dict.fromkeys(warnings))  # drop repeats, keep order
+    return entry
 
 
 def execute_config(
@@ -364,17 +372,8 @@ def execute_config(
     timings = []
     for name in config.checks:
         started = time.perf_counter()
-        try:
-            entry = _RUNNERS[name](family, config, outdir)
-        except ApsflowError as exc:
-            entry = {
-                "check": name,
-                "family": family.label,
-                "passed": False,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
+        results.append(_run_check(name, family, config, outdir))
         timings.append((name, time.perf_counter() - started))
-        results.append(entry)
     report = {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
@@ -402,30 +401,7 @@ def _emit_report(report: dict, outdir: Path, filename: str) -> Path:
 
 
 def _family_result(family, config: ExperimentConfig, checks: tuple[str, ...]) -> dict:
-    sub = ExperimentConfig(
-        family_spec=config.family_spec,
-        steps=config.steps,
-        scheme=config.scheme,
-        oracle_tolerance=config.oracle_tolerance,
-        grid=config.grid,
-        tolerances=config.tolerances,
-        checks=checks,
-        output_path=config.output_path,
-        formats=("json",),
-    )
-    entries = []
-    for name in checks:
-        try:
-            entries.append(_RUNNERS[name](family, sub, None))
-        except ApsflowError as exc:
-            entries.append(
-                {
-                    "check": name,
-                    "family": family.label,
-                    "passed": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
+    entries = [_run_check(name, family, config) for name in checks]
     return {
         "family": family.label,
         "results": entries,
@@ -451,7 +427,6 @@ def run_suite(
         steps=steps,
         grid=grid,
         tolerances=tol,
-        checks=("flowind",),
     )
     sections: dict[str, list] = {}
     failures = 0
@@ -465,7 +440,7 @@ def run_suite(
     if name in ("theorems", "all"):
         for family in shipped_families():
             checks = ["flowind", "lorentzian-main"]
-            if family.norm_bound() * family.horizon <= 40.0:
+            if family.norm_bound() * family.horizon <= STIFFNESS_BOUND:
                 checks.append("riemannian-main")
             add("theorems", _family_result(family, base, tuple(checks)))
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
@@ -474,39 +449,22 @@ def run_suite(
             add("theorems", _family_result(fam, base, ("flowind", "riemannian-main")))
 
     if name in ("counterexample", "all"):
-        cex_config = ExperimentConfig(
-            family_spec=base.family_spec,
-            steps=max(steps, 4096),
-            scheme=SCHEME_CF4,
-            oracle_tolerance=1e-6,
-            grid=grid,
-            tolerances=tol,
-            checks=("counterexample-growth",),
-        )
+        cex_config = replace(base, steps=max(steps, 4096), scheme=SCHEME_CF4)
         for m in (1, 2, 4, 8, 16):
             if m > max_blocks:
                 continue
-            from .families import counterexample_family
-
             family = counterexample_family(np.arange(1.0, m + 1.0))
-            add("counterexample", _run_counterexample_growth(family, cex_config, None))
+            add("counterexample", _run_check("counterexample-growth", family, cex_config))
 
     if name in ("convergence", "all"):
-        from .families import swap_block_family
-
         probes = [
             (swap_block_family(-1.0, 1.0), SCHEME_MIDPOINT),
             (swap_block_family(-1.0, 1.0), SCHEME_CF4),
             (random_zoo(1, seed, sizes=(4,))[0], SCHEME_MIDPOINT),
         ]
         for family, scheme in probes:
-            cfg = ExperimentConfig(
-                family_spec=base.family_spec,
-                scheme=scheme,
-                tolerances=tol,
-                checks=("propagator-convergence",),
-            )
-            add("convergence", _run_propagator_convergence(family, cfg, None))
+            cfg = replace(base, scheme=scheme)
+            add("convergence", _run_check("propagator-convergence", family, cfg))
 
     if name in ("random", "all"):
         zoo = random_zoo(families, seed, max_dim=max_dim)
@@ -525,7 +483,7 @@ def run_suite(
             "steps": steps,
             "grid": grid,
         },
-        "tolerances": tol.to_dict(),
+        "tolerances": asdict(tol),
         "sections": sections,
         "failures": failures,
         "passed": failures == 0,
@@ -543,14 +501,10 @@ def main():
 
 
 def _config_overrides(config: ExperimentConfig, steps, grid, out, formats) -> ExperimentConfig:
-    return ExperimentConfig(
-        family_spec=config.family_spec,
+    return replace(
+        config,
         steps=steps or config.steps,
-        scheme=config.scheme,
-        oracle_tolerance=config.oracle_tolerance,
         grid=grid or config.grid,
-        tolerances=config.tolerances,
-        checks=config.checks,
         output_path=out or config.output_path,
         formats=tuple(formats) if formats else config.formats,
     )

@@ -44,7 +44,7 @@ UNITARITY_ATOL = 1e-10
 ANCHOR_ATOL = 1e-12
 STIFFNESS_BOUND = 40.0
 CONDITION_WARNING = 1e12
-COST_BUDGET = 2e10  # flop-ish budget: substeps * dim^3 before a cost note
+COST_BUDGET = 2e10  # flop-ish budget: substeps * dim^3 before a cost warning
 
 _CF4_NODE = math.sqrt(3.0) / 6.0
 _CF4_ALPHA = 0.25 + _CF4_NODE  # weight on the near node
@@ -72,7 +72,7 @@ class Propagator:
     unitaries: np.ndarray  # (K+1, n, n)
     step_scheme: str
     steps_per_interval: int
-    notes: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         u = self.unitaries
@@ -176,10 +176,10 @@ def propagate(
         for j in range(steps):
             current = factors[k * steps + j] @ current
         unitaries[k + 1] = current
-    notes: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = ()
     cost = intervals * steps * n**3
     if cost > COST_BUDGET:
-        notes = (
+        warnings = (
             f"propagation cost {cost:.2e} (substeps x dim^3) exceeds the "
             f"budget {COST_BUDGET:.0e}; consider fewer steps or smaller families",
         )
@@ -189,7 +189,7 @@ def propagate(
         unitaries=unitaries,
         step_scheme=scheme,
         steps_per_interval=steps,
-        notes=notes,
+        warnings=warnings,
     )
 
 
@@ -423,10 +423,10 @@ def nonunitary_propagate(
 ) -> NonunitaryPropagator:
     """Integrate ``dR/dt = -A(t) R`` with exponential midpoint steps.
 
-    Enforces ``max_t ||A(t)|| * T <= stiffness_bound`` (default 40): beyond
-    that, ``exp(+-||A|| T)`` leaves double-precision range.  The condition
-    number of ``R(t_k, 0)`` is logged at every grid point and a warning is
-    attached above ``1e12``.
+    Enforces ``max_t ||A(t)|| * T <= stiffness_bound`` (default
+    ``STIFFNESS_BOUND``): beyond that, ``exp(+-||A|| T)`` leaves
+    double-precision range.  The condition number of ``R(t_k, 0)`` is
+    logged at every grid point and a warning is attached above ``1e12``.
     """
     norm = family.norm_bound(129)
     if norm * family.horizon > stiffness_bound:
@@ -550,7 +550,6 @@ def propagator_from_payload(payload: dict) -> Propagator:
         unitaries=unitaries,
         step_scheme=str(payload.get("step_scheme", SCHEME_MIDPOINT)),
         steps_per_interval=int(payload.get("steps_per_interval", 1)),
-        notes=("imported",),
     )
 
 

@@ -7,8 +7,9 @@ function on immutable values; all other modules build on these.
 
 Numerical conventions
 ---------------------
-* An eigenvalue with ``|lambda| <= tau_0`` (default 1e-9) is snapped to
-  exactly zero and therefore belongs to ``[0, inf)`` and not ``(-inf, 0)``.
+* An eigenvalue with ``|lambda| <= tau_0`` (default ``TAU_ZERO``) is
+  snapped to exactly zero and therefore belongs to ``[0, inf)`` and not
+  ``(-inf, 0)``.
 * Rank decisions use singular values: relative threshold
   ``tau_rank * sigma_max`` for general matrices, absolute threshold for
   restrictions of projections (whose singular values live in ``[0, 1]``).
@@ -36,12 +37,30 @@ HERMITICITY_ATOL = 1e-12
 ORTHONORMALITY_ATOL = 1e-10
 IDEMPOTENCY_ATOL = 1e-10
 TRACE_ATOL = 1e-8
-TAU_ZERO = 1e-9
 TAU_GAP = 1e-7
 TAU_RANK_RELATIVE = 1e-10
-TAU_RANK_PAIR = 1e-8
-TAU_ANGLE = 1e-9
 GAP_RATIO_FLOOR = 1e3
+
+
+@dataclass(frozen=True)
+class ToleranceSet:
+    """The thresholds a config may set; these defaults are their only definitions."""
+
+    tau_0: float = 1e-9  # eigenvalues this close to zero count as zero
+    tau_rank: float = 1e-8  # absolute cut on endpoint projection restrictions
+    gamma_min: float = 1e-6  # least clearance of a flow-partition level
+    tau_angle: float = 1e-9  # principal-cosine cut of transport subspaces
+    sigma_cut: float = 1e-4  # rank cut on propagated restrictions
+    shooting_angle_tol: float = 1e-6  # principal-cosine cut of shot subspaces
+
+
+_DEFAULTS = ToleranceSet()
+TAU_ZERO = _DEFAULTS.tau_0
+TAU_RANK_PAIR = _DEFAULTS.tau_rank
+GAMMA_MIN = _DEFAULTS.gamma_min
+TAU_ANGLE = _DEFAULTS.tau_angle
+SIGMA_CUT = _DEFAULTS.sigma_cut
+SHOOTING_ANGLE_TOL = _DEFAULTS.shooting_angle_tol
 
 
 def _matrix_hash(a: np.ndarray) -> str:
@@ -358,6 +377,7 @@ class IndexReport:
     index: int
     method: str
     diagnostics: dict = field(default_factory=dict)
+    warnings: tuple[str, ...] = ()  # not in to_dict: the check record lists them
 
     def __post_init__(self):
         if self.index != self.ker_dim - self.coker_dim:

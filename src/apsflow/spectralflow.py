@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConsistencyError, NoAdmissibleLevelError
 from .families import OperatorFamily, unitary_conjugated_family
 from .matrixcore import (
+    GAMMA_MIN,
     NEGATIVE_AXIS,
     TAU_RANK_PAIR,
     TAU_ZERO,
@@ -32,7 +33,6 @@ from .matrixcore import (
     spectral_projection,
 )
 
-GAMMA_MIN = 1e-6
 MIN_SEGMENT_FRACTION = 2.0**-20
 DEFAULT_SEGMENT_SAMPLES = 33
 
@@ -44,8 +44,8 @@ class FlowPartition:
     points: np.ndarray
     levels: np.ndarray
     witness_gaps: np.ndarray  # min sampled distance from the level to the spectrum
+    margins: np.ndarray  # clearance each level had to certify: gamma_min + speed * coverage
     certificates: tuple[str, ...]  # "derivative" or "sampled", per segment
-    notes: tuple[str, ...] = ()
 
     @property
     def segments(self) -> int:
@@ -56,8 +56,8 @@ class FlowPartition:
             "points": [float(t) for t in self.points],
             "levels": [float(a) for a in self.levels],
             "witness_gaps": [float(g) for g in self.witness_gaps],
+            "margins": [float(m) for m in self.margins],
             "certificates": list(self.certificates),
-            "notes": list(self.notes),
         }
 
 
@@ -197,11 +197,11 @@ def build_flow_partition(
     horizon = family.horizon
     if delta_min is None:
         delta_min = horizon * MIN_SEGMENT_FRACTION
-    notes: list[str] = []
 
     points = [0.0]
     levels: list[float] = []
     witness: list[float] = []
+    margins: list[float] = []
     certs: list[str] = []
 
     def process(t0: float, t1: float) -> None:
@@ -213,13 +213,6 @@ def build_flow_partition(
         if family.smoothness == "discrete" and family.grid is not None and family.grid.size > 1:
             coverage += float(np.max(np.diff(family.grid))) / 2.0
         margin = gamma_min + speed * coverage
-        if speed * spacing > gamma_min / 2.0:
-            note = (
-                f"sampling resolution on [{t0:g}, {t1:g}]: speed {speed:.3g} x spacing "
-                f"{spacing:.3g} exceeds gamma_min/2; levels certified with margin {margin:.3g}"
-            )
-            if not notes or notes[-1].split(":")[0] != note.split(":")[0]:
-                notes.append(note)
         pool = np.unique(eigs.ravel())
         found = _candidate_level(pool, margin)
         if found is not None:
@@ -227,6 +220,7 @@ def build_flow_partition(
             points.append(t1)
             levels.append(level)
             witness.append(clearance)
+            margins.append(margin)
             certs.append(cert)
             return
         if (t1 - t0) / 2.0 < delta_min:
@@ -244,8 +238,8 @@ def build_flow_partition(
         points=np.asarray(points),
         levels=np.asarray(levels),
         witness_gaps=np.asarray(witness),
+        margins=np.asarray(margins),
         certificates=tuple(certs),
-        notes=tuple(notes),
     )
 
 

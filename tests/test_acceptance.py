@@ -20,8 +20,10 @@ from apsflow.apsindex import (
     riemannian_kernel_shooting,
     riemannian_main_check,
 )
+from apsflow.cli import RIEMANNIAN_NORM_CAP
 from apsflow.evolution import (
     SCHEME_CF4,
+    STIFFNESS_BOUND,
     cauchy_residual,
     cauchy_solve,
     closed_form_counterexample_propagator,
@@ -203,12 +205,12 @@ def test_criterion_5_propagator_structure(transported_zoo, zoo):
 
 
 def test_criterion_6_boundary_value_index(zoo):
-    eligible = [f for f in zoo if f.norm_bound() * f.horizon <= 10.0]
+    eligible = [f for f in zoo if f.norm_bound() * f.horizon <= RIEMANNIAN_NORM_CAP]
     failures = [f.label for f in eligible if not riemannian_main_check(f, 32).passed]
 
     stability_failures = []
     for family in shipped_families():
-        if family.norm_bound() * family.horizon > 40.0:
+        if family.norm_bound() * family.horizon > STIFFNESS_BOUND:
             continue
         dims = [
             (r.ker_dim, r.coker_dim)
@@ -218,7 +220,9 @@ def test_criterion_6_boundary_value_index(zoo):
             stability_failures.append((family.label, dims))
 
     shooting_failures = []
-    probes = [f for f in shipped_families() if f.norm_bound() * f.horizon <= 10.0]
+    probes = [
+        f for f in shipped_families() if f.norm_bound() * f.horizon <= RIEMANNIAN_NORM_CAP
+    ]
     probes += eligible[::3]
     for family in probes:
         shoot = riemannian_kernel_shooting(family, 256)

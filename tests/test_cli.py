@@ -1,3 +1,4 @@
+import inspect
 import json
 from pathlib import Path
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from apsflow import apsindex, cli, evolution, matrixcore, spectralflow
 from apsflow.cli import (
     ToleranceSet,
+    execute_config,
     load_config,
     main,
     parse_config,
@@ -109,7 +112,7 @@ class TestRunCommand:
         assert report["results"][0]["sfl"] == 1
         assert report["results"][0]["endpoint_pair_index"] == 1
         assert "_timings" not in report
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["artifact_version"]
         assert report["seed"] == 0
         assert len(report["results"]) == len(report["config"]["checks"])
@@ -200,6 +203,95 @@ class TestRunCommand:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["config"]["tolerances"]["gamma_min"] == 2e-6
         assert report["results"][0]["tolerances"]["gamma_min"] == 2e-6
+
+
+SCALAR_CROSSING = {"kind": "linear", "parameters": {"a0_diagonal": [-0.5], "b_diagonal": [1.0]}}
+COUNTEREXAMPLE = {"kind": "counterexample", "parameters": {"m": 1}}
+# the function that applies each threshold, and the keyword it takes it by
+TOLERANCE_APPLIERS = {
+    "tau_0": ("spectral_flow", "tau_0"),
+    "tau_rank": ("relative_index", "tau_rank"),
+    "gamma_min": ("build_flow_partition", "gamma_min"),
+    "tau_angle": ("subspace_intersection", "tau_angle"),
+    "sigma_cut": ("lorentzian_index_projection", "sigma_cut"),
+    "shooting_angle_tol": ("riemannian_kernel_shooting", "angle_tol"),
+}
+TOLERANCE_CHECKS = [
+    ("tau_0", "flowind"),
+    ("tau_0", "lorentzian-main"),
+    ("tau_0", "riemannian-main"),
+    ("tau_0", "counterexample-growth"),
+    ("tau_rank", "flowind"),
+    ("gamma_min", "flowind"),
+    ("gamma_min", "lorentzian-main"),
+    ("gamma_min", "riemannian-main"),
+    ("gamma_min", "counterexample-growth"),
+    ("tau_angle", "lorentzian-main"),
+    ("tau_angle", "counterexample-growth"),
+    ("sigma_cut", "lorentzian-main"),
+    ("sigma_cut", "counterexample-growth"),
+    ("shooting_angle_tol", "riemannian-main"),
+]
+
+
+def spy_keyword(monkeypatch, name, keyword):
+    """Record ``keyword`` of every call to the apsflow function ``name``.
+
+    The spy replaces every module binding of the function, so calls made
+    inside the package are seen too.  A defaulted keyword records ``None``.
+    """
+    modules = (apsindex, cli, evolution, matrixcore, spectralflow)
+    original = next(getattr(m, name) for m in modules if hasattr(m, name))
+    signature = inspect.signature(original)
+    seen = []
+
+    def wrapper(*args, **kwargs):
+        seen.append(signature.bind(*args, **kwargs).arguments.get(keyword))
+        return original(*args, **kwargs)
+
+    for m in modules:
+        if getattr(m, name, None) is original:
+            monkeypatch.setattr(m, name, wrapper)
+    return seen
+
+
+class TestTolerancePlumbing:
+    @pytest.mark.parametrize("field,check", TOLERANCE_CHECKS)
+    def test_config_tolerance_reaches_its_threshold(self, monkeypatch, field, check):
+        value = 2.0 * getattr(ToleranceSet(), field)
+        seen = spy_keyword(monkeypatch, *TOLERANCE_APPLIERS[field])
+        family = COUNTEREXAMPLE if check == "counterexample-growth" else SCALAR_CROSSING
+        config = parse_config(
+            {
+                "family": family,
+                "propagator": {"steps": 128},
+                "tolerances": {field: value},
+                "checks": [check],
+            }
+        )
+        entry = execute_config(config)["results"][0]
+        assert "error" not in entry
+        assert seen and all(v == value for v in seen), seen
+        assert entry["tolerances"][field] == value
+
+    def test_construction_warning_in_every_record(self, tmp_path):
+        path = tmp_path / "config.json"
+        write_config(
+            path,
+            family={
+                "kind": "custom-samples",
+                "parameters": {
+                    "times": [0.0, 1.0],
+                    "matrices": [[[[-0.5, 0.0]]], [[[0.5, 0.0]]]],
+                },
+            },
+            checks=["flowind", "lorentzian-main", "riemannian-main"],
+        )
+        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        for entry in report["results"]:
+            assert any("piecewise" in w for w in entry["warnings"]), entry["check"]
 
 
 class TestShippedConfigs:
