@@ -234,6 +234,7 @@ class LorentzianMainRecord:
     family_label: str
     checkpoints: tuple[CheckpointEntry, ...]
     passed: bool
+    projection_at_end: IndexReport  # the projection-pair index of the checkpoint at T
     warnings: tuple[str, ...] = ()  # gray-zone warnings of the checkpoint indices
 
     def to_dict(self) -> dict:
@@ -260,23 +261,31 @@ def lorentzian_main_check(
 
     Uses the projection-pair index.  The checkpoint set subsamples the grid
     (default 8 points including ``T``); any inequality is a hard failure
-    carrying both integers.
+    carrying both integers.  The flow on ``[0, t]`` is the running sum of
+    the flows over the windows between successive checkpoints (spectral
+    flow is additive under concatenation), so the partitions together
+    cover ``[0, T]`` once.
     """
+    if checkpoints < 1:
+        raise ValueError(f"checkpoints must be positive, got {checkpoints}")
     grid_count = propagator.grid.shape[0] - 1
     indices = sorted(
         {max(1, round(j * grid_count / checkpoints)) for j in range(1, checkpoints + 1)}
     )
     entries = []
     warnings: list[str] = []
+    sfl = 0
+    t_prev = 0.0
     for k in indices:
         t = float(propagator.grid[k])
         rep = lorentzian_index_projection(
             family, propagator, t, tau_0=tau_0, sigma_cut=sigma_cut
         )
         warnings.extend(rep.warnings)
-        sfl = spectral_flow(
-            family.restricted(0.0, t), gamma_min=gamma_min, tau_0=tau_0
+        sfl += spectral_flow(
+            family.restricted(t_prev, t), gamma_min=gamma_min, tau_0=tau_0
         ).value
+        t_prev = t
         entries.append(
             CheckpointEntry(
                 t=t,
@@ -291,6 +300,7 @@ def lorentzian_main_check(
         family_label=family.label,
         checkpoints=tuple(entries),
         passed=all(e.passed for e in entries),
+        projection_at_end=rep,
         warnings=tuple(warnings),
     )
     if not record.passed and raise_on_mismatch:
@@ -361,9 +371,8 @@ def assemble_discretized_operator(
             return r_left + (m - 1) * n, b_right
         return r_left + (k - 1) * n, None
 
-    for k in range(m):
-        mid = (k + 0.5) * h
-        a_mid = family.at(mid).entries
+    mids = family.at_many([(k + 0.5) * h for k in range(m)])
+    for k, a_mid in enumerate(mids):
         plus = np.eye(n) / h + a_mid / 2.0  # coefficient of f_{k+1}
         minus = -np.eye(n) / h + a_mid / 2.0  # coefficient of f_k
         for coeff, slice_idx in ((minus, k), (plus, k + 1)):

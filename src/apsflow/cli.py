@@ -115,7 +115,11 @@ def _require(condition: bool, message: str) -> None:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw config mapping; error messages name the failing field."""
+    """Validate a raw config mapping; error messages name the failing field.
+
+    Keys the config leaves out take the ``ExperimentConfig`` field defaults.
+    """
+    default = {f.name: f.default for f in fields(ExperimentConfig)}
     _require(isinstance(raw, dict), "config must be a JSON object")
     fam = raw.get("family")
     _require(isinstance(fam, dict), "config.family must be an object")
@@ -124,14 +128,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     prop = raw.get("propagator", {})
     _require(isinstance(prop, dict), "config.propagator must be an object")
-    steps = int(prop.get("steps", 1024))
+    steps = int(prop.get("steps", default["steps"]))
     _require(steps >= 1, "config.propagator.steps must be >= 1")
-    scheme = prop.get("scheme", SCHEME_MIDPOINT)
+    scheme = prop.get("scheme", default["scheme"])
     _require(scheme in SCHEMES, f"config.propagator.scheme must be one of {SCHEMES}")
-    oracle_tolerance = float(prop.get("oracle_tolerance", 1e-6))
+    oracle_tolerance = float(prop.get("oracle_tolerance", default["oracle_tolerance"]))
     _require(oracle_tolerance > 0, "config.propagator.oracle_tolerance must be positive")
 
-    grid = int(raw.get("grid", 64))
+    grid = int(raw.get("grid", default["grid"]))
     _require(grid >= 4, "config.grid must be >= 4")
 
     tol_raw = raw.get("tolerances", {})
@@ -152,7 +156,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     output = raw.get("output", {})
     _require(isinstance(output, dict), "config.output must be an object")
-    formats = tuple(output.get("formats", ["json"]))
+    formats = tuple(output.get("formats", default["formats"]))
     for f in formats:
         _require(f in ("json", "csv"), f"config.output.formats entry {f!r} must be json or csv")
 
@@ -164,7 +168,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         grid=grid,
         tolerances=tolerances,
         checks=tuple(checks),
-        output_path=str(output.get("path", "reports")),
+        output_path=str(output.get("path", default["output_path"])),
         formats=formats,
     )
     family_from_spec(spec)  # referenced family must be constructible
@@ -227,7 +231,10 @@ def _run_lorentzian_main(family, config: ExperimentConfig, outdir: Path | None) 
         gamma_min=tol.gamma_min,
         raise_on_mismatch=False,
     )
-    proj, sub = _transport_routes(family, prop, tol)
+    proj = rec.projection_at_end
+    sub = lorentzian_index_subspace(
+        family, prop, tau_0=tol.tau_0, tau_angle=tol.tau_angle, sigma_cut=tol.sigma_cut
+    )
     agree = (proj.ker_dim, proj.coker_dim, proj.index) == (
         sub.ker_dim,
         sub.coker_dim,
@@ -245,7 +252,7 @@ def _run_lorentzian_main(family, config: ExperimentConfig, outdir: Path | None) 
         "scheme": config.scheme,
         "unitarity_defect": prop.unitarity_defect(),
     }
-    result["warnings"] = [*prop.warnings, *rec.warnings, *proj.warnings, *sub.warnings]
+    result["warnings"] = [*prop.warnings, *rec.warnings, *sub.warnings]
     return result
 
 

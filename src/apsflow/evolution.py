@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +58,11 @@ def _expi_hermitian_batch(mats: np.ndarray, factor: complex) -> np.ndarray:
     return np.einsum("...ij,...j,...kj->...ik", v, phases, v.conj())
 
 
+def _unitarity_defect(u: np.ndarray) -> float:
+    eye = np.eye(u.shape[-1])
+    return float(np.max(np.abs(np.einsum("kji,kjl->kil", u.conj(), u) - eye)))
+
+
 @dataclass(frozen=True)
 class Propagator:
     """Unitaries ``U_k ~ Q(t_k, 0)`` on a time grid.
@@ -73,17 +78,19 @@ class Propagator:
     step_scheme: str
     steps_per_interval: int
     warnings: tuple[str, ...] = ()
+    _defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = self.unitaries
         n = u.shape[-1]
         if not np.array_equal(u[0], np.eye(n)):
             raise ConsistencyError("propagator does not start at the identity")
-        defect = self.unitarity_defect()
+        defect = _unitarity_defect(u)
         if defect > UNITARITY_ATOL:
             raise ConsistencyError(
                 f"propagator unitarity defect {defect:.3e} exceeds {UNITARITY_ATOL:.1e}"
             )
+        object.__setattr__(self, "_defect", defect)
 
     @property
     def dim(self) -> int:
@@ -94,9 +101,8 @@ class Propagator:
         return float(self.grid[-1])
 
     def unitarity_defect(self) -> float:
-        u = self.unitaries
-        eye = np.eye(self.dim)
-        return float(np.max(np.abs(np.einsum("kji,kjl->kil", u.conj(), u) - eye)))
+        """Max entry of ``U_k* U_k - I`` over the grid, computed at construction."""
+        return self._defect
 
     def index_of(self, t: float, *, atol: float | None = None) -> int:
         """Grid index of ``t``; raises ``OffGridError`` rather than interpolating."""
@@ -121,13 +127,10 @@ def _substep_generators(
     sub = np.linspace(grid[0], grid[-1], (grid.shape[0] - 1) * steps + 1)
     h = float(sub[1] - sub[0])
     if scheme == SCHEME_MIDPOINT:
-        mids = sub[:-1] + h / 2.0
-        return np.stack([family.at(float(t)).entries for t in mids])
+        return family.at_many(sub[:-1] + h / 2.0)
     near = sub[:-1] + (0.5 - _CF4_NODE) * h
     far = sub[:-1] + (0.5 + _CF4_NODE) * h
-    a1 = np.stack([family.at(float(t)).entries for t in near])
-    a2 = np.stack([family.at(float(t)).entries for t in far])
-    return np.stack([a1, a2])
+    return np.stack([family.at_many(near), family.at_many(far)])
 
 
 def _step_factors(
@@ -388,11 +391,10 @@ def cauchy_residual(family: OperatorFamily, trajectory: Trajectory, g=None) -> f
         gs = np.stack([np.asarray(g(float(t)), dtype=complex) for t in grid])
     else:
         gs = np.asarray(g, dtype=complex)
+    mids = family.at_many((grid[:-1] + grid[1:]) / 2.0)
     worst = 0.0
-    for k in range(grid.shape[0] - 1):
+    for k, a in enumerate(mids):
         h = float(grid[k + 1] - grid[k])
-        mid = (float(grid[k]) + float(grid[k + 1])) / 2.0
-        a = family.at(mid).entries
         res = (f[k + 1] - f[k]) / h - 1j * (a @ (f[k] + f[k + 1]) / 2.0) - (gs[k] + gs[k + 1]) / 2.0
         worst = max(worst, float(np.linalg.norm(res)))
     return worst

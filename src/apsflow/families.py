@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, FamilyConstructionError
-from .matrixcore import TAU_ZERO, HermitianMatrix, eigh, snap_eigenvalues
+from .matrixcore import TAU_ZERO, HermitianMatrix, eigh, hermitian_stack, snap_eigenvalues
 
 DERIVATIVE_CHECK_STEP = 1e-4
 _VALIDATION_SAMPLES = 9
@@ -142,10 +142,26 @@ class OperatorFamily:
             raise FamilyConstructionError(f"family {self.label!r} has no derivative")
         return HermitianMatrix(self.derivative_fn(self._clock(t)))
 
+    def at_many(self, ts) -> np.ndarray:
+        """The read-only ``(K, n, n)`` stack of ``at(t).entries`` for ``t`` in ``ts``.
+
+        Each matrix is evaluated as :meth:`at` evaluates it; the Hermiticity
+        check runs once over the whole stack.
+        """
+        times = np.asarray(ts, dtype=float).tolist()
+        return hermitian_stack([self.eval_fn(self._clock(t)) for t in times])
+
+    def derivative_at_many(self, ts) -> np.ndarray:
+        """The stack of ``derivative_at(t).entries`` for ``t`` in ``ts``."""
+        if self.derivative_fn is None:
+            raise FamilyConstructionError(f"family {self.label!r} has no derivative")
+        times = np.asarray(ts, dtype=float).tolist()
+        return hermitian_stack([self.derivative_fn(self._clock(t)) for t in times])
+
     def norm_bound(self, samples: int = 65) -> float:
         """Max spectral norm over a uniform time sample."""
         ts = np.linspace(0.0, self.horizon, samples)
-        return max(self.at(t).norm2() for t in ts)
+        return float(np.max(np.abs(np.linalg.eigvalsh(self.at_many(ts)))))
 
     def restricted(self, t0: float, t1: float, label: str | None = None) -> "OperatorFamily":
         """The family on ``[t0, t1]`` reparametrized to start at 0."""

@@ -67,34 +67,53 @@ def _matrix_hash(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
 
 
+def hermitian_stack(a, *, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+    """Check a ``(K, n, n)`` stack of Hermitian matrices in one vectorized pass.
+
+    Every matrix must be finite and deviate from its adjoint by at most
+    ``atol * (1 + max|a_k|)``; the first offending matrix raises.  Returns
+    the read-only stack of Hermitian parts ``(a_k + a_k*)/2``.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 3:
+        raise DimensionMismatchError(f"expected a stack of matrices, got shape {a.shape}")
+    if a.shape[1] != a.shape[2]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape[1:]}")
+    if a.shape[1] == 0:
+        raise DimensionMismatchError("matrix dimension must be positive")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    adjoint = a.conj().swapaxes(1, 2)
+    scale = 1.0 + np.max(np.abs(a), axis=(1, 2))
+    deviation = np.max(np.abs(a - adjoint), axis=(1, 2))
+    bad = np.flatnonzero(deviation > atol * scale)
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"matrix is not Hermitian: max |H - H*| = {deviation[k]:.3e} "
+            f"exceeds {atol:.1e} * {scale[k]:.3e}"
+        )
+    sym = (a + adjoint) / 2.0
+    sym.setflags(write=False)
+    return sym
+
+
 class HermitianMatrix:
     """A square complex matrix symmetrized to be exactly Hermitian.
 
     Construction checks that the input deviates from its adjoint by at most
     ``atol`` (scaled by the matrix magnitude) and then stores the Hermitian
-    part ``(H + H*)/2`` with write access disabled.
+    part ``(H + H*)/2`` with write access disabled; :func:`hermitian_stack`
+    does both.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries, *, atol: float = HERMITICITY_ATOL):
         a = np.asarray(entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim != 2:
             raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] == 0:
-            raise DimensionMismatchError("matrix dimension must be positive")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        scale = 1.0 + float(np.max(np.abs(a))) if a.size else 1.0
-        deviation = float(np.max(np.abs(a - a.conj().T)))
-        if deviation > atol * scale:
-            raise ValueError(
-                f"matrix is not Hermitian: max |H - H*| = {deviation:.3e} "
-                f"exceeds {atol:.1e} * {scale:.3e}"
-            )
-        sym = (a + a.conj().T) / 2.0
-        sym.setflags(write=False)
-        self.entries = sym
+        self.entries = hermitian_stack(a[None], atol=atol)[0]
 
     @property
     def dim(self) -> int:
@@ -104,10 +123,6 @@ class HermitianMatrix:
         if dtype is None:
             return self.entries
         return self.entries.astype(dtype)
-
-    def norm2(self) -> float:
-        """Spectral norm (largest absolute eigenvalue)."""
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.entries))))
 
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim}, hash={_matrix_hash(self.entries)})"

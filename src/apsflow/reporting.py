@@ -58,11 +58,8 @@ def write_csv(path, header, rows) -> None:
 def eigenflow_rows(family, samples: int = 101):
     """Rows ``(t, lambda_1 ... lambda_n)`` of the eigenvalue flow."""
     ts = np.linspace(0.0, family.horizon, samples)
-    rows = []
-    for t in ts:
-        w = np.linalg.eigvalsh(family.at(float(t)).entries)
-        rows.append([float(t)] + [float(x) for x in w])
-    return rows
+    eigs = np.linalg.eigvalsh(family.at_many(ts))
+    return [[float(t)] + [float(x) for x in w] for t, w in zip(ts, eigs)]
 
 
 def write_eigenflow_csv(family, path, samples: int = 101) -> None:

@@ -14,8 +14,9 @@ negative spectral projections is a real check on the certificates.
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,12 +82,19 @@ class CrossingEvent:
 
 @dataclass(frozen=True)
 class SflReport:
-    """Spectral flow value with the partition and per-segment terms behind it."""
+    """Spectral flow value with the partition and per-segment terms behind it.
+
+    The crossing log is a diagnostic for reports; it is sampled from
+    ``family`` on first access, so flows whose log nobody reads never
+    build it.
+    """
 
     value: int
     partition: FlowPartition
     per_segment_terms: tuple[int, ...]
-    crossing_log: tuple[CrossingEvent, ...]
+    family: OperatorFamily = field(repr=False, compare=False)
+    tau_0: float
+    crossing_samples: int
 
     def __post_init__(self):
         if self.value != sum(self.per_segment_terms):
@@ -94,6 +102,10 @@ class SflReport:
                 f"spectral flow {self.value} is not the sum of segment terms "
                 f"{self.per_segment_terms}"
             )
+
+    @functools.cached_property
+    def crossing_log(self) -> tuple[CrossingEvent, ...]:
+        return _crossing_log(self.family, self.crossing_samples, self.tau_0)
 
     def to_dict(self) -> dict:
         return {
@@ -113,37 +125,32 @@ def crossing_log_to_csv(report: SflReport, path) -> None:
 
 
 def _eig_samples(family: OperatorFamily, ts: np.ndarray) -> np.ndarray:
-    stack = np.stack([family.at(t).entries for t in ts])
-    return np.linalg.eigvalsh(stack)
+    return np.linalg.eigvalsh(family.at_many(ts))
+
+
+def _max_abs_eigenvalue(stack: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvalsh(stack)), initial=0.0))
 
 
 def _speed_bound(family: OperatorFamily, ts: np.ndarray) -> tuple[float, str]:
     """Max eigenvalue speed on the segment, from the derivative if available."""
     if family.has_derivative:
-        stack = np.stack([family.derivative_at(t).entries for t in ts])
-        return float(np.max(np.abs(np.linalg.eigvalsh(stack)))), "derivative"
+        return _max_abs_eigenvalue(family.derivative_at_many(ts)), "derivative"
     if family.smoothness == "discrete" and family.grid is not None:
         lo, hi = float(ts[0]), float(ts[-1])
         keep = (family.grid >= lo - 1e-12) & (family.grid <= hi + 1e-12)
         gts = family.grid[keep]
         if gts.size < 2:
             gts = family.grid[: 2] if family.grid.size >= 2 else ts
-        best = 0.0
-        prev = family.at(float(gts[0])).entries
-        for j in range(1, gts.size):
-            cur = family.at(float(gts[j])).entries
-            dt = float(gts[j] - gts[j - 1])
-            if dt > 0:
-                best = max(best, float(np.max(np.abs(np.linalg.eigvalsh((cur - prev) / dt)))))
-            prev = cur
-        return best, "sampled"
+        stack = family.at_many(gts)
+        dt = np.diff(gts)
+        step = dt > 0
+        slopes = (stack[1:][step] - stack[:-1][step]) / dt[step][:, None, None]
+        return _max_abs_eigenvalue(slopes), "sampled"
     h = max(family.horizon * 1e-6, 1e-9)
-    best = 0.0
-    for t in ts:
-        lo = min(max(t - h, 0.0), family.horizon - 2 * h)
-        diff = (family.at(lo + 2 * h).entries - family.at(lo).entries) / (2 * h)
-        best = max(best, float(np.max(np.abs(np.linalg.eigvalsh(diff)))))
-    return best, "sampled"
+    lo = np.minimum(np.maximum(ts - h, 0.0), family.horizon - 2 * h)
+    diff = (family.at_many(lo + 2 * h) - family.at_many(lo)) / (2 * h)
+    return _max_abs_eigenvalue(diff), "sampled"
 
 
 def _candidate_level(pool: np.ndarray, margin: float) -> tuple[float, float] | None:
@@ -293,20 +300,18 @@ def spectral_flow(
     partition = build_flow_partition(
         family, n_samples, gamma_min=gamma_min, delta_min=delta_min
     )
-    terms: list[int] = []
-    for n in range(partition.segments):
-        t_prev, t_next = partition.points[n], partition.points[n + 1]
-        level = partition.levels[n]
-        eig_prev = np.linalg.eigvalsh(family.at(float(t_prev)).entries)
-        eig_next = np.linalg.eigvalsh(family.at(float(t_next)).entries)
-        terms.append(
-            _count_window(eig_next, level, tau_0) - _count_window(eig_prev, level, tau_0)
-        )
+    eigs = _eig_samples(family, partition.points)
+    terms = [
+        _count_window(eigs[n + 1], level, tau_0) - _count_window(eigs[n], level, tau_0)
+        for n, level in enumerate(partition.levels)
+    ]
     return SflReport(
         value=sum(terms),
         partition=partition,
         per_segment_terms=tuple(terms),
-        crossing_log=_crossing_log(family, crossing_samples, tau_0),
+        family=family,
+        tau_0=tau_0,
+        crossing_samples=crossing_samples,
     )
 
 
@@ -418,11 +423,10 @@ def sfl_conjugation_invariance_check(
         conj = evolved_family(family, unitary)
     base = spectral_flow(family, n_samples, gamma_min=gamma_min, tau_0=tau_0)
     other = spectral_flow(conj, n_samples, gamma_min=gamma_min, tau_0=tau_0)
-    deviation = 0.0
-    for t in np.linspace(0.0, family.horizon, spectrum_samples):
-        w_base = np.linalg.eigvalsh(family.at(conj._clock(t)).entries)
-        w_conj = np.linalg.eigvalsh(conj.at(t).entries)
-        deviation = max(deviation, float(np.max(np.abs(w_base - w_conj))))
+    ts = np.linspace(0.0, family.horizon, spectrum_samples)
+    w_base = _eig_samples(family, [conj._clock(t) for t in ts])
+    w_conj = _eig_samples(conj, ts)
+    deviation = float(np.max(np.abs(w_base - w_conj), initial=0.0))
     record = ConjugationRecord(
         family_label=family.label,
         sfl_original=base.value,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from apsflow import apsindex
 from apsflow.apsindex import (
     aps_boundary_data,
     assemble_discretized_operator,
@@ -15,18 +16,44 @@ from apsflow.apsindex import (
 from apsflow.errors import StiffnessError
 from apsflow.evolution import propagate
 from apsflow.families import (
+    OperatorFamily,
     constant_family,
     counterexample_family,
     endpoint_regularize,
     linear_family,
 )
-from apsflow.matrixcore import HermitianMatrix
+from apsflow.matrixcore import TAU_ZERO, HermitianMatrix
 from apsflow.spectralflow import spectral_flow
 from apsflow.zoo import random_trig_family, singular_endpoint_family
 
 
 def diag(*vals):
     return HermitianMatrix(np.diag(np.asarray(vals, dtype=float)))
+
+
+def negative_count(family, t):
+    w = np.linalg.eigvalsh(family.at(t).entries)
+    return int(np.count_nonzero(w < -TAU_ZERO))
+
+
+def _tangent_touch():
+    # eigenvalue (t - 1/2)^2 touches zero at the checkpoint t = 1/2
+    return OperatorFamily(
+        dim=1,
+        horizon=1.0,
+        label="tangent-touch",
+        eval_fn=lambda t: np.array([[(t - 0.5) ** 2]], dtype=complex),
+        derivative_fn=lambda t: np.array([[2.0 * (t - 0.5)]], dtype=complex),
+    )
+
+
+# eigenvalues that meet zero exactly at checkpoint times of an 8-point check
+HARD_CHECKPOINT_FAMILIES = {
+    "crossing-at-checkpoint": lambda: linear_family(diag(-0.5), diag(1.0), 1.0),
+    "tangent-touch": _tangent_touch,
+    "pinned-zero": lambda: linear_family(diag(0.0, -0.5), diag(0.0, 1.0), 1.0),
+    "two-crossings": lambda: linear_family(diag(-0.25, 0.75), diag(1.0, -1.0), 1.0),
+}
 
 
 class TestBoundaryData:
@@ -149,6 +176,31 @@ class TestTransportMainCheck:
         rec = lorentzian_main_check(f, p)
         assert len(rec.checkpoints) == 8
         assert rec.checkpoints[-1].t == pytest.approx(1.0)
+
+    def test_checkpoint_flows_cover_the_horizon_once(self, rng, monkeypatch):
+        f = random_trig_family(4, rng, drift=3.5)
+        horizons = []
+        original = apsindex.spectral_flow
+
+        def spy(family, *args, **kwargs):
+            horizons.append(family.horizon)
+            return original(family, *args, **kwargs)
+
+        monkeypatch.setattr(apsindex, "spectral_flow", spy)
+        rec = lorentzian_main_check(f, propagate(f, 256))
+        assert rec.passed
+        assert len(horizons) == 8
+        assert sum(horizons) == pytest.approx(f.horizon, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(HARD_CHECKPOINT_FAMILIES))
+    def test_checkpoint_flows_on_hard_inputs(self, name):
+        f = HARD_CHECKPOINT_FAMILIES[name]()
+        rec = lorentzian_main_check(f, propagate(f, 256))
+        assert rec.passed
+        assert [e.t for e in rec.checkpoints] == [0.125 * j for j in range(1, 9)]
+        for e in rec.checkpoints:
+            assert e.sfl == spectral_flow(f.restricted(0.0, e.t)).value
+            assert e.sfl == negative_count(f, 0.0) - negative_count(f, e.t)
 
 
 class TestDiscretizedOperator:

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from apsflow import apsindex, cli, evolution, matrixcore, spectralflow
 from apsflow.cli import (
+    ExperimentConfig,
     ToleranceSet,
     execute_config,
     load_config,
@@ -16,6 +17,7 @@ from apsflow.cli import (
     run_suite,
 )
 from apsflow.errors import ConfigError
+from apsflow.families import FamilySpec, family_from_spec
 
 
 def write_config(path, **overrides):
@@ -88,6 +90,12 @@ class TestConfigParsing:
                     "checks": ["counterexample-growth"],
                 }
             )
+
+    def test_omitted_keys_take_the_dataclass_defaults(self):
+        family = {"kind": "constant", "parameters": {"matrix_diagonal": [1.0]}}
+        config = parse_config({"family": family, "checks": ["flowind"]})
+        spec = FamilySpec("constant", {"matrix_diagonal": [1.0]})
+        assert config == ExperimentConfig(spec, checks=("flowind",))
 
     def test_unknown_tolerance_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -292,6 +300,56 @@ class TestTolerancePlumbing:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         for entry in report["results"]:
             assert any("piecewise" in w for w in entry["warnings"]), entry["check"]
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls to ``module.name``, also through its imports into ``cli``."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for m in (module, cli):
+        if getattr(m, name, None) is original:
+            monkeypatch.setattr(m, name, wrapper)
+    return calls
+
+
+class TestWorkDoneOnce:
+    def config(self, check):
+        return parse_config(
+            {
+                "family": SCALAR_CROSSING,
+                "propagator": {"steps": 128},
+                "checks": [check],
+                "output": {"formats": ["json", "csv"]},
+            }
+        )
+
+    @pytest.mark.parametrize("check,expected", [("lorentzian-main", 0), ("flowind", 1)])
+    def test_crossing_log_built_only_where_written(self, monkeypatch, tmp_path, check, expected):
+        calls = count_calls(monkeypatch, spectralflow, "_crossing_log")
+        entry = execute_config(self.config(check), outdir=tmp_path)["results"][0]
+        assert entry["passed"]
+        assert len(calls) == expected
+
+    def test_propagator_defect_computed_once(self, monkeypatch, tmp_path):
+        calls = count_calls(monkeypatch, evolution, "_unitarity_defect")
+        entry = execute_config(self.config("lorentzian-main"), outdir=tmp_path)["results"][0]
+        assert entry["propagator"]["unitarity_defect"] <= evolution.UNITARITY_ATOL
+        assert len(calls) == 1
+        prop = evolution.propagate(family_from_spec(FamilySpec(**SCALAR_CROSSING)), 16)
+        assert prop.unitarity_defect() == prop.unitarity_defect()
+        assert len(calls) == 2
+
+    def test_projection_index_at_end_computed_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, apsindex, "lorentzian_index_projection")
+        entry = execute_config(self.config("lorentzian-main"))["results"][0]
+        assert len(entry["checkpoints"]) == 8
+        assert len(calls) == 8
+        assert entry["projection_route"]["diagnostics"]["t_end"] == 1.0
 
 
 class TestShippedConfigs:

@@ -316,3 +316,68 @@ class TestSpecsAndSerialization:
             assert np.allclose(a, b)
         fam = family_from_spec(FamilySpec("custom-samples", {"path": str(path)}))
         assert fam.dim == 2
+
+
+def _batched_cases():
+    from apsflow.evolution import evolved_family, propagate
+    from apsflow.zoo import random_zoo
+
+    zoo = random_zoo(4, 0, max_dim=8)
+    samples = family_from_spec(
+        FamilySpec(
+            "custom-samples",
+            {
+                "times": [0.0, 0.3, 1.0],
+                "matrices": [
+                    matrix_to_pairs([[-1.0, 0.5j], [-0.5j, 1.0]]),
+                    matrix_to_pairs([[0.2, 1.0], [1.0, -0.4]]),
+                    matrix_to_pairs([[1.0, 0.0], [0.0, -2.0]]),
+                ],
+            },
+        )
+    )
+    return {
+        "zoo-n2": zoo[0],
+        "zoo-n8": zoo[2],
+        "swap-block": swap_block_family(-1.0, 1.0),
+        "custom-samples": samples,
+        "evolved": evolved_family(zoo[1], propagate(zoo[1], 64)),
+    }
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize(
+        "name", ["zoo-n2", "zoo-n8", "swap-block", "custom-samples", "evolved"]
+    )
+    def test_at_many_equals_stacked_at_bitwise(self, name):
+        fam = _batched_cases()[name]
+        # uniform samples, an off-grid time and a time rounding past T
+        ts = np.concatenate([np.linspace(0.0, fam.horizon, 37), [0.3141 * fam.horizon]])
+        ts = np.append(ts, fam.horizon + 5e-13)
+        stacked = np.stack([fam.at(t).entries for t in ts])
+        assert np.array_equal(fam.at_many(ts), stacked)
+        assert fam.has_derivative
+        stacked_d = np.stack([fam.derivative_at(t).entries for t in ts])
+        assert np.array_equal(fam.derivative_at_many(ts), stacked_d)
+        assert not fam.at_many(ts).flags.writeable
+
+    def test_at_many_rejects_times_outside_horizon(self):
+        fam = swap_block_family(-1.0, 1.0)
+        with pytest.raises(ValueError, match="outside"):
+            fam.at_many([0.5, 1.5])
+
+    def test_non_hermitian_message_matches_at(self):
+        from apsflow.families import OperatorFamily
+
+        fam = OperatorFamily(
+            dim=2,
+            horizon=1.0,
+            label="skewed",
+            eval_fn=lambda t: np.array([[0.0, 1.0 + t], [0.0, 0.0]], dtype=complex),
+        )
+        with pytest.raises(ValueError) as single:
+            fam.at(0.5)
+        with pytest.raises(ValueError) as batched:
+            fam.at_many([0.5])
+        assert "not Hermitian" in str(single.value)
+        assert str(batched.value) == str(single.value)

@@ -1,0 +1,53 @@
+"""Byte-for-byte guard on the reports of the shipped configs.
+
+``tests/golden/<config>/`` holds the ``report.json`` and CSV files that
+``apsflow run --config configs/<config>.json --format json --format csv``
+wrote before the transport hot path was batched.  The echoed output path is
+stored as ``"<out>"``.  Any change that moves a reported integer, float or
+warning by a single byte fails here; a deliberate change of the report
+format re-records these files and says so.
+
+Recorded on an x86_64 Intel Xeon (2 cores) with Python 3.11.7, numpy 2.4.6
+and scipy-openblas 0.3.31 (DYNAMIC_ARCH, Haswell kernels).  Another BLAS
+build or CPU may round the last digit of a float differently; the integers
+must still agree.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from apsflow.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CONFIGS = ("constant-split", "scalar-crossing", "counterexample-growth")
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_shipped_config_reports_match_golden(tmp_path, name):
+    out = tmp_path / name
+    result = CliRunner().invoke(
+        main,
+        [
+            "run",
+            "--config",
+            str(ROOT / "configs" / f"{name}.json"),
+            "--format",
+            "json",
+            "--format",
+            "csv",
+            "--out",
+            str(out),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    expected = sorted(p.name for p in (GOLDEN / name).iterdir())
+    assert sorted(p.name for p in out.iterdir()) == expected
+    for filename in expected:
+        got = (out / filename).read_bytes()
+        if filename == "report.json":
+            got = got.replace(json.dumps(str(out)).encode(), b'"<out>"')
+        assert got == (GOLDEN / name / filename).read_bytes(), filename

@@ -10,6 +10,7 @@ from apsflow.matrixcore import (
     Projection,
     Subspace,
     eigh,
+    hermitian_stack,
     principal_cosines,
     rank_kernel,
     relative_index,
@@ -274,3 +275,32 @@ class TestSnapping:
     def test_snap(self):
         w = snap_eigenvalues(np.array([-5e-10, 1e-12, 2e-9, -1.0]))
         assert np.array_equal(w, [0.0, 0.0, 2e-9, -1.0])
+
+
+class TestHermitianStack:
+    def test_symmetrizes_each_matrix_as_hermitian_matrix_does(self, rng):
+        noise = 1e-14j * rng.standard_normal((4, 3, 3))
+        mats = [random_hermitian_entries(3, rng) + e for e in noise]
+        stack = hermitian_stack(mats)
+        assert stack.shape == (4, 3, 3)
+        assert not stack.flags.writeable
+        for a, s in zip(mats, stack):
+            assert np.array_equal(s, HermitianMatrix(a).entries)
+
+    def test_first_offending_matrix_raises_its_own_message(self, rng):
+        good = random_hermitian_entries(2, rng)
+        first = np.array([[0.0, 1.0], [0.5, 0.0]])
+        second = np.array([[0.0, 3.0], [0.0, 0.0]])
+        with pytest.raises(ValueError) as single:
+            HermitianMatrix(first)
+        with pytest.raises(ValueError) as batched:
+            hermitian_stack([good, first, second])
+        assert str(batched.value) == str(single.value)
+
+    def test_rejects_non_finite_and_bad_shapes(self):
+        with pytest.raises(ValueError, match="finite"):
+            hermitian_stack([[[np.nan]]])
+        with pytest.raises(DimensionMismatchError):
+            hermitian_stack(np.zeros((2, 2, 3)))
+        with pytest.raises(DimensionMismatchError):
+            hermitian_stack(np.zeros((2, 2)))
