@@ -21,7 +21,7 @@ error and would miscount.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .matrixcore import (
     principal_cosines,
     rank_kernel,
     relative_index,
-    snap_eigenvalues,
     spectral_projection,
     spectral_subspace,
     subspace_intersection,
@@ -217,14 +216,7 @@ class CheckpointEntry:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "index": self.index,
-            "sfl": self.sfl,
-            "ker_dim": self.ker_dim,
-            "coker_dim": self.coker_dim,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -251,7 +243,6 @@ def lorentzian_main_check(
     family: OperatorFamily,
     propagator: Propagator,
     *,
-    checkpoints: int = DEFAULT_CHECKPOINTS,
     tau_0: float = TAU_ZERO,
     sigma_cut: float = SIGMA_CUT,
     gamma_min: float = GAMMA_MIN,
@@ -260,18 +251,15 @@ def lorentzian_main_check(
     """Check ``index on [0, t] == spectral flow on [0, t]`` at grid checkpoints.
 
     Uses the projection-pair index.  The checkpoint set subsamples the grid
-    (default 8 points including ``T``); any inequality is a hard failure
-    carrying both integers.  The flow on ``[0, t]`` is the running sum of
-    the flows over the windows between successive checkpoints (spectral
-    flow is additive under concatenation), so the partitions together
-    cover ``[0, T]`` once.
+    (``DEFAULT_CHECKPOINTS`` points including ``T``); any inequality is a
+    hard failure carrying both integers.  The flow on ``[0, t]`` is the
+    running sum of the flows over the windows between successive
+    checkpoints (spectral flow is additive under concatenation), so the
+    partitions together cover ``[0, T]`` once.
     """
-    if checkpoints < 1:
-        raise ValueError(f"checkpoints must be positive, got {checkpoints}")
     grid_count = propagator.grid.shape[0] - 1
-    indices = sorted(
-        {max(1, round(j * grid_count / checkpoints)) for j in range(1, checkpoints + 1)}
-    )
+    numbers = range(1, DEFAULT_CHECKPOINTS + 1)
+    indices = sorted({max(1, round(j * grid_count / DEFAULT_CHECKPOINTS)) for j in numbers})
     entries = []
     warnings: list[str] = []
     sfl = 0
@@ -394,27 +382,25 @@ def riemannian_index_discretized(
     grid_intervals: int = DEFAULT_GRID,
     *,
     tau_0: float = TAU_ZERO,
-    tau_rank: float = TAU_RANK_RELATIVE,
-    stiffness_bound: float = STIFFNESS_BOUND,
-    compute_bases: bool = False,
 ) -> IndexReport:
     """Index of ``d/dt + A`` with spectral boundary conditions, by discretization.
 
-    Kernel and cokernel dimensions come from the thresholded SVD of the
-    assembled operator.  By dimension counting the index is forced to
+    Kernel and cokernel dimensions come from the SVD of the assembled
+    operator, cut at ``TAU_RANK_RELATIVE`` of its largest singular value.
+    By dimension counting the index is forced to
     ``rank P_<0(0) - rank P_<0(T)`` regardless of the dynamics; that note is
     recorded in the diagnostics so the equality is not mistaken for a
     numerical discovery.  The informative outputs are the separate kernel
     and cokernel dimensions and their stability in the grid.
     """
     norm = family.norm_bound(65)
-    if norm * family.horizon > stiffness_bound:
+    if norm * family.horizon > STIFFNESS_BOUND:
         raise StiffnessError(
             f"||A|| * T = {norm * family.horizon:.3g} exceeds the stiffness bound "
-            f"{stiffness_bound:g} for the boundary-value discretization"
+            f"{STIFFNESS_BOUND:g} for the boundary-value discretization"
         )
     disc = assemble_discretized_operator(family, grid_intervals, tau_0=tau_0)
-    report = rank_kernel(disc.matrix, tau_rank=tau_rank, compute_bases=compute_bases)
+    report = rank_kernel(disc.matrix, compute_bases=False)
     sigma_tail = report.singular_values[max(0, report.rank - 3) :][:8]
     diagnostics = {
         "grid_intervals": disc.grid_intervals,
@@ -422,7 +408,7 @@ def riemannian_index_discretized(
         "codomain_dim": disc.codomain_dim,
         "left_rank": disc.left_rank,
         "right_rank": disc.right_rank,
-        "tau_rank_relative": tau_rank,
+        "tau_rank_relative": TAU_RANK_RELATIVE,
         "gap_ratio": report.gap_ratio,
         "singular_values_near_cut": sigma_tail,
         "note": (
@@ -461,7 +447,6 @@ def riemannian_kernel_shooting(
     *,
     tau_0: float = TAU_ZERO,
     angle_tol: float = SHOOTING_ANGLE_TOL,
-    stiffness_bound: float = STIFFNESS_BOUND,
 ) -> IndexReport:
     """Kernel and cokernel of ``d/dt + A`` by ODE shooting.
 
@@ -469,21 +454,18 @@ def riemannian_kernel_shooting(
     by the decaying flow into the nonnegative subspace of ``A(T)``.  The
     cokernel solves the formal adjoint with swapped boundary conditions,
     which after time reversal is the same computation for the reversed
-    family; the forward non-unitary propagator is reused.
+    family: the time-reversed family is propagated a second time, with its
+    own non-unitary propagator, rather than reusing the forward one.
     """
     boundary = aps_boundary_data(family, tau_0=tau_0)
-    forward = nonunitary_propagate(
-        family, intervals, stiffness_bound=stiffness_bound
-    )
+    forward = nonunitary_propagate(family, intervals)
     ker, ker_cosines = _shot_kernel_dim(
         forward, boundary.left_subspace, boundary.right_subspace, angle_tol
     )
 
     reversed_family = family.time_reversed()
     rev_boundary = aps_boundary_data(reversed_family, tau_0=tau_0)
-    backward = nonunitary_propagate(
-        reversed_family, intervals, stiffness_bound=stiffness_bound
-    )
+    backward = nonunitary_propagate(reversed_family, intervals)
     coker, coker_cosines = _shot_kernel_dim(
         backward, rev_boundary.left_subspace, rev_boundary.right_subspace, angle_tol
     )
@@ -544,24 +526,22 @@ def riemannian_main_check(
     *,
     tau_0: float = TAU_ZERO,
     gamma_min: float = GAMMA_MIN,
-    epsilon: float = 0.1,
     raise_on_mismatch: bool = True,
 ) -> RiemannianMainRecord:
     """Check ``index(d/dt + A) == spectral flow`` for the boundary-value operator.
 
     Computes both integers for the family as given; when an endpoint is
-    singular, repeats both on the endpoint-regularized family and requires
-    all four integers to agree.
+    singular, repeats both on the endpoint-regularized family (default
+    ``epsilon`` of :func:`endpoint_regularize`) and requires all four
+    integers to agree.
     """
     sfl_raw = spectral_flow(family, gamma_min=gamma_min, tau_0=tau_0).value
     rep_raw = riemannian_index_discretized(family, grid_intervals, tau_0=tau_0)
     reports = [rep_raw]
-    singular_left = _endpoint_singular(family, 0.0, tau_0)
-    singular_right = _endpoint_singular(family, family.horizon, tau_0)
-    regularized = singular_left or singular_right
+    reg = endpoint_regularize(family, tau_0=tau_0)
+    regularized = reg is not family  # the same object when no endpoint is singular
     sfl_reg = index_reg = None
     if regularized:
-        reg = endpoint_regularize(family, epsilon, tau_0=tau_0)
         sfl_reg = spectral_flow(reg, gamma_min=gamma_min, tau_0=tau_0).value
         rep_reg = riemannian_index_discretized(reg, grid_intervals, tau_0=tau_0)
         index_reg = rep_reg.index
@@ -585,11 +565,6 @@ def riemannian_main_check(
             record=record,
         )
     return record
-
-
-def _endpoint_singular(family: OperatorFamily, t: float, tau_0: float) -> bool:
-    eigs = np.linalg.eigvalsh(family.at(t).entries)
-    return bool(np.any(snap_eigenvalues(eigs, tau_0) == 0.0))
 
 
 def operator_triplets(disc: DiscretizedOperator) -> list[tuple[int, int, float, float]]:

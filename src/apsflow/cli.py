@@ -114,6 +114,18 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _integer(value, name: str) -> int:
+    ok = isinstance(value, int) and not isinstance(value, bool)
+    _require(ok, f"config.{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    _require(ok, f"config.{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw config mapping; error messages name the failing field.
 
@@ -124,25 +136,29 @@ def parse_config(raw: dict) -> ExperimentConfig:
     fam = raw.get("family")
     _require(isinstance(fam, dict), "config.family must be an object")
     _require("kind" in fam, "config.family.kind is required")
-    spec = FamilySpec(kind=fam["kind"], parameters=fam.get("parameters", {}))
+    params = fam.get("parameters", {})
+    _require(isinstance(params, dict), "config.family.parameters must be an object")
+    spec = FamilySpec(kind=fam["kind"], parameters=params)
 
     prop = raw.get("propagator", {})
     _require(isinstance(prop, dict), "config.propagator must be an object")
-    steps = int(prop.get("steps", default["steps"]))
+    steps = _integer(prop.get("steps", default["steps"]), "propagator.steps")
     _require(steps >= 1, "config.propagator.steps must be >= 1")
     scheme = prop.get("scheme", default["scheme"])
     _require(scheme in SCHEMES, f"config.propagator.scheme must be one of {SCHEMES}")
-    oracle_tolerance = float(prop.get("oracle_tolerance", default["oracle_tolerance"]))
+    oracle_tolerance = _number(
+        prop.get("oracle_tolerance", default["oracle_tolerance"]), "propagator.oracle_tolerance"
+    )
     _require(oracle_tolerance > 0, "config.propagator.oracle_tolerance must be positive")
 
-    grid = int(raw.get("grid", default["grid"]))
+    grid = _integer(raw.get("grid", default["grid"]), "grid")
     _require(grid >= 4, "config.grid must be >= 4")
 
     tol_raw = raw.get("tolerances", {})
     _require(isinstance(tol_raw, dict), "config.tolerances must be an object")
     values = {}
     for f in fields(ToleranceSet):
-        value = float(tol_raw.get(f.name, f.default))
+        value = _number(tol_raw.get(f.name, f.default), f"tolerances.{f.name}")
         _require(value > 0, f"config.tolerances.{f.name} must be positive")
         values[f.name] = value
     unknown = set(tol_raw) - set(values)
@@ -156,7 +172,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     output = raw.get("output", {})
     _require(isinstance(output, dict), "config.output must be an object")
-    formats = tuple(output.get("formats", default["formats"]))
+    formats = output.get("formats", default["formats"])
+    _require(isinstance(formats, (list, tuple)), "config.output.formats must be a list")
+    formats = tuple(formats)
     for f in formats:
         _require(f in ("json", "csv"), f"config.output.formats entry {f!r} must be json or csv")
 
@@ -425,15 +443,12 @@ def run_suite(
     max_blocks: int = 16,
     steps: int = 1024,
     grid: int = 48,
-    tolerances: ToleranceSet | None = None,
 ) -> dict:
-    """Aggregate suite runner; deterministic for a fixed seed."""
-    tol = tolerances or ToleranceSet()
+    """Aggregate suite runner with the default tolerances; deterministic for a fixed seed."""
     base = ExperimentConfig(
         family_spec=FamilySpec("constant", {"matrix_diagonal": [1.0]}),
         steps=steps,
         grid=grid,
-        tolerances=tol,
     )
     sections: dict[str, list] = {}
     failures = 0
@@ -490,7 +505,7 @@ def run_suite(
             "steps": steps,
             "grid": grid,
         },
-        "tolerances": asdict(tol),
+        "tolerances": asdict(base.tolerances),
         "sections": sections,
         "failures": failures,
         "passed": failures == 0,

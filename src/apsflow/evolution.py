@@ -27,7 +27,6 @@ from .errors import (
 )
 from .families import OperatorFamily, PhaseProfile, quintic_profile
 from .matrixcore import (
-    TAU_GAP,
     TAU_ZERO,
     HermitianMatrix,
     Interval,
@@ -45,6 +44,7 @@ ANCHOR_ATOL = 1e-12
 STIFFNESS_BOUND = 40.0
 CONDITION_WARNING = 1e12
 COST_BUDGET = 2e10  # flop-ish budget: substeps * dim^3 before a cost warning
+REFERENCE_MULTIPLIER = 16  # convergence reference grid / finest studied grid
 
 _CF4_NODE = math.sqrt(3.0) / 6.0
 _CF4_ALPHA = 0.25 + _CF4_NODE  # weight on the near node
@@ -104,12 +104,10 @@ class Propagator:
         """Max entry of ``U_k* U_k - I`` over the grid, computed at construction."""
         return self._defect
 
-    def index_of(self, t: float, *, atol: float | None = None) -> int:
+    def index_of(self, t: float) -> int:
         """Grid index of ``t``; raises ``OffGridError`` rather than interpolating."""
-        if atol is None:
-            atol = 1e-9 * max(1.0, self.horizon)
         k = int(np.argmin(np.abs(self.grid - t)))
-        if abs(float(self.grid[k]) - t) > atol:
+        if abs(float(self.grid[k]) - t) > 1e-9 * max(1.0, self.horizon):
             raise OffGridError(
                 f"time {t} is not on the propagator grid (nearest {self.grid[k]}); "
                 "refine the grid instead of interpolating unitaries"
@@ -151,6 +149,27 @@ def _step_factors(
     return np.einsum("kij,kjl->kil", second, first)
 
 
+def _transfer_products(
+    family: OperatorFamily,
+    intervals: int,
+    steps: int,
+    scheme: str,
+    factor_sign: complex,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform grid and the time-ordered step-factor products at its points."""
+    grid = np.linspace(0.0, family.horizon, intervals + 1)
+    factors = _step_factors(family, grid, steps, scheme, factor_sign)
+    n = family.dim
+    products = np.empty((intervals + 1, n, n), dtype=complex)
+    products[0] = np.eye(n)
+    current = np.eye(n, dtype=complex)
+    for k in range(intervals):
+        for j in range(steps):
+            current = factors[k * steps + j] @ current
+        products[k + 1] = current
+    return grid, products
+
+
 def propagate(
     family: OperatorFamily,
     intervals: int = 1024,
@@ -169,18 +188,9 @@ def propagate(
         raise ValueError("intervals and steps must be positive")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    grid = np.linspace(0.0, family.horizon, intervals + 1)
-    factors = _step_factors(family, grid, steps, scheme, 1j)
-    n = family.dim
-    unitaries = np.empty((intervals + 1, n, n), dtype=complex)
-    unitaries[0] = np.eye(n)
-    current = np.eye(n, dtype=complex)
-    for k in range(intervals):
-        for j in range(steps):
-            current = factors[k * steps + j] @ current
-        unitaries[k + 1] = current
+    grid, unitaries = _transfer_products(family, intervals, steps, scheme, 1j)
     warnings: tuple[str, ...] = ()
-    cost = intervals * steps * n**3
+    cost = intervals * steps * family.dim**3
     if cost > COST_BUDGET:
         warnings = (
             f"propagation cost {cost:.2e} (substeps x dim^3) exceeds the "
@@ -256,12 +266,11 @@ def evolved_projection(
     interval: Interval,
     *,
     tau_0: float = TAU_ZERO,
-    tau_gap: float = TAU_GAP,
 ) -> Projection:
     """The evolved spectral projection ``Q(0, t) P_I(t) Q(t, 0)`` at a grid time."""
     k = propagator.index_of(t)
     tk = float(propagator.grid[k])
-    base = spectral_projection(eigh(family.at(tk)), interval, tau_0=tau_0, tau_gap=tau_gap)
+    base = spectral_projection(eigh(family.at(tk)), interval, tau_0=tau_0)
     u = propagator.unitaries[k]
     mat = u.conj().T @ base.matrix.entries @ u
     return Projection(HermitianMatrix(mat), rank=base.rank)
@@ -415,37 +424,21 @@ class NonunitaryPropagator:
         return self.matrices.shape[-1]
 
 
-def nonunitary_propagate(
-    family: OperatorFamily,
-    intervals: int = 512,
-    steps: int = 1,
-    *,
-    stiffness_bound: float = STIFFNESS_BOUND,
-    scheme: str = SCHEME_MIDPOINT,
-) -> NonunitaryPropagator:
-    """Integrate ``dR/dt = -A(t) R`` with exponential midpoint steps.
+def nonunitary_propagate(family: OperatorFamily, intervals: int = 512) -> NonunitaryPropagator:
+    """Integrate ``dR/dt = -A(t) R`` with one exponential midpoint step per interval.
 
-    Enforces ``max_t ||A(t)|| * T <= stiffness_bound`` (default
-    ``STIFFNESS_BOUND``): beyond that, ``exp(+-||A|| T)`` leaves
-    double-precision range.  The condition number of ``R(t_k, 0)`` is
-    logged at every grid point and a warning is attached above ``1e12``.
+    Enforces ``max_t ||A(t)|| * T <= STIFFNESS_BOUND``: beyond that,
+    ``exp(+-||A|| T)`` leaves double-precision range.  The condition number
+    of ``R(t_k, 0)`` is logged at every grid point and a warning is attached
+    above ``1e12``.
     """
     norm = family.norm_bound(129)
-    if norm * family.horizon > stiffness_bound:
+    if norm * family.horizon > STIFFNESS_BOUND:
         raise StiffnessError(
             f"||A|| * T = {norm * family.horizon:.3g} exceeds the stiffness bound "
-            f"{stiffness_bound:g}; shrink the horizon or the spectrum"
+            f"{STIFFNESS_BOUND:g}; shrink the horizon or the spectrum"
         )
-    grid = np.linspace(0.0, family.horizon, intervals + 1)
-    factors = _step_factors(family, grid, steps, scheme, -1.0)
-    n = family.dim
-    mats = np.empty((intervals + 1, n, n), dtype=complex)
-    mats[0] = np.eye(n)
-    current = np.eye(n, dtype=complex)
-    for k in range(intervals):
-        for j in range(steps):
-            current = factors[k * steps + j] @ current
-        mats[k + 1] = current
+    grid, mats = _transfer_products(family, intervals, 1, SCHEME_MIDPOINT, -1.0)
     sigma = np.linalg.svd(mats, compute_uv=False)
     conds = sigma[:, 0] / np.maximum(sigma[:, -1], np.finfo(float).tiny)
     warnings: tuple[str, ...] = ()
@@ -492,16 +485,15 @@ def convergence_study(
     scheme: str = SCHEME_MIDPOINT,
     base_intervals: int = 64,
     halvings: int = 3,
-    reference_multiplier: int = 16,
 ) -> ConvergenceStudy:
     """Measure the convergence order of ``Q(T, 0)`` under step halving.
 
     Deviations are taken against a single reference at
-    ``reference_multiplier`` times the finest grid; successive ratios should
+    ``REFERENCE_MULTIPLIER`` times the finest grid; successive ratios should
     approach 4 for the midpoint scheme and 16 for the fourth-order scheme.
     """
     counts = [base_intervals * 2**j for j in range(halvings + 1)]
-    reference = propagate(family, counts[-1] * reference_multiplier, scheme=scheme)
+    reference = propagate(family, counts[-1] * REFERENCE_MULTIPLIER, scheme=scheme)
     ref = reference.unitaries[-1]
     deviations = []
     for c in counts:

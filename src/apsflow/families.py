@@ -464,7 +464,6 @@ def endpoint_regularize(
     epsilon: float = 0.1,
     *,
     tau_0: float = TAU_ZERO,
-    strict: bool = False,
 ) -> OperatorFamily:
     """Push endpoint kernels into the strictly positive spectrum.
 
@@ -515,7 +514,6 @@ def endpoint_regularize(
         deriv_fn,
         smoothness=family.smoothness,
         grid=family.grid,
-        strict=strict,
         extra_warnings=family.construction_warnings,
     )
 
@@ -670,20 +668,30 @@ def _matrix_param(params: dict, key: str) -> HermitianMatrix:
 def family_from_spec(spec: FamilySpec, *, strict: bool = False) -> OperatorFamily:
     """Construct the family described by ``spec``.
 
-    Under ``strict``, construction warnings (derivative mismatches,
-    piecewise smoothness flags) become errors.
+    Malformed parameters (a missing key, a value of the wrong type or
+    shape, a non-Hermitian matrix, an unreadable sample file) raise
+    :class:`ConfigError`.  Under ``strict``, construction warnings
+    (derivative mismatches, piecewise smoothness flags) become errors.
     """
-    p = dict(spec.parameters)
     try:
-        family = _family_from_spec_params(spec.kind, p)
+        family = _family_from_spec_params(spec.kind, dict(spec.parameters))
     except KeyError as exc:
         raise ConfigError(f"family kind {spec.kind!r} is missing parameter {exc}") from exc
+    except (ValueError, TypeError, OSError) as exc:
+        raise ConfigError(f"family kind {spec.kind!r}: {exc}") from exc
     if strict and family.construction_warnings:
         raise FamilyConstructionError(
             f"family {family.label!r} carries construction warnings under strict "
             f"mode: {'; '.join(family.construction_warnings)}"
         )
     return family
+
+
+def _profile_param(p: dict) -> PhaseProfile:
+    name = p.get("profile", "quintic")
+    if name not in _PROFILES:
+        raise ConfigError(f"unknown profile {name!r}; expected one of {tuple(_PROFILES)}")
+    return _PROFILES[name]()
 
 
 def _family_from_spec_params(kind: str, p: dict) -> OperatorFamily:
@@ -698,10 +706,10 @@ def _family_from_spec_params(kind: str, p: dict) -> OperatorFamily:
     if kind == "diagonal-path":
         return diagonal_path_family(p["start"], p["end"], float(p.get("horizon", 1.0)))
     if kind == "swap-block":
-        profile = _PROFILES[p.get("profile", "quintic")]()
+        profile = _profile_param(p)
         return swap_block_family(float(p["lambda1"]), float(p["lambda2"]), profile=profile)
     if kind == "counterexample":
-        profile = _PROFILES[p.get("profile", "quintic")]()
+        profile = _profile_param(p)
         lambdas = p.get("lambdas")
         if lambdas is None:
             lambdas = np.arange(1, int(p["m"]) + 1, dtype=float)

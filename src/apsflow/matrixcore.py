@@ -252,22 +252,17 @@ def snap_eigenvalues(eigenvalues: np.ndarray, tau_0: float = TAU_ZERO) -> np.nda
     return w
 
 
-def _select_indices(
-    eigenvalues: np.ndarray,
-    interval: Interval,
-    tau_0: float,
-    tau_gap: float,
-) -> np.ndarray:
+def _select_indices(eigenvalues: np.ndarray, interval: Interval, tau_0: float) -> np.ndarray:
     snapped = snap_eigenvalues(eigenvalues, tau_0)
     for endpoint in interval.finite_endpoints():
-        near = np.abs(snapped - endpoint) <= tau_gap
+        near = np.abs(snapped - endpoint) <= TAU_GAP
         if endpoint == 0.0:
             # the snapped-zero convention decides membership at 0 exactly
             near &= snapped != 0.0
         if np.any(near):
             bad = np.asarray(eigenvalues)[near]
             raise AmbiguousSpectralCutError(
-                f"eigenvalue(s) {bad.tolist()} lie within {tau_gap:.1e} of the "
+                f"eigenvalue(s) {bad.tolist()} lie within {TAU_GAP:.1e} of the "
                 f"interval endpoint {endpoint} of {interval.describe()}"
             )
     return np.array([interval.contains(x) for x in snapped], dtype=bool)
@@ -357,15 +352,14 @@ def spectral_projection(
     interval: Interval,
     *,
     tau_0: float = TAU_ZERO,
-    tau_gap: float = TAU_GAP,
 ) -> Projection:
     """Orthogonal projection onto the spectral subspace for ``interval``.
 
     Eigenvalues within ``tau_0`` of zero count as exactly zero (so they lie
     in ``[0, inf)`` and not in ``(-inf, 0)``).  Any other eigenvalue within
-    ``tau_gap`` of a finite endpoint raises ``AmbiguousSpectralCutError``.
+    ``TAU_GAP`` of a finite endpoint raises ``AmbiguousSpectralCutError``.
     """
-    select = _select_indices(s.eigenvalues, interval, tau_0, tau_gap)
+    select = _select_indices(s.eigenvalues, interval, tau_0)
     v = s.eigenvectors[:, select]
     p = v @ v.conj().T
     return Projection(HermitianMatrix(p), rank=int(np.count_nonzero(select)))
@@ -376,10 +370,9 @@ def spectral_subspace(
     interval: Interval,
     *,
     tau_0: float = TAU_ZERO,
-    tau_gap: float = TAU_GAP,
 ) -> Subspace:
     """Orthonormal eigenbasis of the spectral subspace for ``interval``."""
-    select = _select_indices(s.eigenvalues, interval, tau_0, tau_gap)
+    select = _select_indices(s.eigenvalues, interval, tau_0)
     return Subspace(s.dim, s.eigenvectors[:, select])
 
 
@@ -513,7 +506,6 @@ def rank_kernel(
     m,
     *,
     tau_rank: float = TAU_RANK_RELATIVE,
-    gap_floor: float = GAP_RATIO_FLOOR,
     compute_bases: bool = True,
 ) -> RankReport:
     """SVD-based rank with orthonormal kernel and cokernel bases.
@@ -544,10 +536,10 @@ def rank_kernel(
     else:
         gap_ratio = math.inf
     warnings: tuple[str, ...] = ()
-    if gap_ratio < gap_floor:
+    if gap_ratio < GAP_RATIO_FLOOR:
         warnings = (
             f"ill-determined rank: singular-value gap ratio {gap_ratio:.3e} "
-            f"below {gap_floor:.1e} at the rank-{rank} cut",
+            f"below {GAP_RATIO_FLOOR:.1e} at the rank-{rank} cut",
         )
     kernel = cokernel = None
     if compute_bases:

@@ -36,6 +36,8 @@ from .matrixcore import (
 
 MIN_SEGMENT_FRACTION = 2.0**-20
 DEFAULT_SEGMENT_SAMPLES = 33
+CROSSING_SAMPLES = 129  # uniform times the crossing log samples over [0, T]
+SPECTRUM_SAMPLES = 33  # times at which conjugation must preserve the spectrum
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,6 @@ class SflReport:
     per_segment_terms: tuple[int, ...]
     family: OperatorFamily = field(repr=False, compare=False)
     tau_0: float
-    crossing_samples: int
 
     def __post_init__(self):
         if self.value != sum(self.per_segment_terms):
@@ -105,7 +106,7 @@ class SflReport:
 
     @functools.cached_property
     def crossing_log(self) -> tuple[CrossingEvent, ...]:
-        return _crossing_log(self.family, self.crossing_samples, self.tau_0)
+        return _crossing_log(self.family, self.tau_0)
 
     def to_dict(self) -> dict:
         return {
@@ -187,7 +188,6 @@ def build_flow_partition(
     n_samples: int = DEFAULT_SEGMENT_SAMPLES,
     *,
     gamma_min: float = GAMMA_MIN,
-    delta_min: float | None = None,
 ) -> FlowPartition:
     """Construct a flow partition by adaptive bisection.
 
@@ -196,14 +196,13 @@ def build_flow_partition(
     ``gamma_min`` plus the certified excursion ``L * s/2`` (eigenvalue speed
     times half the sample spacing, inflated by half the snap spacing for
     grid-discrete families).  Segments without an admissible level are
-    bisected, down to a minimal width of ``delta_min`` (default ``T * 2^-20``),
-    below which the family is reported as pathological.
+    bisected, down to a minimal width of ``T * MIN_SEGMENT_FRACTION``
+    (``T * 2^-20``), below which the family is reported as pathological.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     horizon = family.horizon
-    if delta_min is None:
-        delta_min = horizon * MIN_SEGMENT_FRACTION
+    delta_min = horizon * MIN_SEGMENT_FRACTION
 
     points = [0.0]
     levels: list[float] = []
@@ -256,12 +255,8 @@ def _count_window(eigs: np.ndarray, level: float, tau_0: float) -> int:
     return int(np.count_nonzero((snapped >= 0.0) & (snapped < level)))
 
 
-def _crossing_log(
-    family: OperatorFamily,
-    samples: int,
-    tau_0: float,
-) -> tuple[CrossingEvent, ...]:
-    ts = np.linspace(0.0, family.horizon, samples)
+def _crossing_log(family: OperatorFamily, tau_0: float) -> tuple[CrossingEvent, ...]:
+    ts = np.linspace(0.0, family.horizon, CROSSING_SAMPLES)
     eigs = _eig_samples(family, ts)
     snapped = snap_eigenvalues(eigs, tau_0)
     events: list[CrossingEvent] = []
@@ -288,8 +283,6 @@ def spectral_flow(
     *,
     gamma_min: float = GAMMA_MIN,
     tau_0: float = TAU_ZERO,
-    delta_min: float | None = None,
-    crossing_samples: int = 129,
 ) -> SflReport:
     """Spectral flow of the family over its full time interval.
 
@@ -297,9 +290,7 @@ def spectral_flow(
     windows ``[0, a_n)``; eigenvalues within ``tau_0`` of zero count as
     exactly zero (hence inside the window).
     """
-    partition = build_flow_partition(
-        family, n_samples, gamma_min=gamma_min, delta_min=delta_min
-    )
+    partition = build_flow_partition(family, n_samples, gamma_min=gamma_min)
     eigs = _eig_samples(family, partition.points)
     terms = [
         _count_window(eigs[n + 1], level, tau_0) - _count_window(eigs[n], level, tau_0)
@@ -311,7 +302,6 @@ def spectral_flow(
         per_segment_terms=tuple(terms),
         family=family,
         tau_0=tau_0,
-        crossing_samples=crossing_samples,
     )
 
 
@@ -341,7 +331,6 @@ class FlowIndexRecord:
 def flowind_check(
     family: OperatorFamily,
     *,
-    n_samples: int = DEFAULT_SEGMENT_SAMPLES,
     gamma_min: float = GAMMA_MIN,
     tau_0: float = TAU_ZERO,
     tau_rank: float = TAU_RANK_PAIR,
@@ -355,7 +344,7 @@ def flowind_check(
     :class:`ConsistencyError` (or returned with ``passed=False`` when
     ``raise_on_mismatch`` is off).
     """
-    report = spectral_flow(family, n_samples, gamma_min=gamma_min, tau_0=tau_0)
+    report = spectral_flow(family, gamma_min=gamma_min, tau_0=tau_0)
     p0 = spectral_projection(eigh(family.at(0.0)), NEGATIVE_AXIS, tau_0=tau_0)
     pt = spectral_projection(eigh(family.at(family.horizon)), NEGATIVE_AXIS, tau_0=tau_0)
     pair = relative_index(p0, pt, tau_rank=tau_rank)
@@ -402,18 +391,14 @@ def sfl_conjugation_invariance_check(
     unitary,
     *,
     spectrum_tol: float = 1e-10,
-    n_samples: int = DEFAULT_SEGMENT_SAMPLES,
-    gamma_min: float = GAMMA_MIN,
-    tau_0: float = TAU_ZERO,
-    spectrum_samples: int = 33,
-    raise_on_mismatch: bool = True,
 ) -> ConjugationRecord:
     """Check that conjugating by a unitary family preserves the spectral flow.
 
     ``unitary`` is either a callable ``t -> U(t)`` or a propagator (in which
     case the conjugated family is the evolved family on the propagator grid).
     Pointwise spectra of the conjugated family must match the original within
-    ``spectrum_tol`` at every sample.
+    ``spectrum_tol`` at ``SPECTRUM_SAMPLES`` uniform times.  A mismatch raises
+    :class:`ConsistencyError` carrying the record.
     """
     if callable(unitary):
         conj = unitary_conjugated_family(family, unitary)
@@ -421,9 +406,9 @@ def sfl_conjugation_invariance_check(
         from .evolution import evolved_family
 
         conj = evolved_family(family, unitary)
-    base = spectral_flow(family, n_samples, gamma_min=gamma_min, tau_0=tau_0)
-    other = spectral_flow(conj, n_samples, gamma_min=gamma_min, tau_0=tau_0)
-    ts = np.linspace(0.0, family.horizon, spectrum_samples)
+    base = spectral_flow(family)
+    other = spectral_flow(conj)
+    ts = np.linspace(0.0, family.horizon, SPECTRUM_SAMPLES)
     w_base = _eig_samples(family, [conj._clock(t) for t in ts])
     w_conj = _eig_samples(conj, ts)
     deviation = float(np.max(np.abs(w_base - w_conj), initial=0.0))
@@ -434,7 +419,7 @@ def sfl_conjugation_invariance_check(
         max_spectrum_deviation=deviation,
         passed=(base.value == other.value) and deviation <= spectrum_tol,
     )
-    if not record.passed and raise_on_mismatch:
+    if not record.passed:
         raise ConsistencyError(
             f"family {family.label!r}: conjugation changed the flow "
             f"({base.value} -> {other.value}) or the spectrum "

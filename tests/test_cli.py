@@ -35,6 +35,37 @@ def write_config(path, **overrides):
     return raw
 
 
+def _family(kind, **parameters):
+    return {"kind": kind, "parameters": parameters}
+
+
+# top-level config overrides, each with a fragment its "config error:" line must name
+MALFORMED_CONFIGS = {
+    "steps-word": ({"propagator": {"steps": "many"}}, "propagator.steps must be an integer"),
+    "grid-word": ({"grid": "fine"}, "config.grid must be an integer"),
+    "steps-null": ({"propagator": {"steps": None}}, "propagator.steps must be an integer"),
+    "steps-fraction": ({"propagator": {"steps": 1.7}}, "propagator.steps must be an integer"),
+    "tolerance-word": ({"tolerances": {"tau_0": "small"}}, "tau_0 must be a number"),
+    "formats-string": (
+        {"output": {"path": "out", "formats": "json"}},
+        "formats must be a list",
+    ),
+    "non-hermitian-matrix": (
+        {"family": _family("constant", matrix=[[[0.0, 0.0], [1.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]])},
+        "not Hermitian",
+    ),
+    "diagonal-word": ({"family": _family("constant", matrix_diagonal="abc")}, "'abc'"),
+    "parameters-list": (
+        {"family": {"kind": "constant", "parameters": [1, 2]}},
+        "parameters must be an object",
+    ),
+    "samples-path-missing": (
+        {"family": _family("custom-samples", path="no-such-samples.csv")},
+        "no-such-samples.csv",
+    ),
+}
+
+
 class TestConfigParsing:
     def test_defaults_filled(self, tmp_path):
         path = tmp_path / "config.json"
@@ -81,6 +112,14 @@ class TestConfigParsing:
                     "checks": ["flowind"],
                 }
             )
+
+    def test_unknown_profile_named(self):
+        family = _family("swap-block", lambda1=-1.0, lambda2=1.0, profile="cubic")
+        with pytest.raises(ConfigError) as info:
+            parse_config({"family": family, "checks": ["flowind"]})
+        assert str(info.value) == (
+            "unknown profile 'cubic'; expected one of ('quintic', 'capped-slope')"
+        )
 
     def test_growth_check_needs_counterexample_family(self):
         with pytest.raises(ConfigError, match="counterexample-growth"):
@@ -140,6 +179,18 @@ class TestRunCommand:
         result = runner.invoke(main, ["run", "--config", str(path)])
         assert result.exit_code == 2
         assert "line" in result.output
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_malformed_value_is_a_config_error(self, tmp_path, case):
+        path = tmp_path / "config.json"
+        overrides, fragment = MALFORMED_CONFIGS[case]
+        write_config(path, **overrides)
+        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("config error:"), result.stderr
+        assert fragment in result.stderr
+        assert "Traceback" not in result.output
 
     def test_check_failure_exit_one_report_written(self, tmp_path):
         # a counterexample oracle comparison at 8 coarse midpoint steps

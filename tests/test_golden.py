@@ -1,4 +1,4 @@
-"""Byte-for-byte guard on the reports of the shipped configs.
+"""Byte-for-byte guard on the reports and exports of the shipped configs.
 
 ``tests/golden/<config>/`` holds the ``report.json`` and CSV files that
 ``apsflow run --config configs/<config>.json --format json --format csv``
@@ -11,6 +11,11 @@ Recorded on an x86_64 Intel Xeon (2 cores) with Python 3.11.7, numpy 2.4.6
 and scipy-openblas 0.3.31 (DYNAMIC_ARCH, Haswell kernels).  Another BLAS
 build or CPU may round the last digit of a float differently; the integers
 must still agree.
+
+``tests/golden/exports/`` holds the three ``apsflow export`` outputs of
+``configs/scalar-crossing.json`` (``eigenflow``, ``operator`` and
+``propagator --steps 64``), recorded before the propagators' integrator
+loop was shared.
 """
 
 import json
@@ -51,3 +56,31 @@ def test_shipped_config_reports_match_golden(tmp_path, name):
         if filename == "report.json":
             got = got.replace(json.dumps(str(out)).encode(), b'"<out>"')
         assert got == (GOLDEN / name / filename).read_bytes(), filename
+
+
+EXPORTS = {
+    "eigenflow": ([], "eigenflow.csv"),
+    "operator": ([], "operator.txt"),
+    "propagator": (["--steps", "64"], "propagator.json"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(EXPORTS))
+def test_scalar_crossing_exports_match_golden(tmp_path, what):
+    options, filename = EXPORTS[what]
+    result = CliRunner().invoke(
+        main,
+        [
+            "export",
+            what,
+            "--config",
+            str(ROOT / "configs" / "scalar-crossing.json"),
+            "--out",
+            str(tmp_path),
+            *options,
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == [filename]
+    expected = (GOLDEN / "exports" / filename).read_bytes()
+    assert (tmp_path / filename).read_bytes() == expected
