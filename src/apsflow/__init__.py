@@ -6,112 +6,6 @@ boundary-value (``d/dt + A``) operators under spectral boundary conditions,
 and cross-checks the flow-equals-index identities along several independent
 computation paths, including the eigenline-swapping direct sums whose
 kernels grow without bound while every index stays zero.
-
-Submodules are imported lazily so the command-line entry point can
-configure BLAS thread pools before any numerical code loads.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_EXPORTS = {
-    "errors": (
-        "AmbiguousSpectralCutError",
-        "ApsflowError",
-        "ConfigError",
-        "ConsistencyError",
-        "DimensionMismatchError",
-        "EigendecompositionError",
-        "FamilyConstructionError",
-        "NoAdmissibleLevelError",
-        "OffGridError",
-        "StiffnessError",
-    ),
-    "matrixcore": (
-        "HermitianMatrix",
-        "IndexReport",
-        "Interval",
-        "NEGATIVE_AXIS",
-        "NONNEGATIVE_AXIS",
-        "Projection",
-        "RankReport",
-        "SpectralData",
-        "Subspace",
-        "eigh",
-        "principal_cosines",
-        "rank_kernel",
-        "relative_index",
-        "snap_eigenvalues",
-        "spectral_projection",
-        "spectral_subspace",
-        "subspace_intersection",
-    ),
-    "families": (
-        "FamilySpec",
-        "OperatorFamily",
-        "PhaseProfile",
-        "capped_slope_profile",
-        "constant_family",
-        "counterexample_family",
-        "diagonal_path_family",
-        "endpoint_regularize",
-        "family_from_spec",
-        "linear_family",
-        "quintic_profile",
-        "sampled_family",
-        "swap_block_family",
-        "unitary_conjugated_family",
-    ),
-    "spectralflow": (
-        "FlowPartition",
-        "SflReport",
-        "build_flow_partition",
-        "flowind_check",
-        "sfl_conjugation_invariance_check",
-        "spectral_flow",
-    ),
-    "evolution": (
-        "Propagator",
-        "Trajectory",
-        "cauchy_residual",
-        "cauchy_solve",
-        "closed_form_counterexample_propagator",
-        "closed_form_swap_propagator",
-        "convergence_study",
-        "evolved_family",
-        "evolved_projection",
-        "nonunitary_propagate",
-        "propagate",
-        "q_between",
-    ),
-    "apsindex": (
-        "APSBoundaryData",
-        "aps_boundary_data",
-        "assemble_discretized_operator",
-        "lorentzian_index_projection",
-        "lorentzian_index_subspace",
-        "lorentzian_main_check",
-        "riemannian_index_discretized",
-        "riemannian_kernel_shooting",
-        "riemannian_main_check",
-    ),
-}
-
-_ATTR_TO_MODULE = {name: mod for mod, names in _EXPORTS.items() for name in names}
-
-__all__ = ["__version__", *sorted(_ATTR_TO_MODULE)]
-
-
-def __getattr__(name):
-    module_name = _ATTR_TO_MODULE.get(name)
-    if module_name is None:
-        if name in _EXPORTS or name in ("cli", "reporting", "zoo"):
-            return importlib.import_module(f".{name}", __name__)
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{module_name}", __name__)
-    return getattr(module, name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

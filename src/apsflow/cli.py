@@ -7,22 +7,8 @@ wall-clock timings are echoed to stderr and deliberately kept out of the
 report files.
 """
 
-import os
-import sys
-
-_threads = os.environ.get("APSFLOW_THREADS")
-if _threads:
-    # must happen before numpy (hence BLAS) loads; the package __init__ is
-    # lazy precisely so this hook runs first
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(_var, _threads)
-
 import json
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -68,16 +54,13 @@ from .reporting import (
 from .spectralflow import crossing_log_to_csv, flowind_check, spectral_flow
 from .zoo import random_zoo, shipped_families, singular_endpoint_family
 
-CHECK_NAMES = (
-    "flowind",
-    "lorentzian-main",
-    "riemannian-main",
-    "counterexample-growth",
-    "propagator-convergence",
-)
 SUITE_NAMES = ("theorems", "counterexample", "convergence", "random", "all")
 RIEMANNIAN_NORM_CAP = 10.0  # ||A|| * T above this skips the shooting cross-check
 SCHEMA_VERSION = 2
+MIN_STEPS = 1  # propagator steps, from a config or a flag
+MIN_GRID = 4  # boundary-value grid intervals, from a config or a flag
+STEPS = click.IntRange(min=MIN_STEPS)
+GRID = click.IntRange(min=MIN_GRID)
 
 
 @dataclass(frozen=True)
@@ -143,7 +126,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     prop = raw.get("propagator", {})
     _require(isinstance(prop, dict), "config.propagator must be an object")
     steps = _integer(prop.get("steps", default["steps"]), "propagator.steps")
-    _require(steps >= 1, "config.propagator.steps must be >= 1")
+    _require(steps >= MIN_STEPS, f"config.propagator.steps must be >= {MIN_STEPS}")
     scheme = prop.get("scheme", default["scheme"])
     _require(scheme in SCHEMES, f"config.propagator.scheme must be one of {SCHEMES}")
     oracle_tolerance = _number(
@@ -152,7 +135,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require(oracle_tolerance > 0, "config.propagator.oracle_tolerance must be positive")
 
     grid = _integer(raw.get("grid", default["grid"]), "grid")
-    _require(grid >= 4, "config.grid must be >= 4")
+    _require(grid >= MIN_GRID, f"config.grid must be >= {MIN_GRID}")
 
     tol_raw = raw.get("tolerances", {})
     _require(isinstance(tol_raw, dict), "config.tolerances must be an object")
@@ -350,28 +333,26 @@ def _run_propagator_convergence(family, config: ExperimentConfig, outdir: Path |
     return result
 
 
-_RUNNERS = {
-    "flowind": _run_flowind,
-    "lorentzian-main": _run_lorentzian_main,
-    "riemannian-main": _run_riemannian_main,
-    "counterexample-growth": _run_counterexample_growth,
-    "propagator-convergence": _run_propagator_convergence,
+# each check's runner and the ToleranceSet fields it applies, echoed into its records
+_CHECKS = {
+    "flowind": (_run_flowind, ("tau_0", "tau_rank", "gamma_min")),
+    "lorentzian-main": (_run_lorentzian_main, ("tau_0", "gamma_min", "sigma_cut", "tau_angle")),
+    "riemannian-main": (_run_riemannian_main, ("tau_0", "gamma_min", "shooting_angle_tol")),
+    "counterexample-growth": (
+        _run_counterexample_growth,
+        ("tau_0", "gamma_min", "sigma_cut", "tau_angle"),
+    ),
+    "propagator-convergence": (_run_propagator_convergence, ()),
 }
-# the ToleranceSet fields each check applies, echoed into its records
-_TOLERANCES_USED = {
-    "flowind": ("tau_0", "tau_rank", "gamma_min"),
-    "lorentzian-main": ("tau_0", "gamma_min", "sigma_cut", "tau_angle"),
-    "riemannian-main": ("tau_0", "gamma_min", "shooting_angle_tol"),
-    "counterexample-growth": ("tau_0", "gamma_min", "sigma_cut", "tau_angle"),
-    "propagator-convergence": (),
-}
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def _run_check(name: str, family, config: ExperimentConfig, outdir: Path | None = None) -> dict:
     """One check record, echoing the tolerances the check applies and
     listing every warning; a typed error becomes a failed entry."""
+    runner, tolerances_used = _CHECKS[name]
     try:
-        entry = _RUNNERS[name](family, config, outdir)
+        entry = runner(family, config, outdir)
     except ApsflowError as exc:
         entry = {
             "check": name,
@@ -379,7 +360,7 @@ def _run_check(name: str, family, config: ExperimentConfig, outdir: Path | None 
             "passed": False,
             "error": f"{type(exc).__name__}: {exc}",
         }
-    entry["tolerances"] = {k: getattr(config.tolerances, k) for k in _TOLERANCES_USED[name]}
+    entry["tolerances"] = {k: getattr(config.tolerances, k) for k in tolerances_used}
     warnings = [*family.construction_warnings, *entry.get("warnings", ())]
     entry["warnings"] = list(dict.fromkeys(warnings))  # drop repeats, keep order
     return entry
@@ -537,8 +518,8 @@ def _config_overrides(config: ExperimentConfig, steps, grid, out, formats) -> Ex
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed echoed into the report.")
 @click.option("--out", type=click.Path(), default=None, help="Output directory (overrides config).")
 @click.option("--format", "formats", multiple=True, type=click.Choice(["json", "csv"]), help="Report formats.")
-@click.option("--steps", type=int, default=None, help="Propagator steps (overrides config).")
-@click.option("--grid", type=int, default=None, help="Boundary-value grid intervals (overrides config).")
+@click.option("--steps", type=STEPS, default=None, help="Propagator steps (overrides config).")
+@click.option("--grid", type=GRID, default=None, help="Boundary-value grid intervals (overrides config).")
 @click.option("--strict", is_flag=True, help="Treat family construction warnings as errors.")
 def run(config_path, seed, out, formats, steps, grid, strict):
     """Run the checks declared in a config file."""
@@ -563,14 +544,14 @@ def run(config_path, seed, out, formats, steps, grid, strict):
 
 @main.command()
 @click.argument("name", type=click.Choice(SUITE_NAMES))
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), default="reports", show_default=True)
 @click.option("--format", "formats", multiple=True, type=click.Choice(["json", "csv"]))
-@click.option("--families", type=int, default=100, show_default=True, help="Random zoo size.")
+@click.option("--families", type=click.IntRange(min=0), default=100, show_default=True, help="Random zoo size.")
 @click.option("--max-n", type=int, default=16, show_default=True, help="Largest random family dimension.")
 @click.option("--max-blocks", type=int, default=16, show_default=True, help="Largest direct-sum block count.")
-@click.option("--steps", type=int, default=1024, show_default=True)
-@click.option("--grid", type=int, default=48, show_default=True)
+@click.option("--steps", type=STEPS, default=1024, show_default=True)
+@click.option("--grid", type=GRID, default=48, show_default=True)
 def suite(name, seed, out, formats, families, max_n, max_blocks, steps, grid):
     """Run a named reproduction suite and write the aggregate report."""
     started = time.perf_counter()
@@ -604,9 +585,9 @@ def suite(name, seed, out, formats, families, max_n, max_blocks, steps, grid):
 @click.argument("what", type=click.Choice(["eigenflow", "propagator", "operator"]))
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", type=click.Path(), default=None, help="Output directory (overrides config).")
-@click.option("--samples", type=int, default=101, show_default=True, help="Eigenflow time samples.")
-@click.option("--steps", type=int, default=None)
-@click.option("--grid", type=int, default=None)
+@click.option("--samples", type=click.IntRange(min=1), default=101, show_default=True, help="Eigenflow time samples.")
+@click.option("--steps", type=STEPS, default=None)
+@click.option("--grid", type=GRID, default=None)
 def export(what, config_path, out, samples, steps, grid):
     """Export eigenvalue flows, propagators, or the discretized operator."""
     try:

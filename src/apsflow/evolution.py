@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -247,15 +247,13 @@ def evolved_family(family: OperatorFamily, propagator: Propagator) -> OperatorFa
             u = unitaries[k]
             return u.conj().T @ dv(float(grid[k])) @ u
 
-    return OperatorFamily(
-        dim=family.dim,
-        horizon=family.horizon,
+    return replace(
+        family,
         label=f"{family.label}(evolved)",
         eval_fn=eval_fn,
         derivative_fn=deriv_fn,
         smoothness="discrete",
         grid=grid,
-        construction_warnings=family.construction_warnings,
     )
 
 
@@ -325,9 +323,6 @@ class Trajectory:
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
             raise ValueError("trajectory values must be finite")
-
-    def at_index(self, k: int) -> np.ndarray:
-        return self.values[k]
 
 
 def cauchy_solve(
@@ -418,10 +413,6 @@ class NonunitaryPropagator:
     matrices: np.ndarray  # (K+1, n, n)
     condition_log: np.ndarray  # (K+1,)
     warnings: tuple[str, ...] = ()
-
-    @property
-    def dim(self) -> int:
-        return self.matrices.shape[-1]
 
 
 def nonunitary_propagate(family: OperatorFamily, intervals: int = 512) -> NonunitaryPropagator:

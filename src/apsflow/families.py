@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -177,31 +177,25 @@ class OperatorFamily:
                 # window narrower than the snap spacing: defer to the
                 # underlying evaluator's own snapping
                 grid = None
-        return OperatorFamily(
-            dim=self.dim,
+        return replace(
+            self,
             horizon=t1 - t0,
             label=label or f"{self.label}|[{t0:g},{t1:g}]",
             eval_fn=lambda s: ev(t0 + s),
             derivative_fn=None if dv is None else (lambda s: dv(t0 + s)),
-            smoothness=self.smoothness,
             grid=grid,
-            construction_warnings=self.construction_warnings,
         )
 
     def time_reversed(self) -> "OperatorFamily":
         ev = self.eval_fn
         dv = self.derivative_fn
         horizon = self.horizon
-        grid = None if self.grid is None else np.sort(horizon - self.grid)
-        return OperatorFamily(
-            dim=self.dim,
-            horizon=horizon,
+        return replace(
+            self,
             label=f"{self.label}(reversed)",
             eval_fn=lambda s: ev(horizon - s),
             derivative_fn=None if dv is None else (lambda s: -dv(horizon - s)),
-            smoothness=self.smoothness,
-            grid=grid,
-            construction_warnings=self.construction_warnings,
+            grid=None if self.grid is None else np.sort(horizon - self.grid),
         )
 
 
@@ -762,6 +756,9 @@ def read_sample_series(path) -> tuple[np.ndarray, list[np.ndarray]]:
     if path.endswith(".json"):
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
+        for key in ("times", "matrices"):
+            if key not in payload:
+                raise ConfigError(f"sample file {path} has no {key!r} entry")
         times = np.asarray(payload["times"], dtype=float)
         mats = [matrix_from_pairs(m) for m in payload["matrices"]]
         return times, mats
@@ -769,7 +766,9 @@ def read_sample_series(path) -> tuple[np.ndarray, list[np.ndarray]]:
     mats = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ConfigError(f"sample file {path} is empty")
         n = int(round(math.sqrt((len(header) - 1) / 2)))
         if 1 + 2 * n * n != len(header):
             raise ConfigError(f"CSV header of {path} does not describe a square complex matrix")

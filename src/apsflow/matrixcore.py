@@ -334,12 +334,6 @@ class Projection:
     def dim(self) -> int:
         return self.matrix.dim
 
-    def complement(self) -> "Projection":
-        return Projection(
-            HermitianMatrix(np.eye(self.dim) - self.matrix.entries),
-            self.dim - self.rank,
-        )
-
     def range_basis(self) -> Subspace:
         """Orthonormal basis of the range, recovered from the eigendecomposition."""
         s = eigh(self.matrix)

@@ -13,7 +13,6 @@ negative spectral projections is a real check on the certificates.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -33,6 +32,7 @@ from .matrixcore import (
     snap_eigenvalues,
     spectral_projection,
 )
+from .reporting import write_csv
 
 MIN_SEGMENT_FRACTION = 2.0**-20
 DEFAULT_SEGMENT_SAMPLES = 33
@@ -118,11 +118,8 @@ class SflReport:
 
 
 def crossing_log_to_csv(report: SflReport, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "eigenvalue_index", "lambda", "direction"])
-        for e in report.crossing_log:
-            writer.writerow([repr(e.t), e.eigenvalue_index, repr(e.value), e.direction])
+    rows = [[e.t, e.eigenvalue_index, e.value, e.direction] for e in report.crossing_log]
+    write_csv(path, ["t", "eigenvalue_index", "lambda", "direction"], rows)
 
 
 def _eig_samples(family: OperatorFamily, ts: np.ndarray) -> np.ndarray:
@@ -374,16 +371,6 @@ class ConjugationRecord:
     sfl_conjugated: int
     max_spectrum_deviation: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family_label,
-            "check": "conjugation-invariance",
-            "sfl_original": self.sfl_original,
-            "sfl_conjugated": self.sfl_conjugated,
-            "max_spectrum_deviation": self.max_spectrum_deviation,
-            "passed": self.passed,
-        }
 
 
 def sfl_conjugation_invariance_check(

@@ -66,6 +66,24 @@ MALFORMED_CONFIGS = {
 }
 
 
+SHIPPED_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "scalar-crossing.json")
+# command lines whose numbers lie outside the flag's range, with the flag named
+OUT_OF_RANGE_FLAGS = {
+    "run-steps-negative": (["run", "--config", SHIPPED_CONFIG, "--steps", "-5"], "--steps"),
+    "run-steps-zero": (["run", "--config", SHIPPED_CONFIG, "--steps", "0"], "--steps"),
+    "run-grid-2": (["run", "--config", SHIPPED_CONFIG, "--grid", "2"], "--grid"),
+    "run-grid-zero": (["run", "--config", SHIPPED_CONFIG, "--grid", "0"], "--grid"),
+    "suite-grid-2": (["suite", "theorems", "--grid", "2"], "--grid"),
+    "suite-steps-zero": (["suite", "convergence", "--steps", "0"], "--steps"),
+    "suite-families-negative": (["suite", "random", "--families", "-1"], "--families"),
+    "suite-seed-negative": (["suite", "random", "--seed", "-1"], "--seed"),
+    "export-samples-zero": (
+        ["export", "eigenflow", "--config", SHIPPED_CONFIG, "--samples", "0"],
+        "--samples",
+    ),
+}
+
+
 class TestConfigParsing:
     def test_defaults_filled(self, tmp_path):
         path = tmp_path / "config.json"
@@ -190,6 +208,48 @@ class TestRunCommand:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("config error:"), result.stderr
         assert fragment in result.stderr
+        assert "Traceback" not in result.output
+
+    def test_typed_error_in_a_check_is_a_failed_entry(self, tmp_path):
+        # ||A|| * T = 50 exceeds the boundary-value stiffness bound
+        path = tmp_path / "config.json"
+        write_config(
+            path,
+            family=_family("constant", matrix_diagonal=[-50.0, 50.0]),
+            checks=["riemannian-main"],
+        )
+        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 1, result.output
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        entry = report["results"][0]
+        assert entry["passed"] is False
+        assert entry["error"].startswith("StiffnessError:")
+
+    def test_shooting_skipped_above_the_norm_cap(self, tmp_path):
+        # ||A|| * T = 20 lies between RIEMANNIAN_NORM_CAP and the stiffness bound
+        path = tmp_path / "config.json"
+        write_config(
+            path,
+            family=_family("constant", matrix_diagonal=[-20.0, 20.0]),
+            checks=["riemannian-main"],
+        )
+        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        entry = json.loads((tmp_path / "out" / "report.json").read_text())["results"][0]
+        assert entry["passed"] is True
+        assert "shooting_route" in entry and entry["shooting_route"] is None
+        assert "shooting_agrees" in entry and entry["shooting_agrees"] is None
+
+    @pytest.mark.parametrize("payload", ['{"matrices": []}', '{"times": [0.0, 1.0]}', ""])
+    def test_faulty_sample_file_is_blamed(self, tmp_path, payload):
+        samples = tmp_path / ("samples.json" if payload else "samples.csv")
+        samples.write_text(payload, encoding="utf-8")
+        path = tmp_path / "config.json"
+        write_config(path, family=_family("custom-samples", path=str(samples)))
+        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(f"config error: sample file {samples}"), result.stderr
+        assert "missing parameter" not in result.stderr
         assert "Traceback" not in result.output
 
     def test_check_failure_exit_one_report_written(self, tmp_path):
@@ -401,6 +461,18 @@ class TestWorkDoneOnce:
         assert len(entry["checkpoints"]) == 8
         assert len(calls) == 8
         assert entry["projection_route"]["diagnostics"]["t_end"] == 1.0
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_FLAGS))
+    def test_out_of_range_flag_is_a_usage_error(self, tmp_path, case):
+        args, flag = OUT_OF_RANGE_FLAGS[case]
+        result = CliRunner().invoke(main, [*args, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Invalid value for '{flag}'" in result.stderr
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
 
 
 class TestShippedConfigs:

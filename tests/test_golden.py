@@ -16,9 +16,22 @@ must still agree.
 ``configs/scalar-crossing.json`` (``eigenflow``, ``operator`` and
 ``propagator --steps 64``), recorded before the propagators' integrator
 loop was shared.
+
+``tests/golden/suites/`` holds the reports of ``apsflow suite theorems
+--seed 0`` and ``apsflow suite convergence --seed 0``, recorded with one
+BLAS thread before ``OperatorFamily.restricted`` and ``time_reversed`` were
+rebuilt on ``dataclasses.replace``.  They guard the checkpoint flows and the
+shooting route across the shipped families.  BLAS sums in a different order
+with more threads, which moves the last digits of some boundary-value
+singular values of the theorems suite (and, by far more, a gap ratio over a
+round-off-sized one), so the suites run in a child process pinned to one
+thread.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,4 +96,27 @@ def test_scalar_crossing_exports_match_golden(tmp_path, what):
     assert result.exit_code == 0, result.output
     assert sorted(p.name for p in tmp_path.iterdir()) == [filename]
     expected = (GOLDEN / "exports" / filename).read_bytes()
+    assert (tmp_path / filename).read_bytes() == expected
+
+
+@pytest.mark.parametrize("name", ["theorems", "convergence"])
+def test_suite_reports_match_golden(tmp_path, name):
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+    }
+    result = subprocess.run(
+        [sys.executable, "-m", "apsflow", "suite", name, "--seed", "0", "--out", str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    filename = f"suite-{name}.json"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [filename]
+    expected = (GOLDEN / "suites" / filename).read_bytes()
     assert (tmp_path / filename).read_bytes() == expected
