@@ -49,7 +49,6 @@ from .matrixcore import (
     relative_index,
     spectral_projection,
     spectral_subspace,
-    subspace_intersection,
 )
 from .evolution import (
     STIFFNESS_BOUND,
@@ -67,10 +66,17 @@ DEFAULT_CHECKPOINTS = 8
 
 @dataclass(frozen=True)
 class APSBoundaryData:
-    """The two boundary subspaces: negative at ``t=0``, nonnegative at ``t=T``."""
+    """The boundary subspaces, negative at ``t=0`` and nonnegative at ``t=T``.
+
+    ``left_complement`` (nonnegative at ``t=0``) and ``right_complement``
+    (negative at ``t=T``) are the boundary subspaces of the time-reversed
+    family, whose ``A(0)`` and ``A(T)`` are this family's ``A(T)`` and ``A(0)``.
+    """
 
     left_subspace: Subspace
     right_subspace: Subspace
+    left_complement: Subspace
+    right_complement: Subspace
 
     def __post_init__(self):
         if self.left_subspace.ambient_dim != self.right_subspace.ambient_dim:
@@ -78,7 +84,7 @@ class APSBoundaryData:
 
 
 def aps_boundary_data(family: OperatorFamily, *, tau_0: float = TAU_ZERO) -> APSBoundaryData:
-    """Boundary subspaces of the family, validated against their complements."""
+    """Both spectral splits at each end, each validated against its complement."""
     s0 = eigh(family.at(0.0))
     st = eigh(family.at(family.horizon))
     left = spectral_subspace(s0, NEGATIVE_AXIS, tau_0=tau_0)
@@ -94,7 +100,7 @@ def aps_boundary_data(family: OperatorFamily, *, tau_0: float = TAU_ZERO) -> APS
                 raise ConsistencyError(
                     f"boundary subspace overlaps its complement (defect {overlap:.3e})"
                 )
-    return APSBoundaryData(left_subspace=left, right_subspace=right)
+    return APSBoundaryData(left, right, left_comp, right_comp)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +125,7 @@ def lorentzian_index_projection(
         t_end = family.horizon
     try:
         p0 = spectral_projection(eigh(family.at(0.0)), NEGATIVE_AXIS, tau_0=tau_0)
-        p_hat = evolved_projection(family, propagator, t_end, NEGATIVE_AXIS, tau_0=tau_0)
+        p_hat = evolved_projection(family, propagator, t_end, tau_0=tau_0)
     except AmbiguousSpectralCutError as exc:
         raise AmbiguousSpectralCutError(
             f"{exc}; apply endpoint_regularize to push the offending "
@@ -163,7 +169,8 @@ def lorentzian_index_subspace(
 ) -> IndexReport:
     """Index of ``d/dt - iA`` on ``[0, t_end]`` via direct subspace geometry.
 
-    Kernel: dimension of ``H_<0(0) ∩ Q(0,t) H_>=0(t)`` by principal angles.
+    Kernel: dimension of ``H_<0(0) ∩ Q(0,t) H_>=0(t)``, the number of
+    reported principal cosines at least ``1 - tau_angle``.
     Cokernel: ``rank P_<0(t)`` minus the rank of ``P_<0(t) Q(t,0)`` restricted
     to ``H_<0(0)``.  Must agree with the projection-pair route exactly.
     """
@@ -179,7 +186,7 @@ def lorentzian_index_subspace(
 
     pulled_back = Subspace(family.dim, u_t.conj().T @ h_pos_t.basis)
     cosines = principal_cosines(h_neg_0, pulled_back)
-    ker = subspace_intersection(h_neg_0, pulled_back, tau_angle=tau_angle).dimension
+    ker = int(np.count_nonzero(cosines >= 1.0 - tau_angle))
 
     restricted = h_neg_t.basis.conj().T @ u_t @ h_neg_0.basis
     if min(restricted.shape):
@@ -400,7 +407,7 @@ def riemannian_index_discretized(
             f"{STIFFNESS_BOUND:g} for the boundary-value discretization"
         )
     disc = assemble_discretized_operator(family, grid_intervals, tau_0=tau_0)
-    report = rank_kernel(disc.matrix, compute_bases=False)
+    report = rank_kernel(disc.matrix)
     sigma_tail = report.singular_values[max(0, report.rank - 3) :][:8]
     diagnostics = {
         "grid_intervals": disc.grid_intervals,
@@ -437,8 +444,7 @@ def _shot_kernel_dim(
         return 0, np.zeros(0)
     image = Subspace.span(transfer.matrices[-1] @ start.basis)
     cosines = principal_cosines(image, target)
-    dim = subspace_intersection(image, target, tau_angle=angle_tol).dimension
-    return dim, cosines
+    return int(np.count_nonzero(cosines >= 1.0 - angle_tol)), cosines
 
 
 def riemannian_kernel_shooting(
@@ -455,7 +461,8 @@ def riemannian_kernel_shooting(
     cokernel solves the formal adjoint with swapped boundary conditions,
     which after time reversal is the same computation for the reversed
     family: the time-reversed family is propagated a second time, with its
-    own non-unitary propagator, rather than reusing the forward one.
+    own non-unitary propagator, rather than reusing the forward one.  Its
+    boundary subspaces are the forward family's complements.
     """
     boundary = aps_boundary_data(family, tau_0=tau_0)
     forward = nonunitary_propagate(family, intervals)
@@ -463,11 +470,9 @@ def riemannian_kernel_shooting(
         forward, boundary.left_subspace, boundary.right_subspace, angle_tol
     )
 
-    reversed_family = family.time_reversed()
-    rev_boundary = aps_boundary_data(reversed_family, tau_0=tau_0)
-    backward = nonunitary_propagate(reversed_family, intervals)
+    backward = nonunitary_propagate(family.time_reversed(), intervals)
     coker, coker_cosines = _shot_kernel_dim(
-        backward, rev_boundary.left_subspace, rev_boundary.right_subspace, angle_tol
+        backward, boundary.right_complement, boundary.left_complement, angle_tol
     )
 
     diagnostics = {

@@ -292,8 +292,7 @@ def _run_riemannian_main(family, config: ExperimentConfig, outdir: Path | None) 
 def _run_counterexample_growth(family, config: ExperimentConfig, outdir: Path | None) -> dict:
     tol = config.tolerances
     m = family.dim // 2
-    lambdas = [float(np.linalg.eigvalsh(family.at(0.0).entries)[-(i + 1)]) for i in range(m)]
-    lambdas = sorted(lambdas)
+    lambdas = np.linalg.eigvalsh(family.at(0.0).entries)[family.dim - m :].tolist()
     prop = propagate(family, config.steps, scheme=config.scheme)
     exact = closed_form_counterexample_propagator(lambdas, 1.0)
     defect = float(np.linalg.norm(prop.unitaries[-1] - exact, 2))
@@ -548,8 +547,8 @@ def run(config_path, seed, out, formats, steps, grid, strict):
 @click.option("--out", type=click.Path(), default="reports", show_default=True)
 @click.option("--format", "formats", multiple=True, type=click.Choice(["json", "csv"]))
 @click.option("--families", type=click.IntRange(min=0), default=100, show_default=True, help="Random zoo size.")
-@click.option("--max-n", type=int, default=16, show_default=True, help="Largest random family dimension.")
-@click.option("--max-blocks", type=int, default=16, show_default=True, help="Largest direct-sum block count.")
+@click.option("--max-n", type=click.IntRange(min=2), default=16, show_default=True, help="Largest random family dimension.")
+@click.option("--max-blocks", type=click.IntRange(min=0), default=16, show_default=True, help="Largest direct-sum block count.")
 @click.option("--steps", type=STEPS, default=1024, show_default=True)
 @click.option("--grid", type=GRID, default=48, show_default=True)
 def suite(name, seed, out, formats, families, max_n, max_blocks, steps, grid):

@@ -27,9 +27,9 @@ from .errors import (
 )
 from .families import OperatorFamily, PhaseProfile, quintic_profile
 from .matrixcore import (
+    NEGATIVE_AXIS,
     TAU_ZERO,
     HermitianMatrix,
-    Interval,
     Projection,
     eigh,
     spectral_projection,
@@ -261,14 +261,13 @@ def evolved_projection(
     family: OperatorFamily,
     propagator: Propagator,
     t: float,
-    interval: Interval,
     *,
     tau_0: float = TAU_ZERO,
 ) -> Projection:
-    """The evolved spectral projection ``Q(0, t) P_I(t) Q(t, 0)`` at a grid time."""
+    """The evolved spectral projection ``Q(0, t) P_<0(t) Q(t, 0)`` at a grid time."""
     k = propagator.index_of(t)
     tk = float(propagator.grid[k])
-    base = spectral_projection(eigh(family.at(tk)), interval, tau_0=tau_0)
+    base = spectral_projection(eigh(family.at(tk)), NEGATIVE_AXIS, tau_0=tau_0)
     u = propagator.unitaries[k]
     mat = u.conj().T @ base.matrix.entries @ u
     return Projection(HermitianMatrix(mat), rank=base.rank)

@@ -1,9 +1,10 @@
 """Dense Hermitian linear algebra kernels.
 
-Eigendecompositions, spectral projections and subspaces, relative indices
-of projection pairs, principal-angle subspace intersections, and
-thresholded rank/kernel/cokernel computations.  Everything here is a pure
-function on immutable values; all other modules build on these.
+Eigendecompositions, spectral projections and subspaces for the two
+half-line cuts, relative indices of projection pairs, principal cosines
+and subspace intersections, and thresholded ranks with kernel/cokernel
+dimensions.  Everything here is a pure function on immutable values; all
+other modules build on these.
 
 Numerical conventions
 ---------------------
@@ -190,59 +191,9 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A real interval with independently open/closed finite endpoints.
-
-    Infinite endpoints are always open.  Membership tests are exact on the
-    already-snapped eigenvalues handed to them.
-    """
-
-    lo: float
-    hi: float
-    lo_closed: bool = True
-    hi_closed: bool = False
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"empty interval: lo={self.lo}, hi={self.hi}")
-        if math.isinf(self.lo) and self.lo_closed:
-            raise ValueError("-inf endpoint must be open")
-        if math.isinf(self.hi) and self.hi_closed:
-            raise ValueError("+inf endpoint must be open")
-
-    @classmethod
-    def less_than(cls, a: float) -> "Interval":
-        return cls(-math.inf, a, lo_closed=False, hi_closed=False)
-
-    @classmethod
-    def at_least(cls, a: float) -> "Interval":
-        return cls(a, math.inf, lo_closed=True, hi_closed=False)
-
-    @classmethod
-    def half_open(cls, lo: float, hi: float) -> "Interval":
-        return cls(lo, hi, lo_closed=True, hi_closed=False)
-
-    def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo:
-            return self.lo_closed
-        if x == self.hi:
-            return self.hi_closed
-        return True
-
-    def finite_endpoints(self) -> list[float]:
-        return [e for e in (self.lo, self.hi) if math.isfinite(e)]
-
-    def describe(self) -> str:
-        lo = "[" if self.lo_closed else "("
-        hi = "]" if self.hi_closed else ")"
-        return f"{lo}{self.lo}, {self.hi}{hi}"
-
-
-NEGATIVE_AXIS = Interval.less_than(0.0)
-NONNEGATIVE_AXIS = Interval.at_least(0.0)
+# The two spectral cuts the boundary conditions take, named as they print
+NEGATIVE_AXIS = "(-inf, 0.0)"
+NONNEGATIVE_AXIS = "[0.0, inf)"
 
 
 def snap_eigenvalues(eigenvalues: np.ndarray, tau_0: float = TAU_ZERO) -> np.ndarray:
@@ -252,20 +203,20 @@ def snap_eigenvalues(eigenvalues: np.ndarray, tau_0: float = TAU_ZERO) -> np.nda
     return w
 
 
-def _select_indices(eigenvalues: np.ndarray, interval: Interval, tau_0: float) -> np.ndarray:
+def _select_indices(eigenvalues: np.ndarray, axis: str, tau_0: float) -> np.ndarray:
+    if axis not in (NEGATIVE_AXIS, NONNEGATIVE_AXIS):
+        raise ValueError(f"spectral cut must be NEGATIVE_AXIS or NONNEGATIVE_AXIS, got {axis!r}")
     snapped = snap_eigenvalues(eigenvalues, tau_0)
-    for endpoint in interval.finite_endpoints():
-        near = np.abs(snapped - endpoint) <= TAU_GAP
-        if endpoint == 0.0:
-            # the snapped-zero convention decides membership at 0 exactly
-            near &= snapped != 0.0
-        if np.any(near):
-            bad = np.asarray(eigenvalues)[near]
-            raise AmbiguousSpectralCutError(
-                f"eigenvalue(s) {bad.tolist()} lie within {TAU_GAP:.1e} of the "
-                f"interval endpoint {endpoint} of {interval.describe()}"
-            )
-    return np.array([interval.contains(x) for x in snapped], dtype=bool)
+    # the snapped-zero convention decides membership at 0 exactly
+    near = (np.abs(snapped) <= TAU_GAP) & (snapped != 0.0)
+    if np.any(near):
+        bad = np.asarray(eigenvalues)[near]
+        raise AmbiguousSpectralCutError(
+            f"eigenvalue(s) {bad.tolist()} lie within {TAU_GAP:.1e} of the "
+            f"interval endpoint 0.0 of {axis}"
+        )
+    negative = snapped < 0.0
+    return negative if axis == NEGATIVE_AXIS else ~negative
 
 
 @dataclass(frozen=True)
@@ -343,17 +294,18 @@ class Projection:
 
 def spectral_projection(
     s: SpectralData,
-    interval: Interval,
+    axis: str,
     *,
     tau_0: float = TAU_ZERO,
 ) -> Projection:
-    """Orthogonal projection onto the spectral subspace for ``interval``.
+    """Orthogonal projection onto the spectral subspace of ``axis``.
 
-    Eigenvalues within ``tau_0`` of zero count as exactly zero (so they lie
-    in ``[0, inf)`` and not in ``(-inf, 0)``).  Any other eigenvalue within
-    ``TAU_GAP`` of a finite endpoint raises ``AmbiguousSpectralCutError``.
+    ``axis`` is ``NEGATIVE_AXIS`` or ``NONNEGATIVE_AXIS``.  Eigenvalues
+    within ``tau_0`` of zero count as exactly zero (so they lie in
+    ``[0, inf)`` and not in ``(-inf, 0)``).  Any other eigenvalue within
+    ``TAU_GAP`` of zero raises ``AmbiguousSpectralCutError``.
     """
-    select = _select_indices(s.eigenvalues, interval, tau_0)
+    select = _select_indices(s.eigenvalues, axis, tau_0)
     v = s.eigenvectors[:, select]
     p = v @ v.conj().T
     return Projection(HermitianMatrix(p), rank=int(np.count_nonzero(select)))
@@ -361,12 +313,12 @@ def spectral_projection(
 
 def spectral_subspace(
     s: SpectralData,
-    interval: Interval,
+    axis: str,
     *,
     tau_0: float = TAU_ZERO,
 ) -> Subspace:
-    """Orthonormal eigenbasis of the spectral subspace for ``interval``."""
-    select = _select_indices(s.eigenvalues, interval, tau_0)
+    """Orthonormal eigenbasis of the spectral subspace of ``axis``."""
+    select = _select_indices(s.eigenvalues, axis, tau_0)
     return Subspace(s.dim, s.eigenvectors[:, select])
 
 
@@ -462,7 +414,9 @@ def subspace_intersection(
     """Orthonormal basis of ``U ∩ V`` via principal angles.
 
     Directions whose principal cosine is at least ``1 - tau_angle`` are kept.
-    An empty intersection is returned as a ``k = 0`` subspace.
+    An empty intersection is returned as a ``k = 0`` subspace.  The index
+    routes count the cosines of :func:`principal_cosines` against the same
+    cut; tests use this basis as their reference.
     """
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatchError(
@@ -478,17 +432,15 @@ def subspace_intersection(
 
 @dataclass(frozen=True)
 class RankReport:
-    """Numerical rank of a rectangular matrix with kernel/cokernel data.
+    """Numerical rank of a rectangular matrix with kernel/cokernel dimensions.
 
     ``gap_ratio`` is ``sigma_r / sigma_{r+1}`` at the rank cut (``inf`` when
     the cut falls outside the singular spectrum); a small ratio means the
     rank decision is ill-determined, and a warning is attached rather than
-    silently dropped.  Bases are ``None`` when not requested.
+    silently dropped.
     """
 
     rank: int
-    kernel: np.ndarray | None
-    cokernel: np.ndarray | None
     kernel_dim: int
     cokernel_dim: int
     singular_values: np.ndarray
@@ -496,17 +448,11 @@ class RankReport:
     warnings: tuple[str, ...]
 
 
-def rank_kernel(
-    m,
-    *,
-    tau_rank: float = TAU_RANK_RELATIVE,
-    compute_bases: bool = True,
-) -> RankReport:
-    """SVD-based rank with orthonormal kernel and cokernel bases.
+def rank_kernel(m, *, tau_rank: float = TAU_RANK_RELATIVE) -> RankReport:
+    """SVD-based rank with kernel and cokernel dimensions.
 
     Rank counts singular values above the relative threshold
-    ``tau_rank * sigma_max``.  ``compute_bases=False`` skips the full SVD and
-    reports dimensions only (used by large discretized operators).
+    ``tau_rank * sigma_max``; only the singular values are computed.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
@@ -515,14 +461,8 @@ def rank_kernel(
         raise ValueError("matrix entries must be finite")
     rows, cols = a.shape
     if min(rows, cols) == 0:
-        kernel = np.eye(cols, dtype=complex) if compute_bases else None
-        cokernel = np.eye(rows, dtype=complex) if compute_bases else None
-        return RankReport(0, kernel, cokernel, cols, rows, np.zeros(0), math.inf, ())
-    if compute_bases:
-        u, sigma, vh = np.linalg.svd(a, full_matrices=True)
-    else:
-        u = vh = None
-        sigma = np.linalg.svd(a, compute_uv=False)
+        return RankReport(0, cols, rows, np.zeros(0), math.inf, ())
+    sigma = np.linalg.svd(a, compute_uv=False)
     smax = float(sigma[0])
     rank = int(np.count_nonzero(sigma > tau_rank * smax)) if smax > 0 else 0
     if 0 < rank < sigma.shape[0] and sigma[rank] > 0:
@@ -535,14 +475,8 @@ def rank_kernel(
             f"ill-determined rank: singular-value gap ratio {gap_ratio:.3e} "
             f"below {GAP_RATIO_FLOOR:.1e} at the rank-{rank} cut",
         )
-    kernel = cokernel = None
-    if compute_bases:
-        kernel = np.ascontiguousarray(vh[rank:].conj().T)
-        cokernel = np.ascontiguousarray(u[:, rank:])
     return RankReport(
         rank=rank,
-        kernel=kernel,
-        cokernel=cokernel,
         kernel_dim=cols - rank,
         cokernel_dim=rows - rank,
         singular_values=sigma,

@@ -24,7 +24,7 @@ from apsflow.families import (
 )
 from apsflow.matrixcore import TAU_ZERO, HermitianMatrix
 from apsflow.spectralflow import spectral_flow
-from apsflow.zoo import random_trig_family, singular_endpoint_family
+from apsflow.zoo import random_trig_family, shipped_families, singular_endpoint_family
 
 
 def diag(*vals):
@@ -68,6 +68,20 @@ class TestBoundaryData:
         data = aps_boundary_data(f)
         assert data.left_subspace.dimension == 1  # only the -1 eigenline
         assert data.right_subspace.dimension == 1  # the zero eigenline
+
+    def test_complements_are_the_reversed_boundary(self):
+        # shooting reads the time-reversed family's boundary from the complements
+        rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
+        draws = [singular_endpoint_family(int(rng.integers(2, 5)), rng) for _ in range(20)]
+        for f in [*shipped_families(), *draws]:
+            data = aps_boundary_data(f)
+            rev = aps_boundary_data(f.time_reversed())
+            for got, want in (
+                (rev.left_subspace, data.right_complement),
+                (rev.right_subspace, data.left_complement),
+            ):
+                assert got.basis.shape == want.basis.shape, f.label
+                assert got.basis.tobytes() == want.basis.tobytes(), f.label
 
 
 class TestTransportIndexRoutes:
@@ -138,8 +152,8 @@ class TestTransportIndexRoutes:
         f = random_trig_family(3, rng)
         p = propagate(f, 256)
         left_plain = spectral_projection(eigh(f.at(0.0)), NEGATIVE_AXIS)
-        left_evolved = evolved_projection(f, p, 0.0, NEGATIVE_AXIS)
-        right = evolved_projection(f, p, 1.0, NEGATIVE_AXIS)
+        left_evolved = evolved_projection(f, p, 0.0)
+        right = evolved_projection(f, p, 1.0)
         a = relative_index(left_plain, right, tau_rank=1e-4)
         b = relative_index(left_evolved, right, tau_rank=1e-4)
         assert (a.ker_dim, a.coker_dim, a.index) == (b.ker_dim, b.coker_dim, b.index)

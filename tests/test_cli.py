@@ -77,6 +77,8 @@ OUT_OF_RANGE_FLAGS = {
     "suite-steps-zero": (["suite", "convergence", "--steps", "0"], "--steps"),
     "suite-families-negative": (["suite", "random", "--families", "-1"], "--families"),
     "suite-seed-negative": (["suite", "random", "--seed", "-1"], "--seed"),
+    "suite-max-n-zero": (["suite", "random", "--max-n", "0", "--families", "3"], "--max-n"),
+    "suite-max-blocks-negative": (["suite", "counterexample", "--max-blocks", "-1"], "--max-blocks"),
     "export-samples-zero": (
         ["export", "eigenflow", "--config", SHIPPED_CONFIG, "--samples", "0"],
         "--samples",
@@ -331,7 +333,7 @@ TOLERANCE_APPLIERS = {
     "tau_0": ("spectral_flow", "tau_0"),
     "tau_rank": ("relative_index", "tau_rank"),
     "gamma_min": ("build_flow_partition", "gamma_min"),
-    "tau_angle": ("subspace_intersection", "tau_angle"),
+    "tau_angle": ("lorentzian_index_subspace", "tau_angle"),
     "sigma_cut": ("lorentzian_index_projection", "sigma_cut"),
     "shooting_angle_tol": ("riemannian_kernel_shooting", "angle_tol"),
 }

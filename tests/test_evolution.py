@@ -137,7 +137,7 @@ class TestEvolvedProjection:
         f = random_trig_family(3, rng)
         p = propagate(f, 32)
         direct = spectral_projection(eigh(f.at(0.0)), NEGATIVE_AXIS)
-        hat = evolved_projection(f, p, 0.0, NEGATIVE_AXIS)
+        hat = evolved_projection(f, p, 0.0)
         assert np.max(np.abs(direct.matrix.entries - hat.matrix.entries)) < 1e-12
 
     def test_rank_preserved(self, rng):
@@ -145,14 +145,14 @@ class TestEvolvedProjection:
         p = propagate(f, 64)
         for t in [0.25, 0.75, 1.0]:
             base = spectral_projection(eigh(f.at(t)), NEGATIVE_AXIS)
-            hat = evolved_projection(f, p, t, NEGATIVE_AXIS)
+            hat = evolved_projection(f, p, t)
             assert hat.rank == base.rank
 
     def test_counterexample_swaps_line(self):
         # oracle: q(1,0)* diag(1,0) q(1,0) = diag(0,1) blockwise
         f = counterexample_family([1.0])
         p = propagate(f, 2**12)
-        hat = evolved_projection(f, p, 1.0, NEGATIVE_AXIS)
+        hat = evolved_projection(f, p, 1.0)
         assert np.max(np.abs(hat.matrix.entries - np.diag([0.0, 1.0]))) < 1e-5
 
 

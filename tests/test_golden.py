@@ -21,11 +21,15 @@ loop was shared.
 --seed 0`` and ``apsflow suite convergence --seed 0``, recorded with one
 BLAS thread before ``OperatorFamily.restricted`` and ``time_reversed`` were
 rebuilt on ``dataclasses.replace``.  They guard the checkpoint flows and the
-shooting route across the shipped families.  BLAS sums in a different order
-with more threads, which moves the last digits of some boundary-value
-singular values of the theorems suite (and, by far more, a gap ratio over a
-round-off-sized one), so the suites run in a child process pinned to one
-thread.
+shooting route across the shipped families.  ``suite random --families 8
+--seed 0`` and ``suite counterexample --max-blocks 4 --seed 0`` were
+recorded the same way before the spectral cuts were reduced to the two
+half-lines; the random section is the only one that sends zoo draws of
+dimension up to 16 through the subspace-geometry route.  BLAS sums in a
+different order with more threads, which moves the last digits of some
+boundary-value singular values of the theorems suite (and, by far more, a
+gap ratio over a round-off-sized one), so the suites run in a child process
+pinned to one thread.
 """
 
 import json
@@ -99,7 +103,15 @@ def test_scalar_crossing_exports_match_golden(tmp_path, what):
     assert (tmp_path / filename).read_bytes() == expected
 
 
-@pytest.mark.parametrize("name", ["theorems", "convergence"])
+SUITES = {
+    "theorems": [],
+    "convergence": [],
+    "random": ["--families", "8"],
+    "counterexample": ["--max-blocks", "4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
 def test_suite_reports_match_golden(tmp_path, name):
     env = {
         **os.environ,
@@ -109,7 +121,8 @@ def test_suite_reports_match_golden(tmp_path, name):
         "MKL_NUM_THREADS": "1",
     }
     result = subprocess.run(
-        [sys.executable, "-m", "apsflow", "suite", name, "--seed", "0", "--out", str(tmp_path)],
+        [sys.executable, "-m", "apsflow", "suite", name, *SUITES[name],
+         "--seed", "0", "--out", str(tmp_path)],
         env=env,
         capture_output=True,
         text=True,

@@ -6,7 +6,6 @@ from apsflow.matrixcore import (
     NEGATIVE_AXIS,
     NONNEGATIVE_AXIS,
     HermitianMatrix,
-    Interval,
     Projection,
     Subspace,
     eigh,
@@ -107,10 +106,15 @@ class TestSpectralProjection:
         with pytest.raises(AmbiguousSpectralCutError, match="5e-08"):
             spectral_projection(s, NEGATIVE_AXIS)
 
-    def test_ambiguous_cut_near_finite_level(self):
-        s = eigh(HermitianMatrix(np.diag([0.5 + 1e-9, 1.0])))
-        with pytest.raises(AmbiguousSpectralCutError):
-            spectral_projection(s, Interval.half_open(0.0, 0.5))
+    def test_ambiguous_cut_names_the_axis(self):
+        s = eigh(HermitianMatrix(np.diag([-5e-8, 1.0])))
+        with pytest.raises(AmbiguousSpectralCutError, match=r"endpoint 0\.0 of \[0\.0, inf\)"):
+            spectral_projection(s, NONNEGATIVE_AXIS)
+
+    def test_unknown_axis_rejected(self):
+        s = eigh(HermitianMatrix(np.diag([-1.0, 1.0])))
+        with pytest.raises(ValueError, match="NEGATIVE_AXIS or NONNEGATIVE_AXIS"):
+            spectral_projection(s, "[0.0, 0.5)")
 
     def test_complementarity(self, rng):
         for _ in range(10):
@@ -128,22 +132,6 @@ class TestSpectralProjection:
             assert np.max(np.abs(e @ e - e)) <= 1e-10
             assert np.max(np.abs(e - e.conj().T)) <= 1e-12
             assert abs(np.trace(e).real - p.rank) <= 1e-8
-
-
-class TestInterval:
-    def test_membership_conventions(self):
-        half = Interval.half_open(0.0, 2.0)
-        assert half.contains(0.0) and half.contains(1.0) and not half.contains(2.0)
-        below = Interval.less_than(0.0)
-        assert below.contains(-1.0) and not below.contains(0.0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Interval(1.0, 1.0)
-
-    def test_rejects_closed_infinite(self):
-        with pytest.raises(ValueError):
-            Interval(-np.inf, 0.0, lo_closed=True)
 
 
 class TestRelativeIndex:
@@ -229,7 +217,6 @@ class TestRankKernel:
     def test_identity(self):
         rep = rank_kernel(np.eye(2))
         assert rep.rank == 2 and rep.kernel_dim == 0 and rep.cokernel_dim == 0
-        assert rep.kernel.shape == (2, 0)
 
     def test_zero_rectangular(self):
         rep = rank_kernel(np.zeros((2, 3)))
@@ -241,14 +228,6 @@ class TestRankKernel:
         assert (rep.rank, rep.kernel_dim, rep.cokernel_dim) == (1, 2, 1)
         assert np.allclose(rep.singular_values, [1.0, 0.0])
 
-    def test_bases_orthonormal_and_null(self, rng):
-        a = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        a[2:] = 0.0  # force rank deficiency in the rows
-        rep = rank_kernel(a)
-        assert np.allclose(rep.kernel.conj().T @ rep.kernel, np.eye(rep.kernel_dim))
-        assert np.max(np.abs(a @ rep.kernel)) < 1e-10
-        assert np.max(np.abs(rep.cokernel.conj().T @ a)) < 1e-10
-
     def test_well_determined_rank_no_warning(self):
         rep = rank_kernel(np.diag([1.0, 5e-10, 1e-10]), tau_rank=1e-9)
         assert rep.rank == 1 and not rep.warnings  # gap ratio 2e9 is clean
@@ -258,17 +237,6 @@ class TestRankKernel:
         rep = rank_kernel(np.diag([1.0, 2e-9, 1e-9]), tau_rank=1.5e-9)
         assert rep.rank == 2
         assert any("ill-determined" in w for w in rep.warnings)
-
-    def test_dims_without_bases(self, rng):
-        a = rng.standard_normal((5, 7))
-        full = rank_kernel(a)
-        slim = rank_kernel(a, compute_bases=False)
-        assert (slim.rank, slim.kernel_dim, slim.cokernel_dim) == (
-            full.rank,
-            full.kernel_dim,
-            full.cokernel_dim,
-        )
-        assert slim.kernel is None and slim.cokernel is None
 
 
 class TestSnapping:
