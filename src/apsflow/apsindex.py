@@ -21,6 +21,7 @@ error and would miscount.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ from .matrixcore import (
     TAU_RANK_RELATIVE,
     TAU_ZERO,
     IndexReport,
+    Projection,
     Subspace,
     eigh,
     principal_cosines,
@@ -123,14 +125,40 @@ def lorentzian_index_projection(
     """
     if t_end is None:
         t_end = family.horizon
+    return _projection_pair_index(
+        _start_projection(family, tau_0), family, propagator, t_end, tau_0, sigma_cut
+    )
+
+
+@contextlib.contextmanager
+def _regularization_advice():
+    """Re-raise an ambiguous spectral cut with the advice to regularize."""
     try:
-        p0 = spectral_projection(eigh(family.at(0.0)), NEGATIVE_AXIS, tau_0=tau_0)
-        p_hat = evolved_projection(family, propagator, t_end, tau_0=tau_0)
+        yield
     except AmbiguousSpectralCutError as exc:
         raise AmbiguousSpectralCutError(
             f"{exc}; apply endpoint_regularize to push the offending "
             "eigenvalue away from the spectral cut"
         ) from exc
+
+
+def _start_projection(family: OperatorFamily, tau_0: float) -> Projection:
+    """``P_<0(0)``, shared by every checkpoint of one main check."""
+    with _regularization_advice():
+        return spectral_projection(eigh(family.at(0.0)), NEGATIVE_AXIS, tau_0=tau_0)
+
+
+def _projection_pair_index(
+    p0: Projection,
+    family: OperatorFamily,
+    propagator: Propagator,
+    t_end: float,
+    tau_0: float,
+    sigma_cut: float,
+) -> IndexReport:
+    """The projection-pair index of ``(p0, Q(0,t) P_<0(t) Q(t,0))`` at ``t = t_end``."""
+    with _regularization_advice():
+        p_hat = evolved_projection(family, propagator, t_end, tau_0=tau_0)
     report = relative_index(p0, p_hat, tau_rank=sigma_cut)
     diagnostics = dict(report.diagnostics)
     diagnostics["t_end"] = float(t_end)
@@ -267,15 +295,14 @@ def lorentzian_main_check(
     grid_count = propagator.grid.shape[0] - 1
     numbers = range(1, DEFAULT_CHECKPOINTS + 1)
     indices = sorted({max(1, round(j * grid_count / DEFAULT_CHECKPOINTS)) for j in numbers})
+    p0 = _start_projection(family, tau_0)
     entries = []
     warnings: list[str] = []
     sfl = 0
     t_prev = 0.0
     for k in indices:
         t = float(propagator.grid[k])
-        rep = lorentzian_index_projection(
-            family, propagator, t, tau_0=tau_0, sigma_cut=sigma_cut
-        )
+        rep = _projection_pair_index(p0, family, propagator, t, tau_0, sigma_cut)
         warnings.extend(rep.warnings)
         sfl += spectral_flow(
             family.restricted(t_prev, t), gamma_min=gamma_min, tau_0=tau_0

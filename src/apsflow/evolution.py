@@ -25,7 +25,7 @@ from .errors import (
     OffGridError,
     StiffnessError,
 )
-from .families import OperatorFamily, PhaseProfile, quintic_profile
+from .families import OperatorFamily, PhaseProfile, Times, quintic_profile
 from .matrixcore import (
     NEGATIVE_AXIS,
     TAU_ZERO,
@@ -234,24 +234,17 @@ def evolved_family(family: OperatorFamily, propagator: Propagator) -> OperatorFa
     ev = family.eval_fn
     dv = family.derivative_fn
 
-    def eval_fn(t: float) -> np.ndarray:
-        k = int(np.argmin(np.abs(grid - t)))
+    def conjugated(fn, t: Times) -> np.ndarray:
+        """``fn`` at the grid time nearest each time, conjugated by the unitary there."""
+        k = np.argmin(np.abs(grid - np.asarray(t, dtype=float)[..., None]), axis=-1)
         u = unitaries[k]
-        return u.conj().T @ ev(float(grid[k])) @ u
-
-    deriv_fn = None
-    if dv is not None:
-
-        def deriv_fn(t: float) -> np.ndarray:
-            k = int(np.argmin(np.abs(grid - t)))
-            u = unitaries[k]
-            return u.conj().T @ dv(float(grid[k])) @ u
+        return np.conj(u).swapaxes(-1, -2) @ fn(grid[k]) @ u
 
     return replace(
         family,
         label=f"{family.label}(evolved)",
-        eval_fn=eval_fn,
-        derivative_fn=deriv_fn,
+        eval_fn=lambda t: conjugated(ev, t),
+        derivative_fn=None if dv is None else (lambda t: conjugated(dv, t)),
         smoothness="discrete",
         grid=grid,
     )

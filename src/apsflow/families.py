@@ -103,9 +103,59 @@ _PROFILES = {"quintic": quintic_profile, "capped-slope": capped_slope_profile}
 # the family type
 
 
+Times = float | np.ndarray  # one time, or a 1-D array of K times
+Evaluator = Callable[[Times], np.ndarray]
+
+
+def _column(t: Times) -> np.ndarray:
+    """Times shaped to scale matrices: ``(K, 1, 1)`` for K times, ``(1, 1)`` for one."""
+    return np.asarray(t, dtype=float)[..., None, None]
+
+
+def _held(m: np.ndarray, t: Times) -> np.ndarray:
+    """The matrix ``m`` at every time of ``t`` (a read-only broadcast view)."""
+    return np.broadcast_to(m, np.shape(t) + m.shape)
+
+
+def _pointwise(fn: Callable[[float], object], t: Times) -> np.ndarray:
+    """``fn`` applied to one Python float at a time, stacked in the shape of ``t``.
+
+    For scalar coefficients (``math`` calls, Python complex arithmetic,
+    branches) whose array form could round differently.
+    """
+    times = np.asarray(t, dtype=float)
+    values = np.array([fn(s) for s in times.ravel().tolist()])
+    return values.reshape(times.shape + values.shape[1:])
+
+
+def _evaluate(fn: Evaluator, times: Times, dim: int, label: str, error: type) -> np.ndarray:
+    """``fn(times)`` as a complex array of shape ``times.shape + (dim, dim)``, else ``error``."""
+    expected = np.shape(times) + (dim, dim)
+    try:
+        out = np.asarray(fn(times), dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise error(
+            f"family {label!r}: evaluator failed on an array of {np.size(times)} times "
+            f"({exc}); evaluators take a float or a 1-D array of times"
+        ) from exc
+    if out.shape != expected:
+        raise error(
+            f"family {label!r}: evaluator returned shape {out.shape} for times of shape "
+            f"{np.shape(times)}, expected {expected}; evaluators take a float or a 1-D "
+            "array of times"
+        )
+    return out
+
+
 @dataclass(frozen=True)
 class OperatorFamily:
     """A Hermitian-matrix-valued function of time on ``[0, T]``.
+
+    ``eval_fn`` and ``derivative_fn`` take either one float ``t``, returning
+    the ``(n, n)`` matrix at ``t``, or a 1-D float array of K times,
+    returning the ``(K, n, n)`` stack in one call.  Both forms must agree
+    bit for bit.  Times reach them already clamped to ``[0, T]`` (and snapped
+    to ``grid`` for discrete families).
 
     ``smoothness`` distinguishes genuinely smooth families from
     piecewise-differentiable interpolants and from grid-snapped discrete
@@ -116,8 +166,8 @@ class OperatorFamily:
     dim: int
     horizon: float
     label: str
-    eval_fn: Callable[[float], np.ndarray]
-    derivative_fn: Callable[[float], np.ndarray] | None = None
+    eval_fn: Evaluator
+    derivative_fn: Evaluator | None = None
     smoothness: str = "smooth"  # smooth | piecewise | discrete
     grid: np.ndarray | None = None  # snap targets for discrete families
     construction_warnings: tuple[str, ...] = ()
@@ -126,13 +176,17 @@ class OperatorFamily:
     def has_derivative(self) -> bool:
         return self.derivative_fn is not None
 
-    def _clock(self, t: float) -> float:
-        if t < -1e-12 or t > self.horizon + 1e-12:
-            raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        t = min(max(t, 0.0), self.horizon)
+    def _clock(self, t: Times) -> Times:
+        """Range-check, clamp and grid-snap times: a float gives a float, an array an array."""
+        times = np.asarray(t, dtype=float)
+        outside = (times < -1e-12) | (times > self.horizon + 1e-12)
+        if np.any(outside):
+            raise ValueError(f"time {float(times[outside][0])} outside [0, {self.horizon}]")
+        times = np.minimum(np.maximum(times, 0.0), self.horizon)
         if self.smoothness == "discrete" and self.grid is not None:
-            t = float(self.grid[int(np.argmin(np.abs(self.grid - t)))])
-        return t
+            # argmin keeps the first of equally near grid times
+            times = self.grid[np.argmin(np.abs(self.grid - times[..., None]), axis=-1)]
+        return times if np.ndim(times) else float(times)
 
     def at(self, t: float) -> HermitianMatrix:
         return HermitianMatrix(self.eval_fn(self._clock(t)))
@@ -145,18 +199,22 @@ class OperatorFamily:
     def at_many(self, ts) -> np.ndarray:
         """The read-only ``(K, n, n)`` stack of ``at(t).entries`` for ``t`` in ``ts``.
 
-        Each matrix is evaluated as :meth:`at` evaluates it; the Hermiticity
+        One evaluator call on the whole array of times; the Hermiticity
         check runs once over the whole stack.
         """
-        times = np.asarray(ts, dtype=float).tolist()
-        return hermitian_stack([self.eval_fn(self._clock(t)) for t in times])
+        times = self._clock(np.asarray(ts, dtype=float))
+        return hermitian_stack(
+            _evaluate(self.eval_fn, times, self.dim, self.label, DimensionMismatchError)
+        )
 
     def derivative_at_many(self, ts) -> np.ndarray:
         """The stack of ``derivative_at(t).entries`` for ``t`` in ``ts``."""
         if self.derivative_fn is None:
             raise FamilyConstructionError(f"family {self.label!r} has no derivative")
-        times = np.asarray(ts, dtype=float).tolist()
-        return hermitian_stack([self.derivative_fn(self._clock(t)) for t in times])
+        times = self._clock(np.asarray(ts, dtype=float))
+        return hermitian_stack(
+            _evaluate(self.derivative_fn, times, self.dim, self.label, DimensionMismatchError)
+        )
 
     def norm_bound(self, samples: int = 65) -> float:
         """Max spectral norm over a uniform time sample."""
@@ -207,8 +265,8 @@ def _validated_family(
     dim: int,
     horizon: float,
     label: str,
-    eval_fn: Callable[[float], np.ndarray],
-    derivative_fn: Callable[[float], np.ndarray] | None,
+    eval_fn: Evaluator,
+    derivative_fn: Evaluator | None,
     *,
     smoothness: str = "smooth",
     grid: np.ndarray | None = None,
@@ -221,34 +279,33 @@ def _validated_family(
     and the family is smooth, it is compared against a symmetric finite
     difference; the allowed defect is ``C h^2`` with ``C`` estimated from
     second differences (plus a roundoff floor).  Failures are warnings by
-    default and errors under ``strict``.
+    default and errors under ``strict``.  An evaluator that does not return
+    the ``(K, n, n)`` stack for an array of times raises
+    :class:`FamilyConstructionError`.
     """
     if horizon <= 0:
         raise FamilyConstructionError(f"horizon must be positive, got {horizon}")
     warnings = list(extra_warnings)
+
+    def evaluate(fn: Evaluator, times: np.ndarray) -> np.ndarray:
+        return _evaluate(fn, times, dim, label, FamilyConstructionError)
+
     ts = np.linspace(0.0, horizon, _VALIDATION_SAMPLES)
-    for t in ts:
-        a = np.asarray(eval_fn(t), dtype=complex)
-        if a.shape != (dim, dim):
-            raise FamilyConstructionError(
-                f"family {label!r}: eval at t={t} returned shape {a.shape}, expected {(dim, dim)}"
-            )
-        HermitianMatrix(a)  # raises if non-Hermitian beyond tolerance
+    hermitian_stack(evaluate(eval_fn, ts))  # raises if non-Hermitian beyond tolerance
 
     if derivative_fn is not None and smoothness == "smooth":
         h = min(DERIVATIVE_CHECK_STEP, horizon / 1000.0)
         interior = np.linspace(h, horizon - h, 5)
+        values = evaluate(eval_fn, np.concatenate([interior + h, interior - h, interior]))
+        derivatives = evaluate(derivative_fn, interior)
         worst = 0.0
         worst_tol = 1.0
-        for t in interior:
-            plus = np.asarray(eval_fn(t + h), dtype=complex)
-            minus = np.asarray(eval_fn(t - h), dtype=complex)
-            here = np.asarray(eval_fn(t), dtype=complex)
+        for plus, minus, here, derivative in zip(*values.reshape(3, -1, dim, dim), derivatives):
             fd = (plus - minus) / (2.0 * h)
             second = (plus - 2.0 * here + minus) / (h * h)
             c = 10.0 * max(_norm(second), 1.0)
             tol = c * h * h + 1e-8 * (1.0 + _norm(here))
-            defect = _norm(fd - np.asarray(derivative_fn(t), dtype=complex))
+            defect = _norm(fd - derivative)
             if defect / tol > worst / worst_tol:
                 worst, worst_tol = defect, tol
         if worst > worst_tol:
@@ -284,8 +341,8 @@ def constant_family(a0: HermitianMatrix, horizon: float, *, label: str | None = 
         a0.dim,
         horizon,
         label or "constant",
-        lambda t: entries,
-        lambda t: zero,
+        lambda t: _held(entries, t),
+        lambda t: _held(zero, t),
     )
 
 
@@ -304,8 +361,8 @@ def linear_family(
         a0.dim,
         horizon,
         label or "linear",
-        lambda t: ea + t * eb,
-        lambda t: eb,
+        lambda t: ea + _column(t) * eb,
+        lambda t: _held(eb, t),
     )
 
 
@@ -328,17 +385,29 @@ def diagonal_path_family(
     return linear_family(a0, b, horizon, label=label or "diagonal-path")
 
 
+def _coupling(beta: np.ndarray) -> np.ndarray:
+    """The 2x2 matrices ``[[0, beta], [conj(beta), 0]]``, one per entry of ``beta``."""
+    out = np.zeros(beta.shape + (2, 2), dtype=complex)
+    out[..., 0, 1] = beta
+    out[..., 1, 0] = np.conj(beta)
+    return out
+
+
 def _swap_block_entries(lambda1: float, lambda2: float, profile: PhaseProfile):
     delta = lambda1 - lambda2
     a = np.diag([lambda1, lambda2]).astype(complex)
 
-    def eval_fn(t: float) -> np.ndarray:
-        beta = 1j * profile.slope(t) * np.exp(1j * delta * t)
-        return a + np.array([[0.0, beta], [np.conj(beta), 0.0]])
+    def beta(t: float) -> complex:
+        return 1j * profile.slope(t) * np.exp(1j * delta * t)
 
-    def deriv_fn(t: float) -> np.ndarray:
-        beta = 1j * (profile.curvature(t) + 1j * delta * profile.slope(t)) * np.exp(1j * delta * t)
-        return np.array([[0.0, beta], [np.conj(beta), 0.0]])
+    def beta_slope(t: float) -> complex:
+        return 1j * (profile.curvature(t) + 1j * delta * profile.slope(t)) * np.exp(1j * delta * t)
+
+    def eval_fn(t: Times) -> np.ndarray:
+        return a + _coupling(_pointwise(beta, t))
+
+    def deriv_fn(t: Times) -> np.ndarray:
+        return _coupling(_pointwise(beta_slope, t))
 
     return eval_fn, deriv_fn
 
@@ -393,24 +462,18 @@ def counterexample_family(
     m = lam.size
     dim = 2 * m
 
-    def eval_fn(t: float) -> np.ndarray:
-        out = np.zeros((dim, dim), dtype=complex)
-        for i, (ev, _) in enumerate(blocks):
-            out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = ev(t)
-        return out
-
-    def deriv_fn(t: float) -> np.ndarray:
-        out = np.zeros((dim, dim), dtype=complex)
-        for i, (_, dv) in enumerate(blocks):
-            out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = dv(t)
+    def direct_sum(t: Times, part: int) -> np.ndarray:
+        out = np.zeros(np.shape(t) + (dim, dim), dtype=complex)
+        for i, block in enumerate(blocks):
+            out[..., 2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = block[part](t)
         return out
 
     return _validated_family(
         dim,
         1.0,
         label or f"counterexample(m={m})",
-        eval_fn,
-        deriv_fn,
+        lambda t: direct_sum(t, 0),
+        lambda t: direct_sum(t, 1),
     )
 
 
@@ -491,14 +554,18 @@ def endpoint_regularize(
     ev = family.eval_fn
     dv = family.derivative_fn
 
-    def eval_fn(t: float) -> np.ndarray:
-        return ev(t) + chi(t) * p_left + chi(t_end - t) * p_right
+    def eval_fn(t: Times) -> np.ndarray:
+        left = _column(_pointwise(chi, t))
+        right = _column(_pointwise(lambda s: chi(t_end - s), t))
+        return ev(t) + left * p_left + right * p_right
 
     deriv_fn = None
     if dv is not None:
 
-        def deriv_fn(t: float) -> np.ndarray:
-            return dv(t) + chi_slope(t) * p_left - chi_slope(t_end - t) * p_right
+        def deriv_fn(t: Times) -> np.ndarray:
+            left = _column(_pointwise(chi_slope, t))
+            right = _column(_pointwise(lambda s: chi_slope(t_end - s), t))
+            return dv(t) + left * p_left - right * p_right
 
     return _validated_family(
         family.dim,
@@ -547,16 +614,18 @@ def sampled_family(
     stack = np.stack(mats)
     horizon = float(ts[-1])
 
-    def eval_fn(t: float) -> np.ndarray:
-        j = int(np.searchsorted(ts, t, side="right")) - 1
-        j = min(max(j, 0), ts.size - 2)
-        w = (t - ts[j]) / (ts[j + 1] - ts[j])
+    def knot(t: Times):
+        """Index of the sample interval holding each time."""
+        return np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.size - 2)
+
+    def eval_fn(t: Times) -> np.ndarray:
+        j = knot(t)
+        w = _column((t - ts[j]) / (ts[j + 1] - ts[j]))
         return (1.0 - w) * stack[j] + w * stack[j + 1]
 
-    def deriv_fn(t: float) -> np.ndarray:
-        j = int(np.searchsorted(ts, t, side="right")) - 1
-        j = min(max(j, 0), ts.size - 2)
-        return (stack[j + 1] - stack[j]) / (ts[j + 1] - ts[j])
+    def deriv_fn(t: Times) -> np.ndarray:
+        j = knot(t)
+        return (stack[j + 1] - stack[j]) / _column(ts[j + 1] - ts[j])
 
     return _validated_family(
         dim,
@@ -581,6 +650,8 @@ def unitary_conjugated_family(
 ) -> OperatorFamily:
     """The family ``t -> U(t)* A(t) U(t)`` for a pointwise-unitary ``U``.
 
+    ``unitary_fn`` maps one float to one ``(n, n)`` matrix; the conjugated
+    family's evaluator calls it once per time and conjugates the whole stack.
     ``U(t)`` is checked to be unitary within ``atol`` at sampled times.  The
     conjugated family carries no derivative (the derivative of ``U`` is not
     available), so downstream Lipschitz estimates fall back to sampling.
@@ -594,9 +665,9 @@ def unitary_conjugated_family(
         if defect > atol:
             raise ValueError(f"U({t}) is not unitary (defect {defect:.3e} > {atol:.1e})")
 
-    def eval_fn(t: float) -> np.ndarray:
-        u = np.asarray(unitary_fn(t), dtype=complex)
-        return u.conj().T @ ev(t) @ u
+    def eval_fn(t: Times) -> np.ndarray:
+        u = _pointwise(lambda s: np.asarray(unitary_fn(s), dtype=complex), t)
+        return np.conj(u).swapaxes(-1, -2) @ ev(t) @ u
 
     return _validated_family(
         family.dim,

@@ -21,6 +21,7 @@ Numerical conventions
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -179,16 +180,17 @@ def eigh(h: HermitianMatrix) -> SpectralData:
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first nonnegligible component is real positive."""
-    v = np.array(v)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        mags = np.abs(col)
-        idx = int(np.argmax(mags > 1e-8 * mags.max())) if mags.max() > 0 else 0
-        pivot = col[idx]
-        if abs(pivot) > 0:
-            v[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return v
+    """Rotate each column so its first nonnegligible component is real positive.
+
+    The pivot search and the rotation run over all columns at once; each
+    column's phase stays the numpy scalar ``conj(pivot) / |pivot|``, whose
+    array form would round differently.
+    """
+    mags = np.abs(v)
+    rows = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+    pivots = v[rows, np.arange(v.shape[1])]
+    phases = [p.conjugate() / abs(p) if abs(p) > 0 else 1.0 for p in pivots]
+    return v * np.array(phases, dtype=complex)
 
 
 # The two spectral cuts the boundary conditions take, named as they print
@@ -285,8 +287,9 @@ class Projection:
     def dim(self) -> int:
         return self.matrix.dim
 
+    @functools.cached_property
     def range_basis(self) -> Subspace:
-        """Orthonormal basis of the range, recovered from the eigendecomposition."""
+        """Orthonormal basis of the range, from one eigendecomposition per projection."""
         s = eigh(self.matrix)
         keep = s.eigenvalues > 0.5
         return Subspace(self.dim, s.eigenvectors[:, keep])
@@ -367,8 +370,8 @@ def relative_index(
     """
     if p.dim != q.dim:
         raise DimensionMismatchError(f"ambient dims differ: {p.dim} vs {q.dim}")
-    bp = p.range_basis().basis
-    bq = q.range_basis().basis
+    bp = p.range_basis.basis
+    bq = q.range_basis.basis
     m = bq.conj().T @ bp  # restriction map Ran(P) -> Ran(Q) in orthonormal bases
     sigma = np.linalg.svd(m, compute_uv=False) if min(m.shape) else np.zeros(0)
     rank = int(np.count_nonzero(sigma > tau_rank))

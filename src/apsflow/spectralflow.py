@@ -155,29 +155,25 @@ def _candidate_level(pool: np.ndarray, margin: float) -> tuple[float, float] | N
     """Pick a level ``a >= 0`` at distance >= margin from every pooled eigenvalue.
 
     Gap candidates are scored by smallness of the level (keeping the counted
-    window ``[0, a)`` tight around zero), breaking ties by clearance.  The
-    gap above the whole spectrum backstops with a unit-clearance level.
+    window ``[0, a)`` tight around zero), breaking ties by clearance and
+    then by position.  The gap above the whole spectrum backstops with a
+    unit-clearance level.  ``pool`` is sorted and unique, so the pooled value
+    nearest a candidate inside a gap is one of the gap's two edges.
     """
-    edges = np.concatenate(([-math.inf], pool, [math.inf]))
-    best: tuple[float, float] | None = None
-    for left, right in zip(edges[:-1], edges[1:]):
-        lo = max(left + margin, 0.0) if math.isfinite(left) else 0.0
-        hi = right - margin if math.isfinite(right) else math.inf
-        if lo > hi:
-            continue
-        if not math.isfinite(right):
-            cand = max(left, 0.0) + 1.0 if math.isfinite(left) else 1.0
-            cand = max(cand, lo)
-        elif not math.isfinite(left):
-            cand = lo
-        else:
-            cand = min(max((left + right) / 2.0, lo), hi)
-        clearance = float(np.min(np.abs(pool - cand))) if pool.size else math.inf
-        if clearance < margin:
-            continue
-        if best is None or (cand, -clearance) < (best[0], -best[1]):
-            best = (cand, clearance)
-    return best
+    if not pool.size:
+        return 1.0, math.inf
+    left = np.concatenate(([-math.inf], pool))  # gap g lies between left[g] and right[g]
+    right = np.concatenate((pool, [math.inf]))
+    lo = np.maximum(left + margin, 0.0)
+    hi = right - margin
+    cand = np.minimum(np.maximum((left + right) / 2.0, lo), hi)
+    cand[-1] = max(max(left[-1], 0.0) + 1.0, lo[-1])
+    clearance = np.minimum(cand - left, right - cand)
+    valid = np.flatnonzero(~(lo > hi) & ~(clearance < margin))
+    if not valid.size:
+        return None
+    best = valid[np.lexsort((-clearance[valid], cand[valid]))[0]]
+    return float(cand[best]), float(clearance[best])
 
 
 def build_flow_partition(
@@ -253,25 +249,40 @@ def _count_window(eigs: np.ndarray, level: float, tau_0: float) -> int:
 
 
 def _crossing_log(family: OperatorFamily, tau_0: float) -> tuple[CrossingEvent, ...]:
+    """Sign changes and dwell starts over a uniform sample, ordered by step.
+
+    Within a step, crossings come before dwells and each kind runs in
+    eigenvalue order.  A crossing between samples ``j`` and ``j + 1`` is
+    stamped at their midpoint with the value at ``j + 1``; a dwell starts at
+    sample ``j`` when eigenvalue ``i`` is within ``10 tau_0`` of zero at
+    ``j`` and ``j + 1`` but not at both ``j - 1`` and ``j``.
+    """
     ts = np.linspace(0.0, family.horizon, CROSSING_SAMPLES)
     eigs = _eig_samples(family, ts)
-    snapped = snap_eigenvalues(eigs, tau_0)
-    events: list[CrossingEvent] = []
-    dwelling = np.zeros(eigs.shape[1], dtype=bool)
-    for j in range(1, ts.shape[0]):
-        prev, cur = snapped[j - 1], snapped[j]
-        for i in range(eigs.shape[1]):
-            was_neg, is_neg = prev[i] < 0.0, cur[i] < 0.0
-            if was_neg != is_neg:
-                t_mid = float((ts[j - 1] + ts[j]) / 2.0)
-                events.append(CrossingEvent(t_mid, i, float(eigs[j, i]), +1 if was_neg else -1))
-        near = np.abs(eigs[j]) <= 10.0 * tau_0
-        near_prev = np.abs(eigs[j - 1]) <= 10.0 * tau_0
-        for i in range(eigs.shape[1]):
-            if near[i] and near_prev[i] and not dwelling[i]:
-                events.append(CrossingEvent(float(ts[j - 1]), i, float(eigs[j - 1, i]), 0))
-        dwelling = near & near_prev
-    return tuple(events)
+    negative = snap_eigenvalues(eigs, tau_0) < 0.0
+    near = np.abs(eigs) <= 10.0 * tau_0
+    both = near[1:] & near[:-1]
+    starts = both & ~np.vstack([np.zeros_like(both[:1]), both[:-1]])
+    cross_step, cross_index = np.nonzero(negative[1:] != negative[:-1])
+    dwell_step, dwell_index = np.nonzero(starts)
+    step = np.concatenate([cross_step, dwell_step])
+    kind = np.repeat([0, 1], [cross_step.size, dwell_step.size])
+    index = np.concatenate([cross_index, dwell_index])
+    t = np.concatenate([(ts[cross_step] + ts[cross_step + 1]) / 2.0, ts[dwell_step]])
+    value = np.concatenate([eigs[cross_step + 1, cross_index], eigs[dwell_step, dwell_index]])
+    direction = np.concatenate(
+        [np.where(negative[cross_step, cross_index], 1, -1), np.zeros(dwell_step.size, int)]
+    )
+    order = np.lexsort((index, kind, step))
+    return tuple(
+        CrossingEvent(*event)
+        for event in zip(
+            t[order].tolist(),
+            index[order].tolist(),
+            value[order].tolist(),
+            direction[order].tolist(),
+        )
+    )
 
 
 def spectral_flow(
@@ -396,7 +407,7 @@ def sfl_conjugation_invariance_check(
     base = spectral_flow(family)
     other = spectral_flow(conj)
     ts = np.linspace(0.0, family.horizon, SPECTRUM_SAMPLES)
-    w_base = _eig_samples(family, [conj._clock(t) for t in ts])
+    w_base = _eig_samples(family, conj._clock(ts))
     w_conj = _eig_samples(conj, ts)
     deviation = float(np.max(np.abs(w_base - w_conj), initial=0.0))
     record = ConjugationRecord(

@@ -6,6 +6,9 @@ import numpy as np
 
 from .families import (
     OperatorFamily,
+    Times,
+    _column,
+    _validated_family,
     constant_family,
     counterexample_family,
     diagonal_path_family,
@@ -41,13 +44,12 @@ def random_trig_family(
     c = random_hermitian(n, rng, scale).entries
     omega = np.pi / horizon
 
-    def eval_fn(t: float) -> np.ndarray:
-        return a0 + t * b + np.sin(omega * t) * c
+    def eval_fn(t: Times) -> np.ndarray:
+        tt = _column(t)
+        return a0 + tt * b + np.sin(omega * tt) * c
 
-    def deriv_fn(t: float) -> np.ndarray:
-        return b + omega * np.cos(omega * t) * c
-
-    from .families import _validated_family
+    def deriv_fn(t: Times) -> np.ndarray:
+        return b + omega * np.cos(omega * _column(t)) * c
 
     return _validated_family(
         n, horizon, label or f"random-trig(n={n})", eval_fn, deriv_fn
@@ -100,14 +102,12 @@ def singular_endpoint_family(
     dv = base.derivative_fn
     eye = np.eye(n)
 
-    def eval_fn(t: float) -> np.ndarray:
-        w = t / horizon
+    def eval_fn(t: Times) -> np.ndarray:
+        w = _column(t) / horizon
         return ev(t) - ((1.0 - w) * mu0 + w * mu1) * eye
 
-    def deriv_fn(t: float) -> np.ndarray:
+    def deriv_fn(t: Times) -> np.ndarray:
         return dv(t) - (mu1 - mu0) / horizon * eye
-
-    from .families import _validated_family
 
     return _validated_family(
         n, horizon, label or f"singular-endpoints(n={n})", eval_fn, deriv_fn

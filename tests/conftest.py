@@ -28,3 +28,16 @@ def random_unitary(n, rng):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def diag_at(t, *entries):
+    """``diag(entries)`` under the evaluator contract of ``OperatorFamily``.
+
+    ``t`` is one float or a 1-D array of K times; each entry is a number or
+    an array shaped like ``t``.  Returns ``(n, n)`` or ``(K, n, n)``.
+    """
+    d = np.stack(np.broadcast_arrays(np.asarray(t, dtype=float), *entries)[1:], axis=-1)
+    out = np.zeros(d.shape + d.shape[-1:], dtype=complex)
+    idx = np.arange(d.shape[-1])
+    out[..., idx, idx] = d
+    return out

@@ -25,6 +25,7 @@ from apsflow.families import (
 from apsflow.matrixcore import TAU_ZERO, HermitianMatrix
 from apsflow.spectralflow import spectral_flow
 from apsflow.zoo import random_trig_family, shipped_families, singular_endpoint_family
+from conftest import diag_at
 
 
 def diag(*vals):
@@ -42,8 +43,8 @@ def _tangent_touch():
         dim=1,
         horizon=1.0,
         label="tangent-touch",
-        eval_fn=lambda t: np.array([[(t - 0.5) ** 2]], dtype=complex),
-        derivative_fn=lambda t: np.array([[2.0 * (t - 0.5)]], dtype=complex),
+        eval_fn=lambda t: diag_at(t, (t - 0.5) ** 2),
+        derivative_fn=lambda t: diag_at(t, 2.0 * (t - 0.5)),
     )
 
 

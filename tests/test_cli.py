@@ -334,7 +334,7 @@ TOLERANCE_APPLIERS = {
     "tau_rank": ("relative_index", "tau_rank"),
     "gamma_min": ("build_flow_partition", "gamma_min"),
     "tau_angle": ("lorentzian_index_subspace", "tau_angle"),
-    "sigma_cut": ("lorentzian_index_projection", "sigma_cut"),
+    "sigma_cut": ("_projection_pair_index", "sigma_cut"),
     "shooting_angle_tol": ("riemannian_kernel_shooting", "angle_tol"),
 }
 TOLERANCE_CHECKS = [
@@ -458,10 +458,12 @@ class TestWorkDoneOnce:
         assert len(calls) == 2
 
     def test_projection_index_at_end_computed_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, apsindex, "lorentzian_index_projection")
+        calls = count_calls(monkeypatch, apsindex, "_projection_pair_index")
+        starts = count_calls(monkeypatch, apsindex, "_start_projection")
         entry = execute_config(self.config("lorentzian-main"))["results"][0]
         assert len(entry["checkpoints"]) == 8
         assert len(calls) == 8
+        assert len(starts) == 1  # P_<0(0) is shared by the checkpoints
         assert entry["projection_route"]["diagnostics"]["t_end"] == 1.0
 
 

@@ -22,7 +22,7 @@ from apsflow.families import (
     write_sample_series,
 )
 from apsflow.matrixcore import HermitianMatrix
-from conftest import random_hermitian_entries, random_unitary
+from conftest import diag_at, random_hermitian_entries, random_unitary
 
 
 def diag(*vals):
@@ -146,11 +146,11 @@ class TestCounterexample:
 
 class TestDerivativeValidation:
     def test_wrong_derivative_warns(self):
-        f, g = np.diag([1.0]), np.diag([5.0])
-        fam = object.__new__(type(constant_family(diag(1.0), 1.0)))
         from apsflow.families import _validated_family
 
-        fam = _validated_family(1, 1.0, "bad-deriv", lambda t: f * (1 + t), lambda t: g)
+        fam = _validated_family(
+            1, 1.0, "bad-deriv", lambda t: diag_at(t, 1 + t), lambda t: diag_at(t, 5.0)
+        )
         assert any("finite difference" in w for w in fam.construction_warnings)
 
     def test_wrong_derivative_strict_raises(self):
@@ -158,7 +158,7 @@ class TestDerivativeValidation:
 
         with pytest.raises(FamilyConstructionError, match="finite difference"):
             _validated_family(
-                1, 1.0, "bad-deriv", lambda t: np.diag([1.0 + t]), lambda t: np.diag([5.0]),
+                1, 1.0, "bad-deriv", lambda t: diag_at(t, 1.0 + t), lambda t: diag_at(t, 5.0),
                 strict=True,
             )
 
@@ -167,8 +167,11 @@ class TestDerivativeValidation:
         b = random_hermitian_entries(3, rng)
         from apsflow.families import _validated_family
 
+        def column(t):
+            return np.asarray(t, dtype=float)[..., None, None]
+
         fam = _validated_family(
-            3, 1.0, "ok", lambda t: a + np.sin(t) * b, lambda t: np.cos(t) * b
+            3, 1.0, "ok", lambda t: a + np.sin(column(t)) * b, lambda t: np.cos(column(t)) * b
         )
         assert fam.construction_warnings == ()
 
@@ -320,7 +323,7 @@ class TestSpecsAndSerialization:
 
 def _batched_cases():
     from apsflow.evolution import evolved_family, propagate
-    from apsflow.zoo import random_zoo
+    from apsflow.zoo import random_zoo, singular_endpoint_family
 
     zoo = random_zoo(4, 0, max_dim=8)
     samples = family_from_spec(
@@ -336,19 +339,56 @@ def _batched_cases():
             },
         )
     )
+    rng = np.random.default_rng(7)
+    singular = singular_endpoint_family(3, rng)
+    u0 = random_unitary(4, rng)
+    k = random_hermitian_entries(4, rng)
+    w, v = np.linalg.eigh(k)
     return {
         "zoo-n2": zoo[0],
         "zoo-n8": zoo[2],
         "swap-block": swap_block_family(-1.0, 1.0),
         "custom-samples": samples,
         "evolved": evolved_family(zoo[1], propagate(zoo[1], 64)),
+        "constant": constant_family(diag(-1.0, 0.5), 2.0),
+        "linear": linear_family(diag(-0.5, 0.25), diag(1.0, -2.0), 1.5),
+        "diagonal-path": diagonal_path_family([-2.0, -1.0, 1.0], [1.0, 2.0, -3.0], 1.0),
+        "counterexample": counterexample_family([1.0, 2.0, 3.0], profile=capped_slope_profile()),
+        "singular-endpoints": singular,
+        "endpoint-regularized": endpoint_regularize(singular),
+        "conjugated": unitary_conjugated_family(
+            zoo[1], lambda t: (v * np.exp(1j * t * w)) @ v.conj().T @ u0
+        ),
+        "restricted": zoo[3].restricted(0.2, 0.7),
+        "time-reversed": endpoint_regularize(singular).time_reversed(),
+        "evolved-restricted": evolved_family(zoo[1], propagate(zoo[1], 64)).restricted(0.3, 0.9),
     }
 
 
+BATCHED_CASES = (
+    "zoo-n2",
+    "zoo-n8",
+    "swap-block",
+    "custom-samples",
+    "evolved",
+    "constant",
+    "linear",
+    "diagonal-path",
+    "counterexample",
+    "singular-endpoints",
+    "endpoint-regularized",
+    "conjugated",
+    "restricted",
+    "time-reversed",
+    "evolved-restricted",
+)
+
+
 class TestBatchedEvaluation:
-    @pytest.mark.parametrize(
-        "name", ["zoo-n2", "zoo-n8", "swap-block", "custom-samples", "evolved"]
-    )
+    def test_cases_cover_every_builder(self):
+        assert set(_batched_cases()) == set(BATCHED_CASES)
+
+    @pytest.mark.parametrize("name", BATCHED_CASES)
     def test_at_many_equals_stacked_at_bitwise(self, name):
         fam = _batched_cases()[name]
         # uniform samples, an off-grid time and a time rounding past T
@@ -356,25 +396,49 @@ class TestBatchedEvaluation:
         ts = np.append(ts, fam.horizon + 5e-13)
         stacked = np.stack([fam.at(t).entries for t in ts])
         assert np.array_equal(fam.at_many(ts), stacked)
-        assert fam.has_derivative
-        stacked_d = np.stack([fam.derivative_at(t).entries for t in ts])
-        assert np.array_equal(fam.derivative_at_many(ts), stacked_d)
         assert not fam.at_many(ts).flags.writeable
+        # the scalar form of the contract: one float gives one matrix
+        assert np.shape(fam.eval_fn(0.5 * fam.horizon)) == (fam.dim, fam.dim)
+        assert fam.has_derivative is (name != "conjugated")
+        if fam.has_derivative:
+            stacked_d = np.stack([fam.derivative_at(t).entries for t in ts])
+            assert np.array_equal(fam.derivative_at_many(ts), stacked_d)
+            assert np.shape(fam.derivative_fn(0.5 * fam.horizon)) == (fam.dim, fam.dim)
 
     def test_at_many_rejects_times_outside_horizon(self):
         fam = swap_block_family(-1.0, 1.0)
         with pytest.raises(ValueError, match="outside"):
             fam.at_many([0.5, 1.5])
+        # the first time out of range is named, as at() names it
+        with pytest.raises(ValueError, match=r"^time -0\.25 outside \[0, 1\.0\]$"):
+            fam.at_many([0.5, -0.25, 1.5])
+
+    def test_scalar_only_evaluator_is_a_typed_error(self):
+        import math
+
+        from apsflow.families import OperatorFamily, _validated_family
+
+        def scalar_only(t):
+            return np.array([[math.sin(t)]], dtype=complex)
+
+        with pytest.raises(FamilyConstructionError, match="1-D array of times"):
+            _validated_family(1, 1.0, "scalar-only", scalar_only, None)
+        with pytest.raises(FamilyConstructionError, match=r"shape \(1,\) for times of shape \(9,\)"):
+            _validated_family(1, 1.0, "scalar-only", lambda t: np.diag([1.0 + t]), None)
+        fam = OperatorFamily(dim=1, horizon=1.0, label="scalar-only", eval_fn=scalar_only)
+        assert fam.at(0.5).dim == 1
+        with pytest.raises(DimensionMismatchError, match="1-D array of times"):
+            fam.at_many([0.25, 0.5])
 
     def test_non_hermitian_message_matches_at(self):
         from apsflow.families import OperatorFamily
 
-        fam = OperatorFamily(
-            dim=2,
-            horizon=1.0,
-            label="skewed",
-            eval_fn=lambda t: np.array([[0.0, 1.0 + t], [0.0, 0.0]], dtype=complex),
-        )
+        def skewed(t):
+            out = np.zeros(np.shape(t) + (2, 2), dtype=complex)
+            out[..., 0, 1] = 1.0 + np.asarray(t)
+            return out
+
+        fam = OperatorFamily(dim=2, horizon=1.0, label="skewed", eval_fn=skewed)
         with pytest.raises(ValueError) as single:
             fam.at(0.5)
         with pytest.raises(ValueError) as batched:

@@ -8,6 +8,7 @@ from apsflow.matrixcore import (
     HermitianMatrix,
     Projection,
     Subspace,
+    _fix_phases,
     eigh,
     hermitian_stack,
     principal_cosines,
@@ -72,6 +73,39 @@ class TestEigh:
             col = s1.eigenvectors[:, j]
             first = col[np.abs(col) > 1e-8 * np.abs(col).max()][0]
             assert first.real > 0 and abs(first.imag) < 1e-12
+
+
+def _fix_phases_loop(v):
+    """The column-by-column loop, kept as the reference for ``_fix_phases``."""
+    v = np.array(v)
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        mags = np.abs(col)
+        idx = int(np.argmax(mags > 1e-8 * mags.max())) if mags.max() > 0 else 0
+        pivot = col[idx]
+        if abs(pivot) > 0:
+            v[:, j] = col * (pivot.conjugate() / abs(pivot))
+    return v
+
+
+class TestFixPhases:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 33])
+    def test_matches_column_loop_bitwise(self, n, rng):
+        inputs = []
+        for _ in range(40):
+            inputs.append(random_hermitian_entries(n, rng))
+            # leading zeros in eigenvector columns: diagonal, degenerate and
+            # block inputs whose eigenvectors vanish on the first rows
+            inputs.append(np.diag(rng.standard_normal(n)))
+            inputs.append(np.eye(n) + 0.0 * random_hermitian_entries(n, rng))
+            block = np.zeros((n, n), dtype=complex)
+            block[n // 2 :, n // 2 :] = random_hermitian_entries(n - n // 2, rng)
+            inputs.append(block)
+        for h in inputs:
+            _, v = np.linalg.eigh(HermitianMatrix(h).entries)  # complex, as eigh sees it
+            got, want = _fix_phases(v), _fix_phases_loop(v)
+            # compare bit patterns, so signed zeros count too
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSpectralProjection:

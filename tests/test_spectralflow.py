@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,12 @@ from apsflow.families import (
     linear_family,
     swap_block_family,
 )
-from apsflow.matrixcore import HermitianMatrix
+from apsflow.matrixcore import TAU_ZERO, HermitianMatrix, snap_eigenvalues
 from apsflow.spectralflow import (
+    CROSSING_SAMPLES,
+    CrossingEvent,
+    _candidate_level,
+    _crossing_log,
     build_flow_partition,
     crossing_log_to_csv,
     flowind_check,
@@ -17,6 +24,7 @@ from apsflow.spectralflow import (
     spectral_flow,
 )
 from apsflow.zoo import random_trig_family, singular_endpoint_family
+from conftest import diag_at
 
 
 def diag(*vals):
@@ -62,11 +70,11 @@ class TestFlowPartition:
         # no level near zero is ever admissible, but a certified level above
         # the whole sampled spectrum always exists in finite dimensions
         def ev(t):
-            return np.diag([0.0, 2.0 * t - 1.0])
+            return diag_at(t, 0.0, 2.0 * t - 1.0)
 
         from apsflow.families import _validated_family
 
-        f = _validated_family(2, 1.0, "pinned", ev, lambda t: np.diag([0.0, 2.0]))
+        f = _validated_family(2, 1.0, "pinned", ev, lambda t: diag_at(t, 0.0, 2.0))
         part = build_flow_partition(f)
         assert part.segments >= 1
         assert np.all(part.levels > 1.0)  # forced above the sweeping partner
@@ -119,8 +127,8 @@ class TestSpectralFlow:
             1,
             1.0,
             "tangent",
-            lambda t: np.diag([(t - 0.5) ** 2]),
-            lambda t: np.diag([2.0 * (t - 0.5)]),
+            lambda t: diag_at(t, (t - 0.5) ** 2),
+            lambda t: diag_at(t, 2.0 * (t - 0.5)),
         )
         assert spectral_flow(f).value == 0
 
@@ -133,8 +141,8 @@ class TestSpectralFlow:
             1,
             1.0,
             "shallow-dip",
-            lambda t: np.diag([(t - 0.5) ** 2 - 1e-8]),
-            lambda t: np.diag([2.0 * (t - 0.5)]),
+            lambda t: diag_at(t, (t - 0.5) ** 2 - 1e-8),
+            lambda t: diag_at(t, 2.0 * (t - 0.5)),
         )
         assert spectral_flow(f).value == 0
         assert flowind_check(f).passed
@@ -146,8 +154,8 @@ class TestSpectralFlow:
             2,
             1.0,
             "pinned",
-            lambda t: np.diag([0.0, 2.0 * t - 1.0]),
-            lambda t: np.diag([0.0, 2.0]),
+            lambda t: diag_at(t, 0.0, 2.0 * t - 1.0),
+            lambda t: diag_at(t, 0.0, 2.0),
         )
         rep = spectral_flow(f)
         dwell = [e for e in rep.crossing_log if e.direction == 0]
@@ -168,6 +176,121 @@ class TestSpectralFlow:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,eigenvalue_index,lambda,direction"
         assert len(lines) == 1 + len(rep.crossing_log)
+
+
+def _candidate_level_loop(pool, margin):
+    """The gap-by-gap scoring loop, kept as the reference for ``_candidate_level``."""
+    edges = np.concatenate(([-math.inf], pool, [math.inf]))
+    best = None
+    for left, right in zip(edges[:-1], edges[1:]):
+        lo = max(left + margin, 0.0) if math.isfinite(left) else 0.0
+        hi = right - margin if math.isfinite(right) else math.inf
+        if lo > hi:
+            continue
+        if not math.isfinite(right):
+            cand = max(left, 0.0) + 1.0 if math.isfinite(left) else 1.0
+            cand = max(cand, lo)
+        elif not math.isfinite(left):
+            cand = lo
+        else:
+            cand = min(max((left + right) / 2.0, lo), hi)
+        clearance = float(np.min(np.abs(pool - cand))) if pool.size else math.inf
+        if clearance < margin:
+            continue
+        if best is None or (cand, -clearance) < (best[0], -best[1]):
+            best = (cand, clearance)
+    return best
+
+
+def _crossing_log_loop(family, tau_0):
+    """The step-by-step event loop, kept as the reference for ``_crossing_log``."""
+    ts = np.linspace(0.0, family.horizon, CROSSING_SAMPLES)
+    eigs = np.linalg.eigvalsh(family.at_many(ts))
+    snapped = snap_eigenvalues(eigs, tau_0)
+    events = []
+    dwelling = np.zeros(eigs.shape[1], dtype=bool)
+    for j in range(1, ts.shape[0]):
+        prev, cur = snapped[j - 1], snapped[j]
+        for i in range(eigs.shape[1]):
+            was_neg, is_neg = prev[i] < 0.0, cur[i] < 0.0
+            if was_neg != is_neg:
+                t_mid = float((ts[j - 1] + ts[j]) / 2.0)
+                events.append(CrossingEvent(t_mid, i, float(eigs[j, i]), +1 if was_neg else -1))
+        near = np.abs(eigs[j]) <= 10.0 * tau_0
+        near_prev = np.abs(eigs[j - 1]) <= 10.0 * tau_0
+        for i in range(eigs.shape[1]):
+            if near[i] and near_prev[i] and not dwelling[i]:
+                events.append(CrossingEvent(float(ts[j - 1]), i, float(eigs[j - 1, i]), 0))
+        dwelling = near & near_prev
+    return tuple(events)
+
+
+def _bits(level):
+    return None if level is None else struct.pack("<dd", *level)
+
+
+class TestCandidateLevel:
+    def test_matches_gap_loop_bitwise(self):
+        rng = np.random.default_rng(11)
+        cases = 0
+        for trial in range(600):
+            size = int(rng.integers(0, 40))
+            raw = rng.standard_normal(size) * 10.0 ** rng.uniform(-9, 1)
+            if trial % 3 == 1:
+                raw = np.abs(raw)  # one sign: every gap edge is positive
+            elif trial % 3 == 2:
+                raw = -np.abs(raw)
+            pool = np.unique(raw)
+            margin = 10.0 ** rng.uniform(-8, 1)
+            got = _candidate_level(pool, margin)
+            assert _bits(got) == _bits(_candidate_level_loop(pool, margin))
+            cases += got is None
+        assert cases > 0  # some pools admit no level at their margin
+
+    def test_small_pools(self):
+        # the gap around zero gives level 0; an empty pool and the gap above
+        # the spectrum fall back to unit clearance above the top edge
+        pool = np.array([-3.0, -1.0, 1.0, 3.0])
+        assert _candidate_level(pool, 0.5) == _candidate_level_loop(pool, 0.5) == (0.0, 1.0)
+        assert _candidate_level(np.array([]), 0.5) == (1.0, math.inf)
+        assert _candidate_level(np.array([0.0]), 2.0) == (2.0, 2.0)
+        assert _candidate_level_loop(np.array([0.0]), 2.0) == (2.0, 2.0)
+
+
+class TestCrossingLogReference:
+    @staticmethod
+    def _dwell_family():
+        from apsflow.families import _validated_family
+
+        # at sample 64 (t = 1/2) eigenvalue 0 starts dwelling just below zero
+        # while eigenvalue 1 crosses down beside it; 1 dwells from sample 65
+        def ev(t):
+            t = np.asarray(t, dtype=float)
+            return diag_at(t, np.where(t >= 0.5, -5e-9, -1.0), np.where(t > 0.5, -2e-9, 0.5))
+
+        return _validated_family(2, 1.0, "step-dwell", ev, None)
+
+    def test_crossings_come_before_dwells_within_a_step(self):
+        ts = np.linspace(0.0, 1.0, CROSSING_SAMPLES)
+        log = _crossing_log(self._dwell_family(), TAU_ZERO)
+        assert log == (
+            CrossingEvent(float((ts[64] + ts[65]) / 2.0), 1, -2e-9, -1),
+            CrossingEvent(0.5, 0, -5e-9, 0),
+            CrossingEvent(float(ts[65]), 1, -2e-9, 0),
+        )
+
+    def test_matches_step_loop(self):
+        from apsflow.zoo import random_zoo, shipped_families
+
+        pinned = linear_family(diag(0.0, -0.5), diag(0.0, 1.0), 1.0)
+        families = [*shipped_families(), *random_zoo(12, 0), pinned, self._dwell_family()]
+        total = dwells = 0
+        for f in families:
+            log = _crossing_log(f, TAU_ZERO)
+            assert log == _crossing_log_loop(f, TAU_ZERO)
+            total += len(log)
+            dwells += sum(e.direction == 0 for e in log)
+        assert total > 20 and dwells >= 4
 
 
 class TestFlowProperties:
