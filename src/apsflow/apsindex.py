@@ -30,7 +30,6 @@ from .errors import (
     AmbiguousSpectralCutError,
     ConsistencyError,
     DimensionMismatchError,
-    StiffnessError,
 )
 from .families import OperatorFamily, endpoint_regularize
 from .matrixcore import (
@@ -53,11 +52,11 @@ from .matrixcore import (
     spectral_subspace,
 )
 from .evolution import (
-    STIFFNESS_BOUND,
     NonunitaryPropagator,
     Propagator,
     evolved_projection,
     nonunitary_propagate,
+    require_nonstiff,
 )
 from .spectralflow import spectral_flow
 
@@ -112,21 +111,18 @@ def aps_boundary_data(family: OperatorFamily, *, tau_0: float = TAU_ZERO) -> APS
 def lorentzian_index_projection(
     family: OperatorFamily,
     propagator: Propagator,
-    t_end: float | None = None,
     *,
     tau_0: float = TAU_ZERO,
     sigma_cut: float = SIGMA_CUT,
 ) -> IndexReport:
-    """Index of ``d/dt - iA`` on ``[0, t_end]`` via the endpoint projection pair.
+    """Index of ``d/dt - iA`` on ``[0, T]`` via the endpoint projection pair.
 
-    Returns the relative index of ``(P_<0(0), Q(0,t) P_<0(t) Q(t,0))``; the
+    Returns the relative index of ``(P_<0(0), Q(0,T) P_<0(T) Q(T,0))``; the
     kernel/cokernel dimensions come from the singular values of the
     restricted projection with the propagation-aware ``sigma_cut``.
     """
-    if t_end is None:
-        t_end = family.horizon
     return _projection_pair_index(
-        _start_projection(family, tau_0), family, propagator, t_end, tau_0, sigma_cut
+        _start_projection(family, tau_0), family, propagator, family.horizon, tau_0, sigma_cut
     )
 
 
@@ -189,21 +185,19 @@ def _gray_zone_warnings(route: str, t_end: float, sigma, cut: float) -> tuple[st
 def lorentzian_index_subspace(
     family: OperatorFamily,
     propagator: Propagator,
-    t_end: float | None = None,
     *,
     tau_0: float = TAU_ZERO,
     tau_angle: float = TAU_ANGLE,
     sigma_cut: float = SIGMA_CUT,
 ) -> IndexReport:
-    """Index of ``d/dt - iA`` on ``[0, t_end]`` via direct subspace geometry.
+    """Index of ``d/dt - iA`` on ``[0, T]`` via direct subspace geometry.
 
-    Kernel: dimension of ``H_<0(0) ∩ Q(0,t) H_>=0(t)``, the number of
+    Kernel: dimension of ``H_<0(0) ∩ Q(0,T) H_>=0(T)``, the number of
     reported principal cosines at least ``1 - tau_angle``.
-    Cokernel: ``rank P_<0(t)`` minus the rank of ``P_<0(t) Q(t,0)`` restricted
+    Cokernel: ``rank P_<0(T)`` minus the rank of ``P_<0(T) Q(T,0)`` restricted
     to ``H_<0(0)``.  Must agree with the projection-pair route exactly.
     """
-    if t_end is None:
-        t_end = family.horizon
+    t_end = family.horizon
     k = propagator.index_of(t_end)
     u_t = propagator.unitaries[k]
     s0 = eigh(family.at(0.0))
@@ -427,12 +421,7 @@ def riemannian_index_discretized(
     numerical discovery.  The informative outputs are the separate kernel
     and cokernel dimensions and their stability in the grid.
     """
-    norm = family.norm_bound(65)
-    if norm * family.horizon > STIFFNESS_BOUND:
-        raise StiffnessError(
-            f"||A|| * T = {norm * family.horizon:.3g} exceeds the stiffness bound "
-            f"{STIFFNESS_BOUND:g} for the boundary-value discretization"
-        )
+    require_nonstiff(family, " for the boundary-value discretization")
     disc = assemble_discretized_operator(family, grid_intervals, tau_0=tau_0)
     report = rank_kernel(disc.matrix)
     sigma_tail = report.singular_values[max(0, report.rank - 3) :][:8]

@@ -371,15 +371,17 @@ def execute_config(
     seed: int = 0,
     outdir: Path | None = None,
 ) -> dict:
-    """Run every requested check in declared order; returns the report mapping."""
+    """Run every requested check in declared order; returns the report mapping.
+
+    Each check's wall time goes to stderr, never into the report.
+    """
     family = family_from_spec(config.family_spec)
     results = []
-    timings = []
     for name in config.checks:
         started = time.perf_counter()
         results.append(_run_check(name, family, config, outdir))
-        timings.append((name, time.perf_counter() - started))
-    report = {
+        click.echo(f"  {name}: {time.perf_counter() - started:.2f}s", err=True)
+    return {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
         "seed": seed,
@@ -387,18 +389,6 @@ def execute_config(
         "results": results,
         "passed": all(r.get("passed", False) for r in results),
     }
-    report["_timings"] = timings  # stripped before serialization
-    return report
-
-
-def _emit_report(report: dict, outdir: Path, filename: str) -> Path:
-    outdir.mkdir(parents=True, exist_ok=True)
-    timings = report.pop("_timings", [])
-    path = outdir / filename
-    path.write_text(canonical_json(report), encoding="utf-8")
-    for name, seconds in timings:
-        click.echo(f"  {name}: {seconds:.2f}s", err=True)
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +523,8 @@ def run(config_path, seed, out, formats, steps, grid, strict):
     outdir = Path(config.output_path)
     outdir.mkdir(parents=True, exist_ok=True)
     report = execute_config(config, seed=seed, outdir=outdir)
-    path = _emit_report(report, outdir, "report.json")
+    path = outdir / "report.json"
+    path.write_text(canonical_json(report), encoding="utf-8")
     click.echo(f"report written to {path}")
     for entry in report["results"]:
         status = "pass" if entry.get("passed") else "FAIL"

@@ -25,7 +25,7 @@ from .errors import (
     OffGridError,
     StiffnessError,
 )
-from .families import OperatorFamily, PhaseProfile, Times, quintic_profile
+from .families import OperatorFamily, Times, quintic_profile
 from .matrixcore import (
     NEGATIVE_AXIS,
     TAU_ZERO,
@@ -266,41 +266,27 @@ def evolved_projection(
     return Projection(HermitianMatrix(mat), rank=base.rank)
 
 
-def closed_form_swap_propagator(
-    lambda1: float,
-    lambda2: float,
-    t: float,
-    *,
-    profile: PhaseProfile | None = None,
-) -> np.ndarray:
-    """Exact propagator ``q(t, 0)`` of one eigenline-swapping 2x2 block.
+def closed_form_swap_propagator(lambda1: float, lambda2: float, t: float) -> np.ndarray:
+    """Exact propagator ``q(t, 0)`` of one eigenline-swapping 2x2 block (quintic ramp).
 
     Analytically unitary for every ``t`` in [0, 1]; at ``t = 1`` it is
-    off-diagonal, carrying ``e1`` into the span of ``e2``.
+    off-diagonal, carrying ``e1`` into the span of ``e2``, whatever the ramp.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    profile = profile or quintic_profile()
-    phi = profile.value(t)
+    phi = quintic_profile().value(t)
     c, s = math.cos(phi), math.sin(phi)
     e1 = np.exp(1j * lambda1 * t)
     e2 = np.exp(1j * lambda2 * t)
     return np.array([[e1 * c, -e1 * s], [e2 * s, e2 * c]])
 
 
-def closed_form_counterexample_propagator(
-    lambdas,
-    t: float,
-    *,
-    profile: PhaseProfile | None = None,
-) -> np.ndarray:
+def closed_form_counterexample_propagator(lambdas, t: float) -> np.ndarray:
     """Blockwise closed-form propagator of the direct-sum swapping family."""
     lam = np.asarray(lambdas, dtype=float)
     out = np.zeros((2 * lam.size, 2 * lam.size), dtype=complex)
     for i, l in enumerate(lam):
-        out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = closed_form_swap_propagator(
-            -l, l, t, profile=profile
-        )
+        out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = closed_form_swap_propagator(-l, l, t)
     return out
 
 
@@ -315,6 +301,27 @@ class Trajectory:
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
             raise ValueError("trajectory values must be finite")
+
+
+def _source_samples(g, grid: np.ndarray, n: int) -> tuple[np.ndarray, str]:
+    """The source ``g`` sampled on ``grid`` as a ``(K+1, n)`` array, and its kind.
+
+    ``g`` is ``None`` (zero), a callable of one time, or an array already
+    sampled on the grid; any other shape raises ``DimensionMismatchError``.
+    """
+    if g is None:
+        return np.zeros((grid.shape[0], n), dtype=complex), "zero"
+    if callable(g):
+        gs = np.stack([np.asarray(g(float(t)), dtype=complex) for t in grid])
+        kind = "callable"
+    else:
+        gs = np.asarray(g, dtype=complex)
+        kind = "gridded"
+    if gs.shape != (grid.shape[0], n):
+        raise DimensionMismatchError(
+            f"source samples have shape {gs.shape}, expected {(grid.shape[0], n)}"
+        )
+    return gs, kind
 
 
 def cauchy_solve(
@@ -336,19 +343,8 @@ def cauchy_solve(
     x = np.asarray(x, dtype=complex)
     if x.shape != (n,):
         raise DimensionMismatchError(f"x has shape {x.shape}, expected ({n},)")
-    if g is None:
-        gs = np.zeros((grid.shape[0], n), dtype=complex)
-        source = f"x at t={float(grid[ks]):g}, zero source"
-    elif callable(g):
-        gs = np.stack([np.asarray(g(float(t)), dtype=complex) for t in grid])
-        source = f"x at t={float(grid[ks]):g}, callable source"
-    else:
-        gs = np.asarray(g, dtype=complex)
-        source = f"x at t={float(grid[ks]):g}, gridded source"
-    if gs.shape != (grid.shape[0], n):
-        raise DimensionMismatchError(
-            f"source samples have shape {gs.shape}, expected {(grid.shape[0], n)}"
-        )
+    gs, kind = _source_samples(g, grid, n)
+    source = f"x at t={float(grid[ks]):g}, {kind} source"
     u = propagator.unitaries
     # pulled-back source d_j = U_j^* g_j; cumulative trapezoid relative to s
     pulled = np.einsum("kji,kj->ki", u.conj(), gs)
@@ -381,12 +377,7 @@ def cauchy_residual(family: OperatorFamily, trajectory: Trajectory, g=None) -> f
     """
     grid = trajectory.grid
     f = trajectory.values
-    if g is None:
-        gs = np.zeros_like(f)
-    elif callable(g):
-        gs = np.stack([np.asarray(g(float(t)), dtype=complex) for t in grid])
-    else:
-        gs = np.asarray(g, dtype=complex)
+    gs, _ = _source_samples(g, grid, f.shape[1])
     mids = family.at_many((grid[:-1] + grid[1:]) / 2.0)
     worst = 0.0
     for k, a in enumerate(mids):
@@ -407,20 +398,29 @@ class NonunitaryPropagator:
     warnings: tuple[str, ...] = ()
 
 
+def require_nonstiff(family: OperatorFamily, context: str) -> None:
+    """Raise ``StiffnessError`` when ``norm_bound() * T`` exceeds ``STIFFNESS_BOUND``.
+
+    Beyond the bound ``exp(+-||A|| T)`` leaves double-precision range, so
+    neither the decaying propagator nor the boundary-value discretization
+    can be trusted; ``context`` ends the message.
+    """
+    stiffness = family.norm_bound() * family.horizon
+    if stiffness > STIFFNESS_BOUND:
+        raise StiffnessError(
+            f"||A|| * T = {stiffness:.3g} exceeds the stiffness bound "
+            f"{STIFFNESS_BOUND:g}{context}"
+        )
+
+
 def nonunitary_propagate(family: OperatorFamily, intervals: int = 512) -> NonunitaryPropagator:
     """Integrate ``dR/dt = -A(t) R`` with one exponential midpoint step per interval.
 
-    Enforces ``max_t ||A(t)|| * T <= STIFFNESS_BOUND``: beyond that,
-    ``exp(+-||A|| T)`` leaves double-precision range.  The condition number
-    of ``R(t_k, 0)`` is logged at every grid point and a warning is attached
+    Enforces :func:`require_nonstiff`.  The condition number of
+    ``R(t_k, 0)`` is logged at every grid point and a warning is attached
     above ``1e12``.
     """
-    norm = family.norm_bound(129)
-    if norm * family.horizon > STIFFNESS_BOUND:
-        raise StiffnessError(
-            f"||A|| * T = {norm * family.horizon:.3g} exceeds the stiffness bound "
-            f"{STIFFNESS_BOUND:g}; shrink the horizon or the spectrum"
-        )
+    require_nonstiff(family, "; shrink the horizon or the spectrum")
     grid, mats = _transfer_products(family, intervals, 1, SCHEME_MIDPOINT, -1.0)
     sigma = np.linalg.svd(mats, compute_uv=False)
     conds = sigma[:, 0] / np.maximum(sigma[:, -1], np.finfo(float).tiny)

@@ -23,6 +23,9 @@ from .matrixcore import TAU_ZERO, HermitianMatrix, eigh, hermitian_stack, snap_e
 
 DERIVATIVE_CHECK_STEP = 1e-4
 _VALIDATION_SAMPLES = 9
+NORM_SAMPLES = 65  # uniform times behind every norm_bound, hence every stiffness gate
+SAMPLED_HERMITICITY_ATOL = 1e-10  # sampled data is read from files: looser than 1e-12
+CONJUGATOR_ATOL = 1e-10  # unitarity cut on U(t) in unitary_conjugated_family
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +219,12 @@ class OperatorFamily:
             _evaluate(self.derivative_fn, times, self.dim, self.label, DimensionMismatchError)
         )
 
-    def norm_bound(self, samples: int = 65) -> float:
-        """Max spectral norm over a uniform time sample."""
-        ts = np.linspace(0.0, self.horizon, samples)
+    def norm_bound(self) -> float:
+        """Max spectral norm over ``NORM_SAMPLES`` uniform times."""
+        ts = np.linspace(0.0, self.horizon, NORM_SAMPLES)
         return float(np.max(np.abs(np.linalg.eigvalsh(self.at_many(ts)))))
 
-    def restricted(self, t0: float, t1: float, label: str | None = None) -> "OperatorFamily":
+    def restricted(self, t0: float, t1: float) -> "OperatorFamily":
         """The family on ``[t0, t1]`` reparametrized to start at 0."""
         if not (0.0 <= t0 < t1 <= self.horizon + 1e-12):
             raise ValueError(f"invalid restriction [{t0}, {t1}] of [0, {self.horizon}]")
@@ -238,7 +241,7 @@ class OperatorFamily:
         return replace(
             self,
             horizon=t1 - t0,
-            label=label or f"{self.label}|[{t0:g},{t1:g}]",
+            label=f"{self.label}|[{t0:g},{t1:g}]",
             eval_fn=lambda s: ev(t0 + s),
             derivative_fn=None if dv is None else (lambda s: dv(t0 + s)),
             grid=grid,
@@ -270,7 +273,6 @@ def _validated_family(
     *,
     smoothness: str = "smooth",
     grid: np.ndarray | None = None,
-    strict: bool = False,
     extra_warnings: tuple[str, ...] = (),
 ) -> OperatorFamily:
     """Run construction checks and assemble the family.
@@ -278,10 +280,10 @@ def _validated_family(
     Hermiticity is enforced at sampled times.  When a derivative is present
     and the family is smooth, it is compared against a symmetric finite
     difference; the allowed defect is ``C h^2`` with ``C`` estimated from
-    second differences (plus a roundoff floor).  Failures are warnings by
-    default and errors under ``strict``.  An evaluator that does not return
-    the ``(K, n, n)`` stack for an array of times raises
-    :class:`FamilyConstructionError`.
+    second differences (plus a roundoff floor).  A failure is a construction
+    warning (``family_from_spec(..., strict=True)`` turns it into an error).
+    An evaluator that does not return the ``(K, n, n)`` stack for an array
+    of times raises :class:`FamilyConstructionError`.
     """
     if horizon <= 0:
         raise FamilyConstructionError(f"horizon must be positive, got {horizon}")
@@ -309,13 +311,10 @@ def _validated_family(
             if defect / tol > worst / worst_tol:
                 worst, worst_tol = defect, tol
         if worst > worst_tol:
-            message = (
+            warnings.append(
                 f"family {label!r}: derivative disagrees with finite difference "
                 f"(defect {worst:.3e} > allowance {worst_tol:.3e})"
             )
-            if strict:
-                raise FamilyConstructionError(message)
-            warnings.append(message)
 
     return OperatorFamily(
         dim=dim,
@@ -413,11 +412,7 @@ def _swap_block_entries(lambda1: float, lambda2: float, profile: PhaseProfile):
 
 
 def swap_block_family(
-    lambda1: float,
-    lambda2: float,
-    *,
-    profile: PhaseProfile | None = None,
-    label: str | None = None,
+    lambda1: float, lambda2: float, *, profile: PhaseProfile | None = None
 ) -> OperatorFamily:
     """A 2x2 family on [0, 1] whose evolution swaps the two eigenlines.
 
@@ -429,21 +424,10 @@ def swap_block_family(
     """
     profile = profile or quintic_profile()
     eval_fn, deriv_fn = _swap_block_entries(lambda1, lambda2, profile)
-    return _validated_family(
-        2,
-        1.0,
-        label or f"swap-block({lambda1:g},{lambda2:g})",
-        eval_fn,
-        deriv_fn,
-    )
+    return _validated_family(2, 1.0, f"swap-block({lambda1:g},{lambda2:g})", eval_fn, deriv_fn)
 
 
-def counterexample_family(
-    lambdas,
-    *,
-    profile: PhaseProfile | None = None,
-    label: str | None = None,
-) -> OperatorFamily:
+def counterexample_family(lambdas, *, profile: PhaseProfile | None = None) -> OperatorFamily:
     """Block-diagonal direct sum of swapping blocks ``diag(-l_i, +l_i)``.
 
     Every block's evolution exchanges its negative and positive eigenlines,
@@ -471,7 +455,7 @@ def counterexample_family(
     return _validated_family(
         dim,
         1.0,
-        label or f"counterexample(m={m})",
+        f"counterexample(m={m})",
         lambda t: direct_sum(t, 0),
         lambda t: direct_sum(t, 1),
     )
@@ -583,13 +567,7 @@ def endpoint_regularize(
 # sampled data and conjugation
 
 
-def sampled_family(
-    times,
-    matrices,
-    *,
-    atol: float = 1e-10,
-    label: str | None = None,
-) -> OperatorFamily:
+def sampled_family(times, matrices) -> OperatorFamily:
     """Piecewise-linear interpolation of Hermitian samples in time.
 
     Entrywise linear interpolation preserves Hermiticity; the derivative is
@@ -605,7 +583,7 @@ def sampled_family(
         raise ConfigError(f"sample times must start at 0, got {ts[0]}")
     if np.any(np.diff(ts) <= 0):
         raise ConfigError("sample times must be strictly increasing")
-    mats = [HermitianMatrix(m, atol=atol).entries for m in matrices]
+    mats = [HermitianMatrix(m, atol=SAMPLED_HERMITICITY_ATOL).entries for m in matrices]
     if len(mats) != ts.size:
         raise DimensionMismatchError(f"{ts.size} times but {len(mats)} matrices")
     dim = mats[0].shape[0]
@@ -630,7 +608,7 @@ def sampled_family(
     return _validated_family(
         dim,
         horizon,
-        label or f"sampled({ts.size} knots)",
+        f"sampled({ts.size} knots)",
         eval_fn,
         deriv_fn,
         smoothness="piecewise",
@@ -642,19 +620,16 @@ def sampled_family(
 
 
 def unitary_conjugated_family(
-    family: OperatorFamily,
-    unitary_fn: Callable[[float], np.ndarray],
-    *,
-    atol: float = 1e-10,
-    label: str | None = None,
+    family: OperatorFamily, unitary_fn: Callable[[float], np.ndarray]
 ) -> OperatorFamily:
     """The family ``t -> U(t)* A(t) U(t)`` for a pointwise-unitary ``U``.
 
     ``unitary_fn`` maps one float to one ``(n, n)`` matrix; the conjugated
     family's evaluator calls it once per time and conjugates the whole stack.
-    ``U(t)`` is checked to be unitary within ``atol`` at sampled times.  The
-    conjugated family carries no derivative (the derivative of ``U`` is not
-    available), so downstream Lipschitz estimates fall back to sampling.
+    ``U(t)`` is checked to be unitary within ``CONJUGATOR_ATOL`` at sampled
+    times.  The conjugated family carries no derivative (the derivative of
+    ``U`` is not available), so downstream Lipschitz estimates fall back to
+    sampling.
     """
     ev = family.eval_fn
     for t in np.linspace(0.0, family.horizon, _VALIDATION_SAMPLES):
@@ -662,8 +637,8 @@ def unitary_conjugated_family(
         if u.shape != (family.dim, family.dim):
             raise DimensionMismatchError(f"U({t}) has shape {u.shape}")
         defect = float(np.max(np.abs(u.conj().T @ u - np.eye(family.dim))))
-        if defect > atol:
-            raise ValueError(f"U({t}) is not unitary (defect {defect:.3e} > {atol:.1e})")
+        if defect > CONJUGATOR_ATOL:
+            raise ValueError(f"U({t}) is not unitary (defect {defect:.3e} > {CONJUGATOR_ATOL:.1e})")
 
     def eval_fn(t: Times) -> np.ndarray:
         u = _pointwise(lambda s: np.asarray(unitary_fn(s), dtype=complex), t)
@@ -672,7 +647,7 @@ def unitary_conjugated_family(
     return _validated_family(
         family.dim,
         family.horizon,
-        label or f"{family.label}(conjugated)",
+        f"{family.label}(conjugated)",
         eval_fn,
         None,
         smoothness=family.smoothness,

@@ -408,15 +408,10 @@ def principal_cosines(u: Subspace, v: Subspace) -> np.ndarray:
     return np.clip(np.linalg.svd(m, compute_uv=False), 0.0, 1.0)
 
 
-def subspace_intersection(
-    u: Subspace,
-    v: Subspace,
-    *,
-    tau_angle: float = TAU_ANGLE,
-) -> Subspace:
+def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
     """Orthonormal basis of ``U ∩ V`` via principal angles.
 
-    Directions whose principal cosine is at least ``1 - tau_angle`` are kept.
+    Directions whose principal cosine is at least ``1 - TAU_ANGLE`` are kept.
     An empty intersection is returned as a ``k = 0`` subspace.  The index
     routes count the cosines of :func:`principal_cosines` against the same
     cut; tests use this basis as their reference.
@@ -429,7 +424,7 @@ def subspace_intersection(
     if min(m.shape) == 0:
         return Subspace.empty(u.ambient_dim)
     lu, s, _ = np.linalg.svd(m)
-    keep = np.clip(s, 0.0, 1.0) >= 1.0 - tau_angle
+    keep = np.clip(s, 0.0, 1.0) >= 1.0 - TAU_ANGLE
     return Subspace(u.ambient_dim, u.basis @ lu[:, : int(np.count_nonzero(keep))])
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import math
 
@@ -11,35 +10,29 @@ import numpy as np
 
 
 def to_jsonable(obj):
-    """Recursively convert records, numpy values, and complex numbers to JSON types.
+    """Recursively convert numpy values, complex numbers and containers to JSON types.
 
-    Non-finite floats become strings so the output stays strict JSON.
+    Non-finite floats become strings so the output stays strict JSON.  Any
+    other type raises ``TypeError``: its ``str`` could carry a memory
+    address and break byte-determinism.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):  # also catches np.float64, a float subclass
         return float(obj) if math.isfinite(obj) else repr(float(obj))
-    if isinstance(obj, complex):
+    if isinstance(obj, complex):  # also catches np.complex128
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return to_jsonable(float(obj))
-    if isinstance(obj, np.complexfloating):
-        return [float(obj.real), float(obj.imag)]
     if isinstance(obj, np.ndarray):
         return [to_jsonable(x) for x in obj.tolist()]
-    if hasattr(obj, "to_dict"):
-        return to_jsonable(obj.to_dict())
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set)):
+    if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]
-    return str(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
 def canonical_json(obj) -> str:

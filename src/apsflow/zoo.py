@@ -17,6 +17,8 @@ from .families import (
 )
 from .matrixcore import HermitianMatrix
 
+DRIFTS = (1.0, 2.0, 3.5)
+
 
 def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianMatrix:
     """A random Hermitian matrix with spectral norm of order ``scale``."""
@@ -29,20 +31,18 @@ def random_trig_family(
     n: int,
     rng: np.random.Generator,
     *,
-    horizon: float = 1.0,
-    scale: float = 1.0,
     drift: float = 1.0,
     label: str | None = None,
 ) -> OperatorFamily:
-    """A smooth random family ``A0 + t B + sin(pi t) C`` on ``[0, horizon]``.
+    """A smooth random family ``A0 + t B + sin(pi t) C`` on ``[0, 1]``.
 
     ``drift`` rescales the secular part ``B`` relative to the rest, which
     controls how many eigenvalues cross zero over the interval.
     """
-    a0 = random_hermitian(n, rng, scale).entries
-    b = random_hermitian(n, rng, scale * drift).entries
-    c = random_hermitian(n, rng, scale).entries
-    omega = np.pi / horizon
+    a0 = random_hermitian(n, rng).entries
+    b = random_hermitian(n, rng, drift).entries
+    c = random_hermitian(n, rng).entries
+    omega = np.pi
 
     def eval_fn(t: Times) -> np.ndarray:
         tt = _column(t)
@@ -51,9 +51,7 @@ def random_trig_family(
     def deriv_fn(t: Times) -> np.ndarray:
         return b + omega * np.cos(omega * _column(t)) * c
 
-    return _validated_family(
-        n, horizon, label or f"random-trig(n={n})", eval_fn, deriv_fn
-    )
+    return _validated_family(n, 1.0, label or f"random-trig(n={n})", eval_fn, deriv_fn)
 
 
 def random_zoo(
@@ -62,11 +60,10 @@ def random_zoo(
     *,
     sizes: tuple[int, ...] = (2, 4, 8, 16),
     max_dim: int | None = None,
-    drifts: tuple[float, ...] = (1.0, 2.0, 3.5),
 ) -> list[OperatorFamily]:
     """Deterministic list of random trig families cycling through ``sizes``.
 
-    Drift strengths cycle through ``drifts`` so the zoo mixes families with
+    Drift strengths cycle through ``DRIFTS`` so the zoo mixes families with
     zero, single, and multiple eigenvalue crossings while staying inside the
     stiffness budget.
     """
@@ -76,7 +73,7 @@ def random_zoo(
     out = []
     for j, ss in enumerate(streams):
         n = sizes[j % len(sizes)]
-        drift = drifts[(j // len(sizes)) % len(drifts)]
+        drift = DRIFTS[(j // len(sizes)) % len(DRIFTS)]
         rng = np.random.default_rng(ss)
         out.append(
             random_trig_family(n, rng, drift=drift, label=f"random-trig(n={n},draw={j})")
@@ -84,9 +81,7 @@ def random_zoo(
     return out
 
 
-def singular_endpoint_family(
-    n: int, rng: np.random.Generator, *, label: str | None = None
-) -> OperatorFamily:
+def singular_endpoint_family(n: int, rng: np.random.Generator) -> OperatorFamily:
     """A smooth random family with deliberately singular endpoints.
 
     Shifts a random trig family by a time-linear multiple of the identity so
@@ -109,9 +104,7 @@ def singular_endpoint_family(
     def deriv_fn(t: Times) -> np.ndarray:
         return dv(t) - (mu1 - mu0) / horizon * eye
 
-    return _validated_family(
-        n, horizon, label or f"singular-endpoints(n={n})", eval_fn, deriv_fn
-    )
+    return _validated_family(n, horizon, f"singular-endpoints(n={n})", eval_fn, deriv_fn)
 
 
 def shipped_families() -> list[OperatorFamily]:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,16 @@ def random_unitary(n, rng):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def flow_plus_one(spectral_flow):
+    """A stand-in for ``spectral_flow`` whose every value is one too high."""
+
+    def shifted(*args, **kwargs):
+        rep = spectral_flow(*args, **kwargs)
+        return replace(rep, value=rep.value + 1, per_segment_terms=(*rep.per_segment_terms, 1))
+
+    return shifted
 
 
 def diag_at(t, *entries):

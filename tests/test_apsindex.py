@@ -13,7 +13,7 @@ from apsflow.apsindex import (
     riemannian_kernel_shooting,
     riemannian_main_check,
 )
-from apsflow.errors import StiffnessError
+from apsflow.errors import ConsistencyError, StiffnessError
 from apsflow.evolution import propagate
 from apsflow.families import (
     OperatorFamily,
@@ -25,7 +25,7 @@ from apsflow.families import (
 from apsflow.matrixcore import TAU_ZERO, HermitianMatrix
 from apsflow.spectralflow import spectral_flow
 from apsflow.zoo import random_trig_family, shipped_families, singular_endpoint_family
-from conftest import diag_at
+from conftest import diag_at, flow_plus_one
 
 
 def diag(*vals):
@@ -217,6 +217,16 @@ class TestTransportMainCheck:
             assert e.sfl == spectral_flow(f.restricted(0.0, e.t)).value
             assert e.sfl == negative_count(f, 0.0) - negative_count(f, e.t)
 
+    def test_mismatch_raises_with_both_integers(self, monkeypatch):
+        monkeypatch.setattr(apsindex, "spectral_flow", flow_plus_one(spectral_flow))
+        f = constant_family(diag(-1.0, 1.0), 1.0)
+        p = propagate(f, 64)
+        # each of the 8 windows now adds one to the running flow; the index stays 0
+        with pytest.raises(ConsistencyError, match=r"\(0\.125, 0, 1\).*\(1\.0, 0, 8\)") as exc:
+            lorentzian_main_check(f, p)
+        assert exc.value.record.passed is False
+        assert not lorentzian_main_check(f, p, raise_on_mismatch=False).passed
+
 
 class TestDiscretizedOperator:
     def test_shape_matches_boundary_ranks(self, rng):
@@ -349,6 +359,14 @@ class TestRiemannianMainCheck:
             f = singular_endpoint_family(3, rng)
             rec = riemannian_main_check(f, 48)
             assert rec.regularized and rec.passed
+
+    def test_mismatch_raises_with_both_integers(self, monkeypatch):
+        monkeypatch.setattr(apsindex, "spectral_flow", flow_plus_one(spectral_flow))
+        f = linear_family(diag(-0.5), diag(1.0), 1.0)
+        with pytest.raises(ConsistencyError, match="sfl=2, index=1") as exc:
+            riemannian_main_check(f, 16)
+        assert exc.value.record.passed is False
+        assert not riemannian_main_check(f, 16, raise_on_mismatch=False).passed
 
 
 class TestAmbiguousCutAdvice:

@@ -1,0 +1,44 @@
+"""The apsflow names that the benchmark in ``perfbench/`` binds.
+
+``perfbench/tracing.py`` wraps each counted layer function by its module
+attribute name and reads some arguments by parameter name: ``propagate``'s
+``family``, ``intervals``, ``steps`` and ``scheme``, and ``rank_kernel``'s
+``m``.  Renaming or deleting any of them breaks every traced benchmark run
+although no other test notices, so one tiny call goes through each counted
+wrapper here.
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+from apsflow import evolution, matrixcore, reporting, spectralflow
+from apsflow.families import linear_family
+from apsflow.matrixcore import HermitianMatrix
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_traced_layers_record_their_counters(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    originals = (evolution.propagate, matrixcore.rank_kernel, spectralflow.spectral_flow)
+    family = linear_family(HermitianMatrix(np.diag([-0.5, 1.0])), HermitianMatrix(np.eye(2)), 1.0)
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        evolution.propagate(family, 8)
+        matrixcore.rank_kernel(np.eye(2))
+        spectralflow.spectral_flow(family)
+        reporting.canonical_json({})
+    finally:
+        restore()
+    _, counts = tracer.take()
+
+    assert counts["evolution.propagate.substeps"] == 8
+    assert counts["evolution.propagate.flop_computed"] == 8 * 2**3
+    assert counts["matrixcore.rank_kernel.cells"] == 4
+    assert counts["spectralflow.partition_segments"] >= 1
+    assert counts["reporting.report_bytes"] == len("{}\n")
+    assert (evolution.propagate, matrixcore.rank_kernel, spectralflow.spectral_flow) == originals

@@ -184,6 +184,13 @@ class TestRunCommand:
         assert report["seed"] == 0
         assert len(report["results"]) == len(report["config"]["checks"])
 
+    def test_execute_config_returns_only_the_report(self, capsys):
+        config = parse_config({"family": SCALAR_CROSSING, "checks": ["flowind"]})
+        report = execute_config(config)
+        keys = {"schema_version", "artifact_version", "seed", "config", "results", "passed"}
+        assert set(report) == keys  # no wall-clock timings
+        assert "  flowind: " in capsys.readouterr().err
+
     def test_malformed_config_exit_two_no_report(self, tmp_path):
         path = tmp_path / "config.json"
         write_config(path, tolerances={"gamma_min": -1.0})

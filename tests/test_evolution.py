@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from apsflow.errors import ConsistencyError, OffGridError, StiffnessError
+from apsflow import evolution
+from apsflow.errors import ConsistencyError, DimensionMismatchError, OffGridError, StiffnessError
 from apsflow.evolution import (
     SCHEME_CF4,
     SCHEME_MIDPOINT,
@@ -78,6 +79,14 @@ class TestPropagate:
         study = convergence_study(f, scheme=SCHEME_CF4, base_intervals=16)
         for ratio in study.ratios:
             assert 12.0 <= ratio <= 20.0
+
+    def test_cost_warning_over_budget(self, monkeypatch, rng):
+        f = random_trig_family(2, rng)
+        assert propagate(f, 8).warnings == ()
+        monkeypatch.setattr(evolution, "COST_BUDGET", 10.0)
+        warnings = propagate(f, 8).warnings  # cost 8 substeps x 2^3 = 64
+        assert len(warnings) == 1
+        assert "propagation cost 6.40e+01" in warnings[0]
 
 
 class TestQBetween:
@@ -248,6 +257,17 @@ class TestCauchySolve:
         assert res[0] / res[1] == pytest.approx(4.0, rel=0.3)
         assert res[1] / res[2] == pytest.approx(4.0, rel=0.3)
 
+    @pytest.mark.parametrize("shape", [(17, 1), (17,), (16, 2)])
+    def test_misshaped_source_rejected_by_solve_and_residual(self, rng, shape):
+        f = random_trig_family(2, rng)
+        p = propagate(f, 16)
+        traj = cauchy_solve(f, p, 0.0, np.array([1.0, 0.0]))
+        g = np.ones(shape)
+        with pytest.raises(DimensionMismatchError, match="source samples"):
+            cauchy_solve(f, p, 0.0, np.array([1.0, 0.0]), g)
+        with pytest.raises(DimensionMismatchError, match="source samples"):
+            cauchy_residual(f, traj, g)
+
 
 class TestNonunitaryPropagate:
     def test_scalar_decay(self):
@@ -270,6 +290,14 @@ class TestNonunitaryPropagate:
         f = constant_family(diag(100.0), 1.0)
         with pytest.raises(StiffnessError, match="stiffness"):
             nonunitary_propagate(f)
+
+    def test_condition_warning_under_the_stiffness_gate(self):
+        # ||A|| T = 19 passes the gate; cond R(1, 0) = e^38 exceeds 1e12
+        f = constant_family(diag(-19.0, 19.0), 1.0)
+        r = nonunitary_propagate(f, 64)
+        assert r.condition_log[-1] == pytest.approx(np.exp(38.0), rel=1e-6)
+        assert len(r.warnings) == 1
+        assert "condition number reaches" in r.warnings[0]
 
     def test_condition_log_monotone_data(self, rng):
         f = random_trig_family(3, rng)

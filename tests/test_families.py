@@ -153,15 +153,6 @@ class TestDerivativeValidation:
         )
         assert any("finite difference" in w for w in fam.construction_warnings)
 
-    def test_wrong_derivative_strict_raises(self):
-        from apsflow.families import _validated_family
-
-        with pytest.raises(FamilyConstructionError, match="finite difference"):
-            _validated_family(
-                1, 1.0, "bad-deriv", lambda t: diag_at(t, 1.0 + t), lambda t: diag_at(t, 5.0),
-                strict=True,
-            )
-
     def test_correct_derivative_clean(self, rng):
         a = random_hermitian_entries(3, rng)
         b = random_hermitian_entries(3, rng)

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from apsflow.reporting import canonical_json, eigenflow_rows, to_jsonable
 from apsflow.families import linear_family
@@ -27,6 +28,13 @@ class TestToJsonable:
         json.loads(text)  # strict parse must succeed
         assert text == canonical_json(payload)
         assert text.index('"a"') < text.index('"z"')  # sorted keys
+
+    def test_unknown_type_raises_instead_of_writing_its_str(self):
+        # str(object()) holds a memory address, which would break byte-determinism
+        with pytest.raises(TypeError, match="object"):
+            canonical_json({"x": object()})
+        with pytest.raises(TypeError, match="set"):
+            to_jsonable({1, 2})
 
 
 class TestEigenflowRows:

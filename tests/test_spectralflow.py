@@ -4,6 +4,8 @@ import struct
 import numpy as np
 import pytest
 
+from apsflow import spectralflow
+from apsflow.errors import ConsistencyError
 from apsflow.families import (
     constant_family,
     counterexample_family,
@@ -24,7 +26,7 @@ from apsflow.spectralflow import (
     spectral_flow,
 )
 from apsflow.zoo import random_trig_family, singular_endpoint_family
-from conftest import diag_at
+from conftest import diag_at, flow_plus_one
 
 
 def diag(*vals):
@@ -356,6 +358,14 @@ class TestFlowIndexCheck:
         for _ in range(5):
             f = singular_endpoint_family(3, rng)
             assert flowind_check(f).passed
+
+    def test_mismatch_raises_with_both_integers(self, monkeypatch):
+        monkeypatch.setattr(spectralflow, "spectral_flow", flow_plus_one(spectral_flow))
+        f = linear_family(diag(-0.5), diag(1.0), 1.0)
+        with pytest.raises(ConsistencyError, match="spectral flow 2 != endpoint pair index 1") as exc:
+            flowind_check(f)
+        assert exc.value.record.passed is False
+        assert not flowind_check(f, raise_on_mismatch=False).passed
 
 
 class TestConcurrentUse:
