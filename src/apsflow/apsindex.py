@@ -6,7 +6,8 @@ Two independent routes compute the index of the transport operator
 projection pair ``(P_<0(0), Q(0,T) P_<0(T) Q(T,0))``, and direct subspace
 geometry (principal-angle intersection for the kernel, a restricted-map
 rank for the cokernel).  For ``d/dt + A`` the index is computed from a
-Crank-Nicolson discretization of the two-point boundary-value problem and,
+Crank-Nicolson discretization of the two-point boundary-value problem,
+solved by compactification (Cayley steps with a QR per step), and,
 independently, by ODE shooting with the non-unitary propagator.
 
 In finite dimensions the index always collapses to
@@ -30,6 +31,7 @@ from .errors import (
     AmbiguousSpectralCutError,
     ConsistencyError,
     DimensionMismatchError,
+    StiffnessError,
 )
 from .families import OperatorFamily, endpoint_regularize
 from .matrixcore import (
@@ -39,14 +41,12 @@ from .matrixcore import (
     SHOOTING_ANGLE_TOL,
     SIGMA_CUT,
     TAU_ANGLE,
-    TAU_RANK_RELATIVE,
     TAU_ZERO,
     IndexReport,
     Projection,
     Subspace,
     eigh,
     principal_cosines,
-    rank_kernel,
     relative_index,
     spectral_projection,
     spectral_subspace,
@@ -62,6 +62,7 @@ from .spectralflow import spectral_flow
 
 COMPLEMENTARITY_ATOL = 1e-10
 DEFAULT_GRID = 64
+CAYLEY_ANGLE_TOL = 1e-8  # principal-cosine cut of the compactified boundary-value route
 DEFAULT_CHECKPOINTS = 8
 
 
@@ -171,13 +172,18 @@ def _projection_pair_index(
     )
 
 
+def _near_cut(values, cut: float) -> list[float]:
+    """The values within a factor of 100 of ``cut``, on either side."""
+    values = np.asarray(values)
+    return values[(values > cut / 100.0) & (values < cut * 100.0)].tolist()
+
+
 def _gray_zone_warnings(route: str, t_end: float, sigma, cut: float) -> tuple[str, ...]:
-    sigma = np.asarray(sigma)
-    gray = sigma[(sigma > cut / 100.0) & (sigma < cut * 100.0)]
-    if not gray.size:
+    gray = _near_cut(sigma, cut)
+    if not gray:
         return ()
     return (
-        f"{route} at t={t_end:g}: singular values {gray.tolist()} lie near the "
+        f"{route} at t={t_end:g}: singular values {gray} lie near the "
         f"rank cut {cut:.1e}; integer dimensions may be sensitive to propagator accuracy",
     )
 
@@ -364,7 +370,9 @@ def assemble_discretized_operator(
     negative subspace of ``A(0)`` and ``f_M`` to the nonnegative subspace of
     ``A(T)`` (the constrained slices are parametrized by orthonormal bases).
     Rows are the Crank-Nicolson equations
-    ``(f_{k+1} - f_k)/h + A(t_{k+1/2}) (f_{k+1} + f_k)/2``.
+    ``(f_{k+1} - f_k)/h + A(t_{k+1/2}) (f_{k+1} + f_k)/2``.  The index route
+    never assembles it; it serves ``export operator`` and, in tests, as the
+    dense-SVD oracle of :func:`riemannian_index_discretized`.
     """
     if grid_intervals < 4:
         raise ValueError(f"need at least 4 grid intervals, got {grid_intervals}")
@@ -413,39 +421,92 @@ def riemannian_index_discretized(
 ) -> IndexReport:
     """Index of ``d/dt + A`` with spectral boundary conditions, by discretization.
 
-    Kernel and cokernel dimensions come from the SVD of the assembled
-    operator, cut at ``TAU_RANK_RELATIVE`` of its largest singular value.
+    Solves the Crank-Nicolson system of :func:`assemble_discretized_operator`
+    by compactification instead of assembling it: each equation gives
+    ``f_{k+1} = C_k f_k`` with the Cayley factor
+    ``C_k = (I/h + A_k/2)^-1 (I/h - A_k/2)``, so the kernel is the part of
+    ``H_<0(0)`` that the product of the ``C_k`` carries into ``H_>=0(T)``.
+    The basis of ``H_<0(0)`` is multiplied by one factor at a time and
+    re-orthonormalized by a QR after every step; the kernel counts the
+    principal cosines against ``H_>=0(T)`` that are at least
+    ``1 - CAYLEY_ANGLE_TOL``.  The cokernel follows from the dimension count
+    ``rows - rank = n - r_left - r_right + ker`` of the same system.
+
+    The factors have a pole where ``A_k`` has the eigenvalue ``-2/h`` and
+    are singular where it has ``2/h``, so the grid must satisfy
+    ``h ||A|| <= 1``, i.e. ``grid_intervals >= ||A|| * T``, with ``||A||``
+    the larger of ``norm_bound()`` and the largest norm at the midpoints; a
+    coarser grid raises ``StiffnessError``.
+
+    What still separates this route from :func:`riemannian_kernel_shooting`:
+    Cayley steps where shooting takes exponential steps, the grid
+    ``grid_intervals`` where shooting uses 512 intervals, a QR per step where
+    shooting takes one product and then one span, its own cut
+    ``CAYLEY_ANGLE_TOL`` where shooting uses ``SHOOTING_ANGLE_TOL``, and the
+    cokernel by counting where shooting propagates the reversed family a
+    second time.
+
     By dimension counting the index is forced to
     ``rank P_<0(0) - rank P_<0(T)`` regardless of the dynamics; that note is
     recorded in the diagnostics so the equality is not mistaken for a
     numerical discovery.  The informative outputs are the separate kernel
     and cokernel dimensions and their stability in the grid.
     """
-    require_nonstiff(family, " for the boundary-value discretization")
-    disc = assemble_discretized_operator(family, grid_intervals, tau_0=tau_0)
-    report = rank_kernel(disc.matrix)
-    sigma_tail = report.singular_values[max(0, report.rank - 3) :][:8]
+    stiffness = require_nonstiff(family, " for the boundary-value discretization")
+    if grid_intervals < 4:
+        raise ValueError(f"need at least 4 grid intervals, got {grid_intervals}")
+    m = grid_intervals
+    n = family.dim
+    h = family.horizon / m
+    mids = family.at_many([(k + 0.5) * h for k in range(m)])
+    # the sampled norm bound can miss a peak between its samples that meets a pole
+    stiffness = max(stiffness, family.horizon * float(np.max(np.abs(np.linalg.eigvalsh(mids)))))
+    if m < stiffness:
+        raise StiffnessError(
+            f"||A|| * T = {stiffness:.3g} exceeds the grid of {m} intervals; "
+            "the Crank-Nicolson steps need h ||A|| <= 1, i.e. at least ||A|| * T intervals"
+        )
+    boundary = aps_boundary_data(family, tau_0=tau_0)
+    left = boundary.left_subspace
+    right = boundary.right_subspace
+    cosines = np.zeros(0)
+    if left.dimension and right.dimension:
+        eye = np.eye(n) / h
+        cayley = np.linalg.solve(eye + mids / 2.0, eye - mids / 2.0)
+        carried = left.basis
+        for factor in cayley:
+            carried = np.linalg.qr(factor @ carried)[0]
+        cosines = principal_cosines(Subspace(n, carried), right)
+    ker = int(np.count_nonzero(cosines >= 1.0 - CAYLEY_ANGLE_TOL))
+    coker = n - left.dimension - right.dimension + ker
     diagnostics = {
-        "grid_intervals": disc.grid_intervals,
-        "domain_dim": disc.domain_dim,
-        "codomain_dim": disc.codomain_dim,
-        "left_rank": disc.left_rank,
-        "right_rank": disc.right_rank,
-        "tau_rank_relative": TAU_RANK_RELATIVE,
-        "gap_ratio": report.gap_ratio,
-        "singular_values_near_cut": sigma_tail,
+        "grid_intervals": m,
+        "domain_dim": left.dimension + (m - 1) * n + right.dimension,
+        "codomain_dim": m * n,
+        "left_rank": left.dimension,
+        "right_rank": right.dimension,
+        "angle_tol": CAYLEY_ANGLE_TOL,
+        "principal_cosines": cosines,
         "note": (
             "index = domain_dim - codomain_dim by dimension counting; the "
             "informative outputs are ker_dim and coker_dim and their grid stability"
         ),
     }
+    gray = _near_cut(1.0 - cosines, CAYLEY_ANGLE_TOL)
+    warnings = ()
+    if gray:
+        warnings = (
+            f"discretized-bvp on {m} intervals: 1 - cosine values {gray} lie near "
+            f"the angle cut {CAYLEY_ANGLE_TOL:.1e}; the kernel dimension may be "
+            "sensitive to the grid",
+        )
     return IndexReport(
-        ker_dim=report.kernel_dim,
-        coker_dim=report.cokernel_dim,
-        index=report.kernel_dim - report.cokernel_dim,
+        ker_dim=ker,
+        coker_dim=coker,
+        index=ker - coker,
         method="discretized-bvp",
         diagnostics=diagnostics,
-        warnings=report.warnings,
+        warnings=warnings,
     )
 
 

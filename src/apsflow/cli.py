@@ -282,7 +282,7 @@ def _run_riemannian_main(family, config: ExperimentConfig, outdir: Path | None) 
         result["shooting_route"] = None
         result["shooting_agrees"] = None
     if outdir is not None and "csv" in config.formats:
-        sigma = rec.reports[0].diagnostics.get("singular_values_near_cut", [])
+        sigma = rec.reports[0].diagnostics.get("principal_cosines", [])
         write_singular_values_csv(sigma, outdir / "singular_values.csv")
     result["passed"] = passed
     result["grid"] = config.grid

@@ -38,7 +38,8 @@ class OffGridError(ApsflowError):
 
 
 class StiffnessError(ApsflowError):
-    """A non-unitary propagation would exceed double-precision range."""
+    """A non-unitary propagation would exceed double-precision range, or a
+    boundary-value grid is too coarse for the norm of the family."""
 
 
 class ConsistencyError(ApsflowError):

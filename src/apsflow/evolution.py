@@ -162,11 +162,11 @@ def _transfer_products(
     n = family.dim
     products = np.empty((intervals + 1, n, n), dtype=complex)
     products[0] = np.eye(n)
-    current = np.eye(n, dtype=complex)
     for k in range(intervals):
-        for j in range(steps):
-            current = factors[k * steps + j] @ current
-        products[k + 1] = current
+        slot = products[k + 1]
+        np.matmul(factors[k * steps], products[k], out=slot)
+        for j in range(1, steps):
+            np.matmul(factors[k * steps + j], slot, out=slot)
     return grid, products
 
 
@@ -398,12 +398,12 @@ class NonunitaryPropagator:
     warnings: tuple[str, ...] = ()
 
 
-def require_nonstiff(family: OperatorFamily, context: str) -> None:
+def require_nonstiff(family: OperatorFamily, context: str) -> float:
     """Raise ``StiffnessError`` when ``norm_bound() * T`` exceeds ``STIFFNESS_BOUND``.
 
     Beyond the bound ``exp(+-||A|| T)`` leaves double-precision range, so
     neither the decaying propagator nor the boundary-value discretization
-    can be trusted; ``context`` ends the message.
+    can be trusted; ``context`` ends the message.  Returns ``||A|| * T``.
     """
     stiffness = family.norm_bound() * family.horizon
     if stiffness > STIFFNESS_BOUND:
@@ -411,6 +411,7 @@ def require_nonstiff(family: OperatorFamily, context: str) -> None:
             f"||A|| * T = {stiffness:.3g} exceeds the stiffness bound "
             f"{STIFFNESS_BOUND:g}{context}"
         )
+    return stiffness
 
 
 def nonunitary_propagate(family: OperatorFamily, intervals: int = 512) -> NonunitaryPropagator:

@@ -12,7 +12,8 @@ import numpy as np
 def to_jsonable(obj):
     """Recursively convert numpy values, complex numbers and containers to JSON types.
 
-    Non-finite floats become strings so the output stays strict JSON.  Any
+    Non-finite floats, also the parts of a complex number, become strings so
+    the output stays strict JSON.  Any
     other type raises ``TypeError``: its ``str`` could carry a memory
     address and break byte-determinism.
     """
@@ -21,7 +22,7 @@ def to_jsonable(obj):
     if isinstance(obj, float):  # also catches np.float64, a float subclass
         return float(obj) if math.isfinite(obj) else repr(float(obj))
     if isinstance(obj, complex):  # also catches np.complex128
-        return [obj.real, obj.imag]
+        return [to_jsonable(obj.real), to_jsonable(obj.imag)]
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):

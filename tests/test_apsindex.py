@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,9 @@ from apsflow.families import (
     counterexample_family,
     endpoint_regularize,
     linear_family,
+    sampled_family,
 )
-from apsflow.matrixcore import TAU_ZERO, HermitianMatrix
+from apsflow.matrixcore import TAU_ZERO, HermitianMatrix, rank_kernel
 from apsflow.spectralflow import spectral_flow
 from apsflow.zoo import random_trig_family, shipped_families, singular_endpoint_family
 from conftest import diag_at, flow_plus_one
@@ -302,6 +305,45 @@ class TestRiemannianDiscretized:
         f = constant_family(diag(80.0), 1.0)
         with pytest.raises(StiffnessError):
             riemannian_index_discretized(f, 32)
+
+    def test_grid_must_resolve_the_norm(self):
+        # at M = 4 the step matrix I/h + A/2 of the eigenvalue -8 = -2/h is exactly singular
+        f = constant_family(diag(-8.0, 3.0), 1.0)
+        with pytest.raises(StiffnessError, match="grid of 4 intervals"):
+            riemannian_index_discretized(f, 4)
+        rep = riemannian_index_discretized(f, 8)  # h ||A|| = 1
+        assert (rep.ker_dim, rep.coker_dim) == (0, 0)
+        # a spike between the norm samples, on the first midpoint of M = 64: the
+        # eigenvalue 2/h = 128 would make that step annihilate H_<0(0) = span(e1)
+        spike = sampled_family(
+            [0.0, 1 / 128, 1 / 64, 1.0],
+            [np.diag([-1.0, 1.0]), np.diag([128.0, 1.0]), np.diag([-1.0, 1.0]), np.diag([-1.0, 1.0])],
+        )
+        assert spike.norm_bound() == 1.0
+        with pytest.raises(StiffnessError, match="grid of 64 intervals"):
+            riemannian_index_discretized(spike, 64)
+
+    def test_matches_the_dense_svd_oracle(self):
+        rng = np.random.default_rng(7)
+        singular = [singular_endpoint_family(2 + j % 3, rng) for j in range(10)]
+        fams = [f for f in shipped_families() if f.norm_bound() * f.horizon <= 40.0]
+        fams += [random_trig_family(n, rng) for n in (2, 3, 4, 8)]
+        fams += singular + [endpoint_regularize(f) for f in singular]
+        cases = [(f, m) for f in fams for m in (8, 16, 32) if m >= f.norm_bound() * f.horizon]
+        for n, m in ((2, 8), (3, 8), (4, 16), (8, 16)):
+            # scaled to h ||A|| = 0.95, close to the pole precondition
+            f = random_trig_family(n, rng)
+            ev = f.eval_fn
+            c = 0.95 * m / (f.norm_bound() * f.horizon)
+            cases.append((replace(f, eval_fn=lambda t, ev=ev, c=c: c * ev(t), derivative_fn=None), m))
+        for f, m in cases:
+            rep = riemannian_index_discretized(f, m)
+            dense = rank_kernel(assemble_discretized_operator(f, m).matrix)
+            assert (rep.ker_dim, rep.coker_dim) == (dense.kernel_dim, dense.cokernel_dim)
+            d = rep.diagnostics
+            cosines = np.asarray(d["principal_cosines"])
+            assert rep.ker_dim == np.count_nonzero(cosines >= 1.0 - d["angle_tol"])
+            assert rep.coker_dim == f.dim - d["left_rank"] - d["right_rank"] + rep.ker_dim
 
     def test_additivity_at_invertible_interior_point(self, rng):
         for _ in range(5):

@@ -6,8 +6,14 @@ attribute name and reads some arguments by parameter name: ``propagate``'s
 ``m``.  Renaming or deleting any of them breaks every traced benchmark run
 although no other test notices, so one tiny call goes through each counted
 wrapper here.
+
+The benchmark also gates on the integers each workload returns, recorded in
+``perfbench/expected.json``; one seed of the boundary-value workload is
+checked against that record here, so a route change that flips one of its
+integers fails in this suite too.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -42,3 +48,18 @@ def test_traced_layers_record_their_counters(monkeypatch):
     assert counts["spectralflow.partition_segments"] >= 1
     assert counts["reporting.report_bytes"] == len("{}\n")
     assert (evolution.propagate, matrixcore.rank_kernel, spectralflow.spectral_flow) == originals
+
+
+def test_bvp_grid_integers_match_the_benchmark_record(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
+    wl = workloads.BvpGrid
+    got = []
+    for case in wl.build(0, None):
+        _, out = wl.work(case)
+        ints, problems = wl.check(case, out)
+        assert problems == [], (case.family.label, problems)
+        got.append(ints)
+    assert got == expected["bvp-grid"]["0"]

@@ -30,6 +30,12 @@ different order with more threads, which moves the last digits of some
 boundary-value singular values of the theorems suite (and, by far more, a
 gap ratio over a round-off-sized one), so the suites run in a child process
 pinned to one thread.
+
+``scalar-crossing/report.json``, ``scalar-crossing/singular_values.csv`` and
+``suites/suite-theorems.json`` were re-recorded once, with one BLAS thread,
+when the boundary-value route was compactified: only the diagnostics of the
+``discretized-bvp`` reports and the CSV values (now the principal cosines of
+the boundary restriction) moved; no integer, flag or warning did.
 """
 
 import json

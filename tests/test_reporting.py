@@ -22,6 +22,11 @@ class TestToJsonable:
         out = to_jsonable({"gap": math.inf, "bad": math.nan, "np": np.float64("inf")})
         assert out == {"gap": "inf", "bad": "nan", "np": "inf"}
 
+    def test_non_finite_complex_parts_stringified(self):
+        assert to_jsonable(complex(math.inf, 0.0)) == ["inf", 0.0]
+        assert to_jsonable(np.complex128(complex(1.0, math.nan))) == [1.0, "nan"]
+        assert json.loads(canonical_json({"z": complex(math.inf, 0.0)})) == {"z": ["inf", 0.0]}
+
     def test_canonical_json_is_strict_and_stable(self):
         payload = {"z": [1.5, math.inf], "a": {"nested": (1, 2)}}
         text = canonical_json(payload)
