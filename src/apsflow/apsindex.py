@@ -519,7 +519,7 @@ def _shot_kernel_dim(
     """Dimension of ``(R(T,0) start) ∩ target`` with the image orthonormalized."""
     if start.dimension == 0:
         return 0, np.zeros(0)
-    image = Subspace.span(transfer.matrices[-1] @ start.basis)
+    image = Subspace.span(transfer.transfer @ start.basis)
     cosines = principal_cosines(image, target)
     return int(np.count_nonzero(cosines >= 1.0 - angle_tol)), cosines
 
@@ -540,6 +540,16 @@ def riemannian_kernel_shooting(
     family: the time-reversed family is propagated a second time, with its
     own non-unitary propagator, rather than reusing the forward one.  Its
     boundary subspaces are the forward family's complements.
+
+    What still separates this route from
+    :func:`riemannian_index_discretized`: exponential midpoint steps on
+    ``intervals`` (512) intervals where that route takes Cayley steps on its
+    grid, one product ``R(T, 0)`` and then one span where it takes a QR per
+    step, its own cut ``angle_tol`` (``SHOOTING_ANGLE_TOL``), and the
+    cokernel from a second propagation of the time-reversed family where it
+    counts dimensions.  The diagnostics ``forward_condition`` and
+    ``backward_condition`` are the condition numbers of the two transfer
+    matrices at ``T``, not a maximum over the grid.
     """
     boundary = aps_boundary_data(family, tau_0=tau_0)
     forward = nonunitary_propagate(family, intervals)
@@ -557,8 +567,8 @@ def riemannian_kernel_shooting(
         "angle_tol": angle_tol,
         "kernel_cosines": ker_cosines,
         "cokernel_cosines": coker_cosines,
-        "forward_condition_max": float(np.max(forward.condition_log)),
-        "backward_condition_max": float(np.max(backward.condition_log)),
+        "forward_condition": forward.condition,
+        "backward_condition": backward.condition,
     }
     return IndexReport(
         ker_dim=ker,

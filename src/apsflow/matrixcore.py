@@ -2,9 +2,9 @@
 
 Eigendecompositions, spectral projections and subspaces for the two
 half-line cuts, relative indices of projection pairs, principal cosines
-and subspace intersections, and thresholded ranks with kernel/cokernel
-dimensions.  Everything here is a pure function on immutable values; all
-other modules build on these.
+between subspaces, and thresholded ranks with kernel/cokernel dimensions.
+Everything here is a pure function on immutable values; all other modules
+build on these.
 
 Numerical conventions
 ---------------------
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +40,6 @@ IDEMPOTENCY_ATOL = 1e-10
 TRACE_ATOL = 1e-8
 TAU_GAP = 1e-7
 TAU_RANK_RELATIVE = 1e-10
-GAP_RATIO_FLOOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -408,42 +406,13 @@ def principal_cosines(u: Subspace, v: Subspace) -> np.ndarray:
     return np.clip(np.linalg.svd(m, compute_uv=False), 0.0, 1.0)
 
 
-def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
-    """Orthonormal basis of ``U ∩ V`` via principal angles.
-
-    Directions whose principal cosine is at least ``1 - TAU_ANGLE`` are kept.
-    An empty intersection is returned as a ``k = 0`` subspace.  The index
-    routes count the cosines of :func:`principal_cosines` against the same
-    cut; tests use this basis as their reference.
-    """
-    if u.ambient_dim != v.ambient_dim:
-        raise DimensionMismatchError(
-            f"ambient dims differ: {u.ambient_dim} vs {v.ambient_dim}"
-        )
-    m = u.basis.conj().T @ v.basis
-    if min(m.shape) == 0:
-        return Subspace.empty(u.ambient_dim)
-    lu, s, _ = np.linalg.svd(m)
-    keep = np.clip(s, 0.0, 1.0) >= 1.0 - TAU_ANGLE
-    return Subspace(u.ambient_dim, u.basis @ lu[:, : int(np.count_nonzero(keep))])
-
-
 @dataclass(frozen=True)
 class RankReport:
-    """Numerical rank of a rectangular matrix with kernel/cokernel dimensions.
-
-    ``gap_ratio`` is ``sigma_r / sigma_{r+1}`` at the rank cut (``inf`` when
-    the cut falls outside the singular spectrum); a small ratio means the
-    rank decision is ill-determined, and a warning is attached rather than
-    silently dropped.
-    """
+    """Numerical rank of a rectangular matrix with kernel/cokernel dimensions."""
 
     rank: int
     kernel_dim: int
     cokernel_dim: int
-    singular_values: np.ndarray
-    gap_ratio: float
-    warnings: tuple[str, ...]
 
 
 def rank_kernel(m, *, tau_rank: float = TAU_RANK_RELATIVE) -> RankReport:
@@ -459,25 +428,8 @@ def rank_kernel(m, *, tau_rank: float = TAU_RANK_RELATIVE) -> RankReport:
         raise ValueError("matrix entries must be finite")
     rows, cols = a.shape
     if min(rows, cols) == 0:
-        return RankReport(0, cols, rows, np.zeros(0), math.inf, ())
+        return RankReport(0, cols, rows)
     sigma = np.linalg.svd(a, compute_uv=False)
     smax = float(sigma[0])
     rank = int(np.count_nonzero(sigma > tau_rank * smax)) if smax > 0 else 0
-    if 0 < rank < sigma.shape[0] and sigma[rank] > 0:
-        gap_ratio = float(sigma[rank - 1] / sigma[rank])
-    else:
-        gap_ratio = math.inf
-    warnings: tuple[str, ...] = ()
-    if gap_ratio < GAP_RATIO_FLOOR:
-        warnings = (
-            f"ill-determined rank: singular-value gap ratio {gap_ratio:.3e} "
-            f"below {GAP_RATIO_FLOOR:.1e} at the rank-{rank} cut",
-        )
-    return RankReport(
-        rank=rank,
-        kernel_dim=cols - rank,
-        cokernel_dim=rows - rank,
-        singular_values=sigma,
-        gap_ratio=gap_ratio,
-        warnings=warnings,
-    )
+    return RankReport(rank=rank, kernel_dim=cols - rank, cokernel_dim=rows - rank)

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from apsflow.matrixcore import HermitianMatrix
+from apsflow.errors import DimensionMismatchError
+from apsflow.matrixcore import TAU_ANGLE, HermitianMatrix, Subspace
 
 
 @pytest.fixture
@@ -53,3 +54,22 @@ def diag_at(t, *entries):
     idx = np.arange(d.shape[-1])
     out[..., idx, idx] = d
     return out
+
+
+def subspace_intersection(u, v):
+    """Orthonormal basis of ``U ∩ V`` via principal angles, the tests' reference.
+
+    Directions whose principal cosine is at least ``1 - TAU_ANGLE`` are kept.
+    An empty intersection is returned as a ``k = 0`` subspace.  The index
+    routes count the cosines of ``principal_cosines`` against the same cut.
+    """
+    if u.ambient_dim != v.ambient_dim:
+        raise DimensionMismatchError(
+            f"ambient dims differ: {u.ambient_dim} vs {v.ambient_dim}"
+        )
+    m = u.basis.conj().T @ v.basis
+    if min(m.shape) == 0:
+        return Subspace.empty(u.ambient_dim)
+    lu, s, _ = np.linalg.svd(m)
+    keep = np.clip(s, 0.0, 1.0) >= 1.0 - TAU_ANGLE
+    return Subspace(u.ambient_dim, u.basis @ lu[:, : int(np.count_nonzero(keep))])

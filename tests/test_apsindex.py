@@ -15,6 +15,7 @@ from apsflow.apsindex import (
     riemannian_kernel_shooting,
     riemannian_main_check,
 )
+from apsflow.cli import RIEMANNIAN_NORM_CAP
 from apsflow.errors import ConsistencyError, StiffnessError
 from apsflow.evolution import propagate
 from apsflow.families import (
@@ -27,8 +28,8 @@ from apsflow.families import (
 )
 from apsflow.matrixcore import TAU_ZERO, HermitianMatrix, rank_kernel
 from apsflow.spectralflow import spectral_flow
-from apsflow.zoo import random_trig_family, shipped_families, singular_endpoint_family
-from conftest import diag_at, flow_plus_one
+from apsflow.zoo import random_trig_family, random_zoo, shipped_families, singular_endpoint_family
+from conftest import diag_at, flow_plus_one, subspace_intersection
 
 
 def diag(*vals):
@@ -122,7 +123,6 @@ class TestTransportIndexRoutes:
             Subspace,
             eigh,
             spectral_subspace,
-            subspace_intersection,
         )
 
         h_neg0 = spectral_subspace(eigh(f.at(0.0)), NEGATIVE_AXIS)
@@ -377,6 +377,51 @@ class TestRiemannianShooting:
             disc = riemannian_index_discretized(f, 64)
             assert shoot.ker_dim == disc.ker_dim
             assert shoot.coker_dim == disc.coker_dim
+
+
+def _cosine_check_families():
+    fams = [f for f in shipped_families() if f.norm_bound() * f.horizon <= RIEMANNIAN_NORM_CAP]
+    rng = np.random.default_rng(11)
+    fams += [singular_endpoint_family(n, rng) for n in (2, 3, 4, 8)]
+    fams += random_zoo(4, 5, sizes=(4, 8, 16))
+    return fams
+
+
+def _cayley_shooting_cosine_gaps(families, grid=48):
+    """Per family, the largest gap between the sorted Cayley and shooting kernel cosines."""
+    gaps = {}
+    for f in families:
+        assert f.norm_bound() * f.horizon <= RIEMANNIAN_NORM_CAP, f.label
+        cayley = np.sort(riemannian_index_discretized(f, grid).diagnostics["principal_cosines"])
+        shot = np.sort(riemannian_kernel_shooting(f).diagnostics["kernel_cosines"])
+        assert cayley.shape == shot.shape and f.label not in gaps, f.label
+        gaps[f.label] = float(np.max(np.abs(cayley - shot), initial=0.0))
+    return gaps
+
+
+class TestCayleyMatchesShooting:
+    """The two boundary-value routes must agree on the cosines, not only on integers.
+
+    Both compute the principal cosines between the carried ``H_<0(0)`` and
+    ``H_>=0(T)``, with different steps and grids; their discretization
+    errors are far below ``COSINE_ATOL`` (5.8e-5 at most over these
+    families).  A wrong operator, such as ``d/dt - A`` in the Cayley factors,
+    can leave every kernel and cokernel dimension in place while moving the
+    cosines at the first digit.
+    """
+
+    COSINE_ATOL = 1e-3
+
+    def test_cosines_agree(self):
+        gaps = _cayley_shooting_cosine_gaps(_cosine_check_families())
+        assert max(gaps.values()) <= self.COSINE_ATOL, gaps
+
+    def test_sign_flip_in_the_cayley_factors_is_caught(self, monkeypatch):
+        # (I/h - A/2)^-1 (I/h + A/2) steps d/dt - A; shooting calls no solve
+        solve = np.linalg.solve
+        monkeypatch.setattr(apsindex.np.linalg, "solve", lambda a, b: solve(b, a))
+        gaps = _cayley_shooting_cosine_gaps(_cosine_check_families())
+        assert max(gaps.values()) > self.COSINE_ATOL, gaps
 
 
 class TestRiemannianMainCheck:

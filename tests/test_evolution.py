@@ -273,18 +273,18 @@ class TestNonunitaryPropagate:
     def test_scalar_decay(self):
         f = constant_family(diag(-0.5), 1.0)
         r = nonunitary_propagate(f, 128)
-        assert r.matrices[-1][0, 0] == pytest.approx(np.exp(0.5), rel=1e-6)
+        assert r.transfer[0, 0] == pytest.approx(np.exp(0.5), rel=1e-6)
 
     def test_positive_eigenvalue_decays(self):
         f = constant_family(diag(2.0), 1.0)
         r = nonunitary_propagate(f, 128)
-        assert r.matrices[-1][0, 0] == pytest.approx(np.exp(-2.0), rel=1e-6)
+        assert r.transfer[0, 0] == pytest.approx(np.exp(-2.0), rel=1e-6)
 
     def test_commutative_case_exact_integral(self):
         # oracle: scalar equation integrates to exp(-integral of (t - 1/2))
         f = linear_family(diag(-0.5), diag(1.0), 1.0)
         r = nonunitary_propagate(f, 256)
-        assert r.matrices[-1][0, 0] == pytest.approx(1.0, abs=1e-10)
+        assert r.transfer[0, 0] == pytest.approx(1.0, abs=1e-10)
 
     def test_stiffness_guard(self):
         f = constant_family(diag(100.0), 1.0)
@@ -295,15 +295,20 @@ class TestNonunitaryPropagate:
         # ||A|| T = 19 passes the gate; cond R(1, 0) = e^38 exceeds 1e12
         f = constant_family(diag(-19.0, 19.0), 1.0)
         r = nonunitary_propagate(f, 64)
-        assert r.condition_log[-1] == pytest.approx(np.exp(38.0), rel=1e-6)
+        assert r.condition == pytest.approx(np.exp(38.0), rel=1e-6)
         assert len(r.warnings) == 1
         assert "condition number reaches" in r.warnings[0]
 
-    def test_condition_log_monotone_data(self, rng):
+    def test_transfer_is_the_end_product(self, rng):
+        # the shared integrator loop's last product, bit for bit, and its condition number
         f = random_trig_family(3, rng)
         r = nonunitary_propagate(f, 64)
-        assert r.condition_log.shape == (65,)
-        assert r.condition_log[0] == pytest.approx(1.0)
+        products = evolution._transfer_products(f, 64, 1, SCHEME_MIDPOINT, -1.0)[1]
+        assert r.transfer.shape == (3, 3)
+        assert np.array_equal(r.transfer, products[-1])
+        sigma = np.linalg.svd(r.transfer, compute_uv=False)
+        assert r.condition == sigma[0] / sigma[-1]
+        assert r.condition > 1.0
 
 
 class TestSerialization:

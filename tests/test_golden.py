@@ -36,6 +36,19 @@ pinned to one thread.
 when the boundary-value route was compactified: only the diagnostics of the
 ``discretized-bvp`` reports and the CSV values (now the principal cosines of
 the boundary restriction) moved; no integer, flag or warning did.
+
+``scalar-crossing/report.json`` and ``suites/suite-theorems.json`` were
+re-recorded a second time, with one BLAS thread, when
+``nonunitary_propagate`` stopped taking an SVD of every partial product:
+the shooting diagnostics ``forward_condition_max`` and
+``backward_condition_max`` became ``forward_condition`` and
+``backward_condition``, the condition numbers of ``R(T, 0)``.
+``python tools/leafdiff.py OLD NEW --rename forward_condition_max=forward_condition
+--rename backward_condition_max=backward_condition`` shows no other
+difference than two of those values in the theorems suite, where the
+maximum over the grid lay inside the interval (``theorems[4]`` backward
+5.9638 -> 4.4817, ``theorems[30]`` forward 1.80692 -> 1.80247); no key,
+integer, flag, string, cosine or other float moved.
 """
 
 import json

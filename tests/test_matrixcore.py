@@ -16,9 +16,8 @@ from apsflow.matrixcore import (
     relative_index,
     snap_eigenvalues,
     spectral_projection,
-    subspace_intersection,
 )
-from conftest import random_hermitian_entries, random_projection
+from conftest import random_hermitian_entries, random_projection, subspace_intersection
 
 
 class TestHermitianMatrix:
@@ -260,17 +259,17 @@ class TestRankKernel:
         # oracle: singular values of [[1,0,0],[0,0,0]] are (1, 0)
         rep = rank_kernel(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
         assert (rep.rank, rep.kernel_dim, rep.cokernel_dim) == (1, 2, 1)
-        assert np.allclose(rep.singular_values, [1.0, 0.0])
 
-    def test_well_determined_rank_no_warning(self):
+    def test_relative_cut(self):
+        # the cut is tau_rank * sigma_max, so scaling the matrix moves it along
         rep = rank_kernel(np.diag([1.0, 5e-10, 1e-10]), tau_rank=1e-9)
-        assert rep.rank == 1 and not rep.warnings  # gap ratio 2e9 is clean
-
-    def test_ill_determined_rank_warns(self):
-        # the cut falls inside a cluster: sigma ratio at the cut is only 2
-        rep = rank_kernel(np.diag([1.0, 2e-9, 1e-9]), tau_rank=1.5e-9)
+        assert (rep.rank, rep.kernel_dim, rep.cokernel_dim) == (1, 2, 2)
+        rep = rank_kernel(np.diag([1.0, 2e-9, 5e-10]), tau_rank=1e-9)
         assert rep.rank == 2
-        assert any("ill-determined" in w for w in rep.warnings)
+        rep = rank_kernel(1e3 * np.diag([1.0, 2e-9, 5e-10]), tau_rank=1e-9)
+        assert rep.rank == 2
+        rep = rank_kernel(np.diag([1e3, 2e-9, 5e-10]), tau_rank=1e-9)
+        assert rep.rank == 1
 
 
 class TestSnapping:
