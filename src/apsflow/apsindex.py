@@ -56,7 +56,6 @@ from .evolution import (
     Propagator,
     evolved_projection,
     nonunitary_propagate,
-    require_nonstiff,
 )
 from .spectralflow import spectral_flow
 
@@ -204,13 +203,11 @@ def lorentzian_index_subspace(
     to ``H_<0(0)``.  Must agree with the projection-pair route exactly.
     """
     t_end = family.horizon
-    k = propagator.index_of(t_end)
-    u_t = propagator.unitaries[k]
-    s0 = eigh(family.at(0.0))
-    st = eigh(family.at(float(propagator.grid[k])))
-    h_neg_0 = spectral_subspace(s0, NEGATIVE_AXIS, tau_0=tau_0)
-    h_pos_t = spectral_subspace(st, NONNEGATIVE_AXIS, tau_0=tau_0)
-    h_neg_t = spectral_subspace(st, NEGATIVE_AXIS, tau_0=tau_0)
+    u_t = propagator.unitaries[propagator.index_of(t_end)]
+    boundary = aps_boundary_data(family, tau_0=tau_0)
+    h_neg_0 = boundary.left_subspace
+    h_pos_t = boundary.right_subspace
+    h_neg_t = boundary.right_complement
 
     pulled_back = Subspace(family.dim, u_t.conj().T @ h_pos_t.basis)
     cosines = principal_cosines(h_neg_0, pulled_back)
@@ -432,11 +429,13 @@ def riemannian_index_discretized(
     ``1 - CAYLEY_ANGLE_TOL``.  The cokernel follows from the dimension count
     ``rows - rank = n - r_left - r_right + ker`` of the same system.
 
-    The factors have a pole where ``A_k`` has the eigenvalue ``-2/h`` and
-    are singular where it has ``2/h``, so the grid must satisfy
-    ``h ||A|| <= 1``, i.e. ``grid_intervals >= ||A|| * T``, with ``||A||``
-    the larger of ``norm_bound()`` and the largest norm at the midpoints; a
-    coarser grid raises ``StiffnessError``.
+    The one precondition is the grid: the factors have a pole where ``A_k``
+    has the eigenvalue ``-2/h`` and are singular where it has ``2/h``, so
+    ``grid_intervals < ||A|| * T`` (``||A||`` the larger of ``norm_bound()``
+    and the largest norm at the midpoints) raises ``StiffnessError``.  The
+    bound 40 of :func:`nonunitary_propagate` does not apply: it guards the
+    unnormalized growth ``exp(+-||A|| T)``, and here the QR after every step
+    brings the basis back to norm one.
 
     What still separates this route from :func:`riemannian_kernel_shooting`:
     Cayley steps where shooting takes exponential steps, the grid
@@ -452,7 +451,6 @@ def riemannian_index_discretized(
     numerical discovery.  The informative outputs are the separate kernel
     and cokernel dimensions and their stability in the grid.
     """
-    stiffness = require_nonstiff(family, " for the boundary-value discretization")
     if grid_intervals < 4:
         raise ValueError(f"need at least 4 grid intervals, got {grid_intervals}")
     m = grid_intervals
@@ -460,7 +458,8 @@ def riemannian_index_discretized(
     h = family.horizon / m
     mids = family.at_many([(k + 0.5) * h for k in range(m)])
     # the sampled norm bound can miss a peak between its samples that meets a pole
-    stiffness = max(stiffness, family.horizon * float(np.max(np.abs(np.linalg.eigvalsh(mids)))))
+    mid_norm = float(np.max(np.abs(np.linalg.eigvalsh(mids))))
+    stiffness = family.horizon * max(family.norm_bound(), mid_norm)
     if m < stiffness:
         raise StiffnessError(
             f"||A|| * T = {stiffness:.3g} exceeds the grid of {m} intervals; "
@@ -516,10 +515,19 @@ def _shot_kernel_dim(
     target: Subspace,
     angle_tol: float,
 ) -> tuple[int, np.ndarray]:
-    """Dimension of ``(R(T,0) start) ∩ target`` with the image orthonormalized."""
+    """Dimension of ``(R(T,0) start) ∩ target`` with the image orthonormalized.
+
+    An image of lower dimension than ``start`` raises ``StiffnessError``: the
+    invertible ``R(T,0)`` lost a direction to the span's relative cut.
+    """
     if start.dimension == 0:
         return 0, np.zeros(0)
     image = Subspace.span(transfer.transfer @ start.basis)
+    if image.dimension < start.dimension:
+        raise StiffnessError(
+            f"shooting kept {image.dimension} of {start.dimension} boundary directions: "
+            "R(T, 0) stretches them too unevenly for double precision"
+        )
     cosines = principal_cosines(image, target)
     return int(np.count_nonzero(cosines >= 1.0 - angle_tol)), cosines
 

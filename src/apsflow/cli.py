@@ -31,7 +31,6 @@ from .evolution import (
     SCHEME_CF4,
     SCHEME_MIDPOINT,
     SCHEMES,
-    STIFFNESS_BOUND,
     closed_form_counterexample_propagator,
     convergence_study,
     propagate,
@@ -430,11 +429,9 @@ def run_suite(
             failures += 1
 
     if name in ("theorems", "all"):
+        checks = ("flowind", "lorentzian-main", "riemannian-main")
         for family in shipped_families():
-            checks = ["flowind", "lorentzian-main"]
-            if family.norm_bound() * family.horizon <= STIFFNESS_BOUND:
-                checks.append("riemannian-main")
-            add("theorems", _family_result(family, base, tuple(checks)))
+            add("theorems", _family_result(family, base, checks))
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         for j in range(20):
             fam = singular_endpoint_family(int(rng.integers(2, 5)), rng)

@@ -38,7 +38,8 @@ class OffGridError(ApsflowError):
 
 
 class StiffnessError(ApsflowError):
-    """A non-unitary propagation would exceed double-precision range, or a
+    """A non-unitary propagation would exceed double-precision range, shooting
+    lost a direction of its boundary subspace to that range, or a
     boundary-value grid is too coarse for the norm of the family."""
 
 

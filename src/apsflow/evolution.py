@@ -399,32 +399,24 @@ class NonunitaryPropagator:
     warnings: tuple[str, ...] = ()
 
 
-def require_nonstiff(family: OperatorFamily, context: str) -> float:
-    """Raise ``StiffnessError`` when ``norm_bound() * T`` exceeds ``STIFFNESS_BOUND``.
+def nonunitary_propagate(family: OperatorFamily, intervals: int = 512) -> NonunitaryPropagator:
+    """Integrate ``dR/dt = -A(t) R`` with one exponential midpoint step per interval.
 
-    Beyond the bound ``exp(+-||A|| T)`` leaves double-precision range, so
-    neither the decaying propagator nor the boundary-value discretization
-    can be trusted; ``context`` ends the message.  Returns ``||A|| * T``.
+    Holds the stiffness gate: ``StiffnessError`` when ``norm_bound() * T``
+    exceeds ``STIFFNESS_BOUND``, because beyond it the growth
+    ``exp(+-||A|| T)`` of the unnormalized product leaves double-precision
+    range.  Multiplies the step factors in the integrator loop that
+    :func:`propagate` uses, and returns only the end product ``R(T, 0)``
+    with its condition number ``sigma_max / sigma_min`` from one SVD; a
+    warning is attached when that number exceeds ``1e12``.  The partial
+    products ``R(t_k, 0)`` are not kept.
     """
     stiffness = family.norm_bound() * family.horizon
     if stiffness > STIFFNESS_BOUND:
         raise StiffnessError(
             f"||A|| * T = {stiffness:.3g} exceeds the stiffness bound "
-            f"{STIFFNESS_BOUND:g}{context}"
+            f"{STIFFNESS_BOUND:g}; shrink the horizon or the spectrum"
         )
-    return stiffness
-
-
-def nonunitary_propagate(family: OperatorFamily, intervals: int = 512) -> NonunitaryPropagator:
-    """Integrate ``dR/dt = -A(t) R`` with one exponential midpoint step per interval.
-
-    Enforces :func:`require_nonstiff`.  Multiplies the step factors in the
-    integrator loop that :func:`propagate` uses, and returns only the end
-    product ``R(T, 0)`` with its condition number ``sigma_max / sigma_min``
-    from one SVD; a warning is attached when that number exceeds ``1e12``.
-    The partial products ``R(t_k, 0)`` are not kept.
-    """
-    require_nonstiff(family, "; shrink the horizon or the spectrum")
     _, mats = _transfer_products(family, intervals, 1, SCHEME_MIDPOINT, -1.0)
     transfer = mats[-1].copy()
     sigma = np.linalg.svd(transfer, compute_uv=False)

@@ -303,8 +303,26 @@ class TestRiemannianDiscretized:
 
     def test_stiffness_guard(self):
         f = constant_family(diag(80.0), 1.0)
-        with pytest.raises(StiffnessError):
+        with pytest.raises(StiffnessError, match="grid of 32 intervals"):
             riemannian_index_discretized(f, 32)
+
+    def test_cayley_past_the_stiffness_bound(self):
+        # the QR per step keeps the carried basis normalized, so only the grid
+        # precondition applies; nonunitary_propagate keeps the bound 40
+        for f in random_zoo(6, 0, sizes=(2, 4, 8)) + random_zoo(6, 1, sizes=(2, 4, 8)):
+            ev, dv = f.eval_fn, f.derivative_fn
+            c = 60.0 / (f.norm_bound() * f.horizon)
+            f = replace(
+                f,
+                eval_fn=lambda t, ev=ev, c=c: c * ev(t),
+                derivative_fn=lambda t, dv=dv, c=c: c * dv(t),
+            )
+            assert f.norm_bound() * f.horizon == pytest.approx(60.0)
+            rep = riemannian_index_discretized(f, 64)
+            dense = rank_kernel(assemble_discretized_operator(f, 64).matrix)
+            assert (rep.ker_dim, rep.coker_dim) == (dense.kernel_dim, dense.cokernel_dim), f.label
+        rep = riemannian_index_discretized(constant_family(diag(-50.0, 50.0), 1.0), 64)
+        assert (rep.ker_dim, rep.coker_dim) == (0, 0)
 
     def test_grid_must_resolve_the_norm(self):
         # at M = 4 the step matrix I/h + A/2 of the eigenvalue -8 = -2/h is exactly singular
@@ -326,6 +344,9 @@ class TestRiemannianDiscretized:
     def test_matches_the_dense_svd_oracle(self):
         rng = np.random.default_rng(7)
         singular = [singular_endpoint_family(2 + j % 3, rng) for j in range(10)]
+        # the oracle's relative rank cut 1e-10 misreads from about ||A|| T = 120,
+        # where sigma_min / sigma_max of the dense matrix falls below it, so
+        # the oracle stays at ||A|| T <= 40
         fams = [f for f in shipped_families() if f.norm_bound() * f.horizon <= 40.0]
         fams += [random_trig_family(n, rng) for n in (2, 3, 4, 8)]
         fams += singular + [endpoint_regularize(f) for f in singular]
@@ -368,6 +389,16 @@ class TestRiemannianShooting:
         rep = riemannian_kernel_shooting(f)
         assert rep.ker_dim == 0
 
+    def test_lost_direction_raises(self):
+        # at -25 R(T, 0) stretches H_<0(0) = C^2 with singular-value ratio 1.4e-11,
+        # below the span's relative cut, so without the check the kernel reads 0
+        f = linear_family(diag(-25.0, -15.0), diag(0.0, 30.0), 1.0)
+        with pytest.raises(StiffnessError, match="shooting kept 1 of 2 boundary directions"):
+            riemannian_kernel_shooting(f)
+        f = linear_family(diag(-20.0, -15.0), diag(0.0, 30.0), 1.0)
+        for rep in (riemannian_kernel_shooting(f), riemannian_index_discretized(f, 64)):
+            assert (rep.ker_dim, rep.coker_dim) == (1, 0), rep.method
+
     def test_agrees_with_discretized(self, rng):
         for _ in range(8):
             f = random_trig_family(int(rng.choice([2, 4])), rng)
@@ -387,15 +418,35 @@ def _cosine_check_families():
     return fams
 
 
-def _cayley_shooting_cosine_gaps(families, grid=48):
-    """Per family, the largest gap between the sorted Cayley and shooting kernel cosines."""
-    gaps = {}
-    for f in families:
+@pytest.fixture(scope="module")
+def cosine_check_shots():
+    """Each cosine-check family with its shooting report, shot once for every cosine test."""
+    fams = _cosine_check_families()
+    for f in fams:
         assert f.norm_bound() * f.horizon <= RIEMANNIAN_NORM_CAP, f.label
-        cayley = np.sort(riemannian_index_discretized(f, grid).diagnostics["principal_cosines"])
-        shot = np.sort(riemannian_kernel_shooting(f).diagnostics["kernel_cosines"])
-        assert cayley.shape == shot.shape and f.label not in gaps, f.label
-        gaps[f.label] = float(np.max(np.abs(cayley - shot), initial=0.0))
+    assert len({f.label for f in fams}) == len(fams)
+    return [(f, riemannian_kernel_shooting(f)) for f in fams]
+
+
+def _reversed_in_the_test(f):
+    """``f`` run backwards, built here so that a fault in ``time_reversed`` cannot reach it."""
+    ev, horizon = f.eval_fn, f.horizon
+    return replace(f, eval_fn=lambda s: ev(horizon - s), derivative_fn=None)
+
+
+def _cosine_gaps(shots, key="kernel_cosines", grid=48):
+    """Per family, the largest gap between sorted Cayley and shooting cosines.
+
+    ``key="kernel_cosines"`` compares with the Cayley cosines of the family,
+    ``"cokernel_cosines"`` with those of the family reversed in time.
+    """
+    gaps = {}
+    for f, shot in shots:
+        g = f if key == "kernel_cosines" else _reversed_in_the_test(f)
+        cayley = np.sort(riemannian_index_discretized(g, grid).diagnostics["principal_cosines"])
+        shot_cosines = np.sort(shot.diagnostics[key])
+        assert cayley.shape == shot_cosines.shape, f.label
+        gaps[f.label] = float(np.max(np.abs(cayley - shot_cosines), initial=0.0))
     return gaps
 
 
@@ -405,22 +456,35 @@ class TestCayleyMatchesShooting:
     Both compute the principal cosines between the carried ``H_<0(0)`` and
     ``H_>=0(T)``, with different steps and grids; their discretization
     errors are far below ``COSINE_ATOL`` (5.8e-5 at most over these
-    families).  A wrong operator, such as ``d/dt - A`` in the Cayley factors,
-    can leave every kernel and cokernel dimension in place while moving the
-    cosines at the first digit.
+    families).  The same holds for shooting's cokernel cosines against the
+    Cayley cosines of the family reversed in time.  A wrong operator, such
+    as ``d/dt - A`` in the Cayley factors, or a cokernel shot on the forward
+    family, can leave every kernel and cokernel dimension in place while
+    moving the cosines.
     """
 
     COSINE_ATOL = 1e-3
 
-    def test_cosines_agree(self):
-        gaps = _cayley_shooting_cosine_gaps(_cosine_check_families())
+    def test_cosines_agree(self, cosine_check_shots):
+        gaps = _cosine_gaps(cosine_check_shots)
         assert max(gaps.values()) <= self.COSINE_ATOL, gaps
 
-    def test_sign_flip_in_the_cayley_factors_is_caught(self, monkeypatch):
+    def test_sign_flip_in_the_cayley_factors_is_caught(self, cosine_check_shots, monkeypatch):
         # (I/h - A/2)^-1 (I/h + A/2) steps d/dt - A; shooting calls no solve
         solve = np.linalg.solve
         monkeypatch.setattr(apsindex.np.linalg, "solve", lambda a, b: solve(b, a))
-        gaps = _cayley_shooting_cosine_gaps(_cosine_check_families())
+        gaps = _cosine_gaps(cosine_check_shots)
+        assert max(gaps.values()) > self.COSINE_ATOL, gaps
+
+    def test_cokernel_cosines_agree(self, cosine_check_shots):
+        gaps = _cosine_gaps(cosine_check_shots, "cokernel_cosines")
+        assert max(gaps.values()) <= self.COSINE_ATOL, gaps
+
+    def test_unreversed_cokernel_shot_is_caught(self, cosine_check_shots, monkeypatch):
+        # shooting then propagates the forward family a second time for the cokernel
+        monkeypatch.setattr(OperatorFamily, "time_reversed", lambda self: self)
+        shots = [(f, riemannian_kernel_shooting(f)) for f, _ in cosine_check_shots]
+        gaps = _cosine_gaps(shots, "cokernel_cosines")
         assert max(gaps.values()) > self.COSINE_ATOL, gaps
 
 

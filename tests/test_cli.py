@@ -220,11 +220,11 @@ class TestRunCommand:
         assert "Traceback" not in result.output
 
     def test_typed_error_in_a_check_is_a_failed_entry(self, tmp_path):
-        # ||A|| * T = 50 exceeds the boundary-value stiffness bound
+        # ||A|| * T = 80 exceeds the default boundary-value grid of 64 intervals
         path = tmp_path / "config.json"
         write_config(
             path,
-            family=_family("constant", matrix_diagonal=[-50.0, 50.0]),
+            family=_family("constant", matrix_diagonal=[-80.0, 80.0]),
             checks=["riemannian-main"],
         )
         result = CliRunner().invoke(main, ["run", "--config", str(path)])
@@ -233,9 +233,10 @@ class TestRunCommand:
         entry = report["results"][0]
         assert entry["passed"] is False
         assert entry["error"].startswith("StiffnessError:")
+        assert "grid of 64 intervals" in entry["error"]
 
     def test_shooting_skipped_above_the_norm_cap(self, tmp_path):
-        # ||A|| * T = 20 lies between RIEMANNIAN_NORM_CAP and the stiffness bound
+        # ||A|| * T = 20 lies between RIEMANNIAN_NORM_CAP and the default grid of 64
         path = tmp_path / "config.json"
         write_config(
             path,

@@ -288,7 +288,8 @@ class TestNonunitaryPropagate:
 
     def test_stiffness_guard(self):
         f = constant_family(diag(100.0), 1.0)
-        with pytest.raises(StiffnessError, match="stiffness"):
+        message = r"\|\|A\|\| \* T = 100 exceeds the stiffness bound 40; shrink the horizon"
+        with pytest.raises(StiffnessError, match=message):
             nonunitary_propagate(f)
 
     def test_condition_warning_under_the_stiffness_gate(self):
