@@ -8,13 +8,17 @@ midpoint-exponential (second order) default and a fourth-order
 commutator-free composition for accuracy studies.  A non-unitary variant
 integrates the decaying equation ``dR/dt = -A(t) R`` under a stiffness
 guard and keeps only the end transfer ``R(T, 0)`` and its condition number,
-which is all that shooting reads.  The 2x2 eigenline-swapping blocks admit
-a closed-form propagator which serves as an exact oracle for everything
-else.
+which is all that shooting reads.  Both run one streamed integrator loop:
+generators are evaluated, exponentiated and multiplied into the products in
+chunks of at most ``STEP_CHUNK_BYTES`` per stage, so a propagation holds
+its stored products plus a small fixed buffer.  The 2x2 eigenline-swapping
+blocks admit a closed-form propagator which serves as an exact oracle for
+everything else.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -47,6 +51,7 @@ STIFFNESS_BOUND = 40.0
 CONDITION_WARNING = 1e12
 COST_BUDGET = 2e10  # flop-ish budget: substeps * dim^3 before a cost warning
 REFERENCE_MULTIPLIER = 16  # convergence reference grid / finest studied grid
+STEP_CHUNK_BYTES = 2**17  # generator stack per chunk and stage of the integrator loop
 
 _CF4_NODE = math.sqrt(3.0) / 6.0
 _CF4_ALPHA = 0.25 + _CF4_NODE  # weight on the near node
@@ -60,9 +65,19 @@ def _expi_hermitian_batch(mats: np.ndarray, factor: complex) -> np.ndarray:
     return np.einsum("...ij,...j,...kj->...ik", v, phases, v.conj())
 
 
+def _chunk_length(n: int, per: int = 1) -> int:
+    """Groups of ``per`` complex ``(n, n)`` matrices per ``STEP_CHUNK_BYTES``; at least one."""
+    return max(1, STEP_CHUNK_BYTES // (per * 16 * n * n))
+
+
 def _unitarity_defect(u: np.ndarray) -> float:
+    """Max entry of ``U_k* U_k - I`` over the stack, taken chunk by chunk."""
     eye = np.eye(u.shape[-1])
-    return float(np.max(np.abs(np.einsum("kji,kjl->kil", u.conj(), u) - eye)))
+    chunk = _chunk_length(u.shape[-1])
+    return max(
+        float(np.max(np.abs(np.einsum("kji,kjl->kil", c.conj(), c) - eye)))
+        for c in (u[start : start + chunk] for start in range(0, u.shape[0], chunk))
+    )
 
 
 @dataclass(frozen=True)
@@ -117,59 +132,61 @@ class Propagator:
         return k
 
 
-def _substep_generators(
-    family: OperatorFamily,
-    grid: np.ndarray,
-    steps: int,
-    scheme: str,
-) -> np.ndarray:
-    """Stack of Hermitian generators, one (or two for CF4) per substep."""
-    sub = np.linspace(grid[0], grid[-1], (grid.shape[0] - 1) * steps + 1)
-    h = float(sub[1] - sub[0])
-    if scheme == SCHEME_MIDPOINT:
-        return family.at_many(sub[:-1] + h / 2.0)
-    near = sub[:-1] + (0.5 - _CF4_NODE) * h
-    far = sub[:-1] + (0.5 + _CF4_NODE) * h
-    return np.stack([family.at_many(near), family.at_many(far)])
-
-
-def _step_factors(
-    family: OperatorFamily,
-    grid: np.ndarray,
-    steps: int,
-    scheme: str,
-    factor_sign: complex,
-) -> np.ndarray:
-    """One-step transfer matrices for every substep, in time order."""
-    h = float(grid[-1] - grid[0]) / ((grid.shape[0] - 1) * steps)
-    gens = _substep_generators(family, grid, steps, scheme)
-    if scheme == SCHEME_MIDPOINT:
-        return _expi_hermitian_batch(gens, factor_sign * h)
-    a1, a2 = gens
-    first = _expi_hermitian_batch(_CF4_ALPHA * a1 + _CF4_BETA * a2, factor_sign * h)
-    second = _expi_hermitian_batch(_CF4_BETA * a1 + _CF4_ALPHA * a2, factor_sign * h)
-    return np.einsum("kij,kjl->kil", second, first)
-
-
 def _transfer_products(
     family: OperatorFamily,
     intervals: int,
     steps: int,
     scheme: str,
     factor_sign: complex,
+    *,
+    keep_all: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The uniform grid and the time-ordered step-factor products at its points."""
+    """The uniform grid and the time-ordered step-factor products at its points.
+
+    The one integrator loop of :func:`propagate` and
+    :func:`nonunitary_propagate`.  The substep times are computed once; the
+    loop then walks them in chunks of whole intervals, at most
+    ``STEP_CHUNK_BYTES`` of generators per stage (at least one interval).
+    Each chunk is evaluated and checked (``at_many``), exponentiated (and
+    composed, for CF4) and multiplied into the products before the next
+    chunk is evaluated.  Every kernel works one matrix at a time, so the
+    chunk size changes no bit.  With ``keep_all`` the result is the
+    ``(intervals + 1, n, n)`` stack of products; without it, only the end
+    product ``(n, n)``, from a two-slot ring.
+    """
     grid = np.linspace(0.0, family.horizon, intervals + 1)
-    factors = _step_factors(family, grid, steps, scheme, factor_sign)
+    sub = np.linspace(grid[0], grid[-1], intervals * steps + 1)
+    # the times use the linspace spacing, the exponents T / (K steps)
+    h_sub = float(sub[1] - sub[0])
+    exponent = factor_sign * (float(grid[-1] - grid[0]) / (intervals * steps))
+    if scheme == SCHEME_MIDPOINT:
+        stages = (sub[:-1] + h_sub / 2.0,)
+    else:
+        stages = (sub[:-1] + (0.5 - _CF4_NODE) * h_sub, sub[:-1] + (0.5 + _CF4_NODE) * h_sub)
     n = family.dim
-    products = np.empty((intervals + 1, n, n), dtype=complex)
+    products = np.empty((intervals + 1 if keep_all else 2, n, n), dtype=complex)
     products[0] = np.eye(n)
-    for k in range(intervals):
-        slot = products[k + 1]
-        np.matmul(factors[k * steps], products[k], out=slot)
-        for j in range(1, steps):
-            np.matmul(factors[k * steps + j], slot, out=slot)
-    return grid, products
+    slots = list(products)
+    prev = slots[0]
+    targets = iter(slots[1:]) if keep_all else itertools.cycle(slots[::-1])
+    chunk = _chunk_length(n, steps) * steps
+    for start in range(0, intervals * steps, chunk):
+        gens = [family.at_many(times[start : start + chunk]) for times in stages]
+        if scheme == SCHEME_MIDPOINT:
+            factors = _expi_hermitian_batch(gens[0], exponent)
+        else:
+            a1, a2 = gens
+            first = _expi_hermitian_batch(_CF4_ALPHA * a1 + _CF4_BETA * a2, exponent)
+            second = _expi_hermitian_batch(_CF4_BETA * a1 + _CF4_ALPHA * a2, exponent)
+            factors = np.einsum("kij,kjl->kil", second, first)
+        substeps = iter(factors)
+        for factor in substeps:
+            slot = next(targets)
+            np.matmul(factor, prev, out=slot)
+            for _ in range(1, steps):
+                np.matmul(next(substeps), slot, out=slot)
+            prev = slot
+    return grid, products if keep_all else prev
 
 
 def propagate(
@@ -417,8 +434,8 @@ def nonunitary_propagate(family: OperatorFamily, intervals: int = 512) -> Nonuni
             f"||A|| * T = {stiffness:.3g} exceeds the stiffness bound "
             f"{STIFFNESS_BOUND:g}; shrink the horizon or the spectrum"
         )
-    _, mats = _transfer_products(family, intervals, 1, SCHEME_MIDPOINT, -1.0)
-    transfer = mats[-1].copy()
+    _, end = _transfer_products(family, intervals, 1, SCHEME_MIDPOINT, -1.0, keep_all=False)
+    transfer = end.copy()
     sigma = np.linalg.svd(transfer, compute_uv=False)
     condition = float(sigma[0] / np.maximum(sigma[-1], np.finfo(float).tiny))
     warnings: tuple[str, ...] = ()

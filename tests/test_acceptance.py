@@ -23,7 +23,6 @@ from apsflow.apsindex import (
 from apsflow.cli import RIEMANNIAN_NORM_CAP
 from apsflow.evolution import (
     SCHEME_CF4,
-    STIFFNESS_BOUND,
     cauchy_residual,
     cauchy_solve,
     closed_form_counterexample_propagator,
@@ -210,8 +209,8 @@ def test_criterion_6_boundary_value_index(zoo):
 
     stability_failures = []
     for family in shipped_families():
-        if family.norm_bound() * family.horizon > STIFFNESS_BOUND:
-            continue
+        if family.norm_bound() * family.horizon > 32:
+            continue  # the Cayley route's own precondition on its coarsest grid
         dims = [
             (r.ker_dim, r.coker_dim)
             for r in (riemannian_index_discretized(family, m) for m in (32, 64, 128))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,12 +25,19 @@ from apsflow.evolution import (
     write_propagator,
 )
 from apsflow.families import (
+    OperatorFamily,
     constant_family,
     counterexample_family,
     linear_family,
     swap_block_family,
 )
-from apsflow.matrixcore import NEGATIVE_AXIS, HermitianMatrix, eigh, spectral_projection
+from apsflow.matrixcore import (
+    NEGATIVE_AXIS,
+    HermitianMatrix,
+    eigh,
+    hermitian_stack,
+    spectral_projection,
+)
 from apsflow.zoo import random_trig_family
 
 
@@ -310,6 +319,111 @@ class TestNonunitaryPropagate:
         sigma = np.linalg.svd(r.transfer, compute_uv=False)
         assert r.condition == sigma[0] / sigma[-1]
         assert r.condition > 1.0
+
+
+def one_shot_products(family, intervals, steps, scheme, factor_sign):
+    """The integrator as one batch: every generator and factor at once, then a plain loop."""
+    grid = np.linspace(0.0, family.horizon, intervals + 1)
+    sub = np.linspace(grid[0], grid[-1], intervals * steps + 1)
+    h_sub = float(sub[1] - sub[0])
+    h = factor_sign * (float(grid[-1] - grid[0]) / (intervals * steps))
+    if scheme == SCHEME_MIDPOINT:
+        factors = evolution._expi_hermitian_batch(family.at_many(sub[:-1] + h_sub / 2.0), h)
+    else:
+        node = np.sqrt(3.0) / 6.0
+        alpha, beta = 0.25 + node, 0.25 - node
+        a1 = family.at_many(sub[:-1] + (0.5 - node) * h_sub)
+        a2 = family.at_many(sub[:-1] + (0.5 + node) * h_sub)
+        first = evolution._expi_hermitian_batch(alpha * a1 + beta * a2, h)
+        second = evolution._expi_hermitian_batch(beta * a1 + alpha * a2, h)
+        factors = np.einsum("kij,kjl->kil", second, first)
+    products = [np.eye(family.dim, dtype=complex)]
+    for k in range(intervals):
+        product = products[-1]
+        for factor in factors[k * steps : (k + 1) * steps]:
+            product = factor @ product
+        products.append(product)
+    return np.stack(products)
+
+
+def streamed_families():
+    rng = np.random.default_rng(7)
+    return {
+        1: random_trig_family(1, rng),
+        2: random_trig_family(2, rng),
+        16: random_trig_family(16, rng),
+        32: counterexample_family(np.arange(1.0, 17.0)),
+    }
+
+
+def numpy_peak(fn):
+    """``fn()`` and the peak of traced allocations (numpy buffers included) while it ran."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestStreamedIntegrator:
+    """The chunked integrator loop gives the bits of the one-shot batch, in bounded memory."""
+
+    FAMILIES = streamed_families()
+
+    @pytest.mark.parametrize("n", sorted(FAMILIES))
+    @pytest.mark.parametrize("intervals", [7, 1024])
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("scheme", [SCHEME_MIDPOINT, SCHEME_CF4])
+    def test_products_match_the_one_shot_batch(self, scheme, steps, intervals, n):
+        f = self.FAMILIES[n]
+        reference = one_shot_products(f, intervals, steps, scheme, 1j)
+        p = propagate(f, intervals, steps, scheme=scheme)
+        assert p.unitaries.shape == reference.shape
+        assert np.array_equal(p.unitaries, reference)
+        gram = np.einsum("kji,kjl->kil", reference.conj(), reference)
+        defect = float(np.max(np.abs(gram - np.eye(n))))
+        assert p.unitarity_defect() == defect
+
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    def test_transfer_matches_the_one_shot_batch(self, n):
+        f = self.FAMILIES[n]
+        reference = one_shot_products(f, 512, 1, SCHEME_MIDPOINT, -1.0)
+        assert np.array_equal(nonunitary_propagate(f, 512).transfer, reference[-1])
+
+    def test_propagate_holds_its_unitaries_and_a_small_buffer(self):
+        f = random_trig_family(16, np.random.default_rng(3))
+        propagate(f, 8)  # first-call allocations of the linear-algebra kernels
+        p, peak = numpy_peak(lambda: propagate(f, 1024))
+        assert peak - p.unitaries.nbytes <= 2 * 2**20
+
+    def test_shooting_holds_only_a_small_buffer(self):
+        f = random_trig_family(16, np.random.default_rng(3))
+        nonunitary_propagate(f, 8)
+        _, peak = numpy_peak(lambda: nonunitary_propagate(f, 512))
+        assert peak <= 2 * 2**20
+
+    def test_late_non_hermitian_chunk_raises_the_one_shot_error(self):
+        # Hermitian up to t = 0.9, then an upper-triangular defect that grows with t
+        rng = np.random.default_rng(11)
+        base = random_trig_family(16, rng)
+        skew = np.zeros((16, 16))
+        skew[0, 1] = 1.0
+
+        def eval_fn(t):
+            tt = np.asarray(t, dtype=float)[..., None, None]
+            return base.eval_fn(t) + np.maximum(tt - 0.9, 0.0) * skew
+
+        f = OperatorFamily(dim=16, horizon=1.0, label="late-defect", eval_fn=eval_fn)
+        mids = np.linspace(0.0, 1.0, 1025)[:-1] + 0.5 / 1024
+        with pytest.raises(ValueError) as one_shot:
+            hermitian_stack(eval_fn(mids))
+        assert "not Hermitian" in str(one_shot.value)
+        with pytest.raises(ValueError) as streamed:
+            propagate(f, 1024)
+        assert str(streamed.value) == str(one_shot.value)
 
 
 class TestSerialization:
