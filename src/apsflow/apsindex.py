@@ -54,6 +54,7 @@ from .matrixcore import (
 from .evolution import (
     NonunitaryPropagator,
     Propagator,
+    ShotFactors,
     evolved_projection,
     nonunitary_propagate,
 )
@@ -546,8 +547,13 @@ def riemannian_kernel_shooting(
     cokernel solves the formal adjoint with swapped boundary conditions,
     which after time reversal is the same computation for the reversed
     family: the time-reversed family is propagated a second time, with its
-    own non-unitary propagator, rather than reusing the forward one.  Its
-    boundary subspaces are the forward family's complements.
+    own non-unitary propagator.  It is still evaluated at its own
+    midpoints, checked and multiplied in its own order; only the step
+    exponentials of generators bitwise equal to the forward family's at the
+    mirrored step are shared (:class:`~apsflow.evolution.ShotFactors`), so
+    at ``T = 1`` one call takes ``intervals`` exponentials instead of twice
+    that, with every byte the same.  Its boundary subspaces are the forward
+    family's complements.
 
     What still separates this route from
     :func:`riemannian_index_discretized`: exponential midpoint steps on
@@ -560,12 +566,13 @@ def riemannian_kernel_shooting(
     matrices at ``T``, not a maximum over the grid.
     """
     boundary = aps_boundary_data(family, tau_0=tau_0)
-    forward = nonunitary_propagate(family, intervals)
+    shared = ShotFactors()
+    forward = nonunitary_propagate(family, intervals, shared=shared)
     ker, ker_cosines = _shot_kernel_dim(
         forward, boundary.left_subspace, boundary.right_subspace, angle_tol
     )
 
-    backward = nonunitary_propagate(family.time_reversed(), intervals)
+    backward = nonunitary_propagate(family.time_reversed(), intervals, shared=shared)
     coker, coker_cosines = _shot_kernel_dim(
         backward, boundary.right_complement, boundary.left_complement, angle_tol
     )

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -220,7 +221,13 @@ class OperatorFamily:
         )
 
     def norm_bound(self) -> float:
-        """Max spectral norm over ``NORM_SAMPLES`` uniform times."""
+        """Max spectral norm over ``NORM_SAMPLES`` uniform times, computed once per instance."""
+        return self._norm_bound
+
+    @cached_property
+    def _norm_bound(self) -> float:
+        # kept in the instance __dict__, not a field: ``replace`` copies
+        # recompute it, and equality and ``asdict`` do not see it
         ts = np.linspace(0.0, self.horizon, NORM_SAMPLES)
         return float(np.max(np.abs(np.linalg.eigvalsh(self.at_many(ts)))))
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -73,3 +74,15 @@ def subspace_intersection(u, v):
     lu, s, _ = np.linalg.svd(m)
     keep = np.clip(s, 0.0, 1.0) >= 1.0 - TAU_ANGLE
     return Subspace(u.ambient_dim, u.basis @ lu[:, : int(np.count_nonzero(keep))])
+
+
+def numpy_peak(fn):
+    """``fn()`` and the peak of traced allocations (numpy buffers included) while it ran."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

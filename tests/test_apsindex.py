@@ -1,9 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from apsflow import apsindex
+from apsflow import apsindex, evolution
 from apsflow.apsindex import (
     aps_boundary_data,
     assemble_discretized_operator,
@@ -17,7 +18,7 @@ from apsflow.apsindex import (
 )
 from apsflow.cli import RIEMANNIAN_NORM_CAP
 from apsflow.errors import ConsistencyError, StiffnessError
-from apsflow.evolution import propagate
+from apsflow.evolution import nonunitary_propagate, propagate
 from apsflow.families import (
     OperatorFamily,
     constant_family,
@@ -26,10 +27,10 @@ from apsflow.families import (
     linear_family,
     sampled_family,
 )
-from apsflow.matrixcore import TAU_ZERO, HermitianMatrix, rank_kernel
+from apsflow.matrixcore import SHOOTING_ANGLE_TOL, TAU_ZERO, HermitianMatrix, rank_kernel
 from apsflow.spectralflow import spectral_flow
 from apsflow.zoo import random_trig_family, random_zoo, shipped_families, singular_endpoint_family
-from conftest import diag_at, flow_plus_one, subspace_intersection
+from conftest import diag_at, flow_plus_one, numpy_peak, subspace_intersection
 
 
 def diag(*vals):
@@ -408,6 +409,91 @@ class TestRiemannianShooting:
             disc = riemannian_index_discretized(f, 64)
             assert shoot.ker_dim == disc.ker_dim
             assert shoot.coker_dim == disc.coker_dim
+
+
+def _sharing_families():
+    fams = [f for f in shipped_families() if f.norm_bound() * f.horizon <= RIEMANNIAN_NORM_CAP]
+    rng = np.random.default_rng(23)
+    fams += [singular_endpoint_family(n, rng) for n in (2, 3, 8)]
+    zoo = random_zoo(5, 17, sizes=(2, 3, 4, 8, 16))
+    for horizon in (1.0, 0.7, 1.3, math.pi / 3):
+        fams += [replace(f, horizon=horizon, label=f"{f.label}@{horizon:.4f}") for f in zoo]
+    return fams
+
+
+def _plain_shots(f):
+    """Shooting's outputs from two plain ``nonunitary_propagate`` calls that share nothing."""
+    boundary = aps_boundary_data(f)
+    forward = nonunitary_propagate(f)
+    backward = nonunitary_propagate(f.time_reversed())
+    ker = apsindex._shot_kernel_dim(
+        forward, boundary.left_subspace, boundary.right_subspace, SHOOTING_ANGLE_TOL
+    )
+    coker = apsindex._shot_kernel_dim(
+        backward, boundary.right_complement, boundary.left_complement, SHOOTING_ANGLE_TOL
+    )
+    return forward, backward, ker, coker
+
+
+def _exponentials(monkeypatch, f):
+    """The number of matrices one shooting call of ``f`` exponentiates."""
+    counted = []
+    batch = evolution._expi_hermitian_batch
+
+    def counting(mats, factor):
+        counted.append(len(mats))
+        return batch(mats, factor)
+
+    monkeypatch.setattr(evolution, "_expi_hermitian_batch", counting)
+    riemannian_kernel_shooting(f)
+    return sum(counted)
+
+
+class TestSharedShotFactors:
+    """The reversed shot borrows the forward step exponentials of bitwise-equal generators."""
+
+    @pytest.mark.parametrize("f", _sharing_families(), ids=lambda f: f.label)
+    def test_same_bits_as_two_plain_shots(self, f, monkeypatch):
+        transfers = []
+
+        def recording(*args, **kwargs):
+            transfers.append(nonunitary_propagate(*args, **kwargs))
+            return transfers[-1]
+
+        monkeypatch.setattr(apsindex, "nonunitary_propagate", recording)
+        shot = riemannian_kernel_shooting(f)
+        forward, backward, (ker, ker_cosines), (coker, coker_cosines) = _plain_shots(f)
+        assert [r.transfer.tobytes() for r in transfers] == [
+            forward.transfer.tobytes(),
+            backward.transfer.tobytes(),
+        ]
+        assert (shot.ker_dim, shot.coker_dim) == (ker, coker)
+        assert shot.diagnostics["kernel_cosines"].tobytes() == ker_cosines.tobytes()
+        assert shot.diagnostics["cokernel_cosines"].tobytes() == coker_cosines.tobytes()
+        assert shot.diagnostics["forward_condition"] == forward.condition
+        assert shot.diagnostics["backward_condition"] == backward.condition
+        assert shot.warnings == forward.warnings + backward.warnings
+
+    def test_half_the_exponentials_at_horizon_one(self, monkeypatch):
+        f = random_trig_family(4, np.random.default_rng(29))
+        assert _exponentials(monkeypatch, f) == 512
+
+    def test_only_bitwise_equal_generators_share_off_the_dyadic_horizon(self, monkeypatch):
+        # at T = 0.7 the mirrored midpoint times round differently for about half the steps
+        f = replace(random_trig_family(4, np.random.default_rng(29)), horizon=0.7)
+        assert 512 < _exponentials(monkeypatch, f) < 1024
+
+    def test_an_unreversed_cokernel_shot_shares_nothing(self, monkeypatch):
+        monkeypatch.setattr(OperatorFamily, "time_reversed", lambda self: self)
+        f = random_trig_family(4, np.random.default_rng(29))
+        assert _exponentials(monkeypatch, f) == 1024
+
+    def test_shooting_holds_the_forward_factors_and_a_small_buffer(self):
+        f = random_trig_family(16, np.random.default_rng(3))
+        riemannian_kernel_shooting(f, 8)  # first-call allocations of the linear-algebra kernels
+        _, peak = numpy_peak(lambda: riemannian_kernel_shooting(f))
+        factors = 512 * 16 * 16 * np.dtype(complex).itemsize
+        assert peak - factors <= 2**20
 
 
 def _cosine_check_families():

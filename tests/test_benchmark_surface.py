@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from apsflow import evolution, matrixcore, reporting, spectralflow
+from apsflow import apsindex, evolution, matrixcore, reporting, spectralflow
 from apsflow.families import linear_family
 from apsflow.matrixcore import HermitianMatrix
 
@@ -48,6 +48,24 @@ def test_traced_layers_record_their_counters(monkeypatch):
     assert counts["spectralflow.partition_segments"] >= 1
     assert counts["reporting.report_bytes"] == len("{}\n")
     assert (evolution.propagate, matrixcore.rank_kernel, spectralflow.spectral_flow) == originals
+
+
+def test_traced_shooting_records_both_propagations(monkeypatch):
+    # the per-layer metric attributes shooting's time to its two non-unitary propagations
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    family = linear_family(HermitianMatrix(np.diag([-0.5, 1.0])), HermitianMatrix(np.eye(2)), 1.0)
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        apsindex.riemannian_kernel_shooting(family)
+    finally:
+        restore()
+    spans, _ = tracer.take()
+    names = [span[2] for span in spans]
+    assert names.count("evolution.nonunitary_propagate") == 2
+    assert names.count("apsindex.riemannian_kernel_shooting") == 1
 
 
 def test_bvp_grid_integers_match_the_benchmark_record(monkeypatch):

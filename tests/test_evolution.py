@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -38,7 +36,8 @@ from apsflow.matrixcore import (
     hermitian_stack,
     spectral_projection,
 )
-from apsflow.zoo import random_trig_family
+from apsflow.zoo import random_trig_family, random_zoo
+from conftest import numpy_peak
 
 
 def diag(*vals):
@@ -356,18 +355,6 @@ def streamed_families():
     }
 
 
-def numpy_peak(fn):
-    """``fn()`` and the peak of traced allocations (numpy buffers included) while it ran."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 class TestStreamedIntegrator:
     """The chunked integrator loop gives the bits of the one-shot batch, in bounded memory."""
 
@@ -404,6 +391,25 @@ class TestStreamedIntegrator:
         nonunitary_propagate(f, 8)
         _, peak = numpy_peak(lambda: nonunitary_propagate(f, 512))
         assert peak <= 2 * 2**20
+
+    def test_gram_matches_the_strided_einsum_bit_for_bit(self):
+        # the contiguous-axis Gram matrix of _unitarity_defect keeps the summation order
+        rng = np.random.default_rng(5)
+        stacks = [propagate(f, 256).unitaries for f in random_zoo(12, 3, sizes=(2, 3, 4, 8, 16))]
+        stacks += [
+            propagate(counterexample_family(np.arange(1.0, m + 1.0)), 64).unitaries
+            for m in range(1, 17)
+        ]
+        stacks += [
+            rng.standard_normal((9, n, n)) + 1j * rng.standard_normal((9, n, n))
+            for n in range(1, 34)
+        ]
+        for u in stacks:
+            chunk = evolution._chunk_length(u.shape[-1])
+            for start in range(0, u.shape[0], chunk):
+                c = u[start : start + chunk]
+                strided = np.einsum("kji,kjl->kil", c.conj(), c)
+                assert evolution._gram(c).tobytes() == strided.tobytes()
 
     def test_late_non_hermitian_chunk_raises_the_one_shot_error(self):
         # Hermitian up to t = 0.9, then an upper-triangular defect that grows with t

@@ -1,8 +1,11 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
 from apsflow.errors import ConfigError, DimensionMismatchError, FamilyConstructionError
 from apsflow.families import (
+    NORM_SAMPLES,
     FamilySpec,
     capped_slope_profile,
     constant_family,
@@ -270,6 +273,35 @@ class TestRestriction:
         r = f.time_reversed()
         assert np.allclose(r.at(0.0).entries, f.at(1.0).entries)
         assert np.allclose(r.derivative_at(0.3).entries, -f.derivative_at(0.7).entries)
+
+
+class TestNormBound:
+    def test_cached_value_is_the_sampled_maximum(self, rng):
+        f = linear_family(
+            HermitianMatrix(random_hermitian_entries(3, rng)),
+            HermitianMatrix(random_hermitian_entries(3, rng)),
+            1.0,
+        )
+        ts = np.linspace(0.0, f.horizon, NORM_SAMPLES)
+        expected = float(np.max(np.abs(np.linalg.eigvalsh(f.at_many(ts)))))
+        assert f.norm_bound() == expected
+        assert f.norm_bound() == expected
+
+    def test_replaced_copy_computes_its_own(self):
+        f = linear_family(diag(-0.5, 0.25), diag(1.0, 2.0), 1.0)
+        bound = f.norm_bound()
+        ev = f.eval_fn
+        g = replace(f, eval_fn=lambda t: 3.0 * ev(t))
+        assert g.norm_bound() == pytest.approx(3.0 * bound)
+        assert f.norm_bound() == bound
+
+    def test_invisible_to_equality_and_asdict(self):
+        f = linear_family(diag(-0.5, 0.25), diag(1.0, 2.0), 1.0)
+        fresh = replace(f)
+        before = asdict(f)
+        f.norm_bound()
+        assert f == fresh
+        assert asdict(f).keys() == before.keys()
 
 
 class TestSpecsAndSerialization:
