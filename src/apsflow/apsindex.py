@@ -47,6 +47,7 @@ from .matrixcore import (
     Subspace,
     eigh,
     principal_cosines,
+    reduced_q,
     relative_index,
     spectral_projection,
     spectral_subspace,
@@ -54,7 +55,6 @@ from .matrixcore import (
 from .evolution import (
     NonunitaryPropagator,
     Propagator,
-    ShotFactors,
     evolved_projection,
     nonunitary_propagate,
 )
@@ -425,7 +425,11 @@ def riemannian_index_discretized(
     ``C_k = (I/h + A_k/2)^-1 (I/h - A_k/2)``, so the kernel is the part of
     ``H_<0(0)`` that the product of the ``C_k`` carries into ``H_>=0(T)``.
     The basis of ``H_<0(0)`` is multiplied by one factor at a time and
-    re-orthonormalized by a QR after every step; the kernel counts the
+    re-orthonormalized after every step by the ``Q`` of a reduced QR, taken
+    straight from LAPACK (:func:`~apsflow.matrixcore.reduced_q`, the same
+    bits as ``np.linalg.qr``); a basis that is not finite after the last
+    step (a step factor that was not) raises ``StiffnessError`` naming the
+    grid instead of reaching the SVD of the cosines.  The kernel counts the
     principal cosines against ``H_>=0(T)`` that are at least
     ``1 - CAYLEY_ANGLE_TOL``.  The cokernel follows from the dimension count
     ``rows - rank = n - r_left - r_right + ker`` of the same system.
@@ -475,7 +479,12 @@ def riemannian_index_discretized(
         cayley = np.linalg.solve(eye + mids / 2.0, eye - mids / 2.0)
         carried = left.basis
         for factor in cayley:
-            carried = np.linalg.qr(factor @ carried)[0]
+            carried = reduced_q(factor @ carried)
+        if not np.all(np.isfinite(carried)):
+            raise StiffnessError(
+                f"the Cayley steps on the grid of {m} intervals carried H_<0(0) "
+                "to a non-finite basis; a step factor is not finite"
+            )
         cosines = principal_cosines(Subspace(n, carried), right)
     ker = int(np.count_nonzero(cosines >= 1.0 - CAYLEY_ANGLE_TOL))
     coker = n - left.dimension - right.dimension + ker
@@ -546,33 +555,34 @@ def riemannian_kernel_shooting(
     by the decaying flow into the nonnegative subspace of ``A(T)``.  The
     cokernel solves the formal adjoint with swapped boundary conditions,
     which after time reversal is the same computation for the reversed
-    family: the time-reversed family is propagated a second time, with its
-    own non-unitary propagator.  It is still evaluated at its own
-    midpoints, checked and multiplied in its own order; only the step
+    family: the time-reversed family is propagated as a second chain, with
+    its own non-unitary propagator.  Both chains go through one
+    :func:`~apsflow.evolution.nonunitary_propagate` call, which multiplies
+    them in one loop, one matrix product per step on the pair.  The reversed
+    chain is still evaluated at its own midpoints, checked and multiplied in
+    its own order, into its own product; what the two chains share is that
+    loop, the stiffness gate read from the forward family, and the step
     exponentials of generators bitwise equal to the forward family's at the
-    mirrored step are shared (:class:`~apsflow.evolution.ShotFactors`), so
-    at ``T = 1`` one call takes ``intervals`` exponentials instead of twice
-    that, with every byte the same.  Its boundary subspaces are the forward
-    family's complements.
+    mirrored step, so at ``T = 1`` one call takes ``intervals`` exponentials
+    instead of twice that, with every byte the same.  Its boundary subspaces
+    are the forward family's complements.
 
     What still separates this route from
     :func:`riemannian_index_discretized`: exponential midpoint steps on
     ``intervals`` (512) intervals where that route takes Cayley steps on its
     grid, one product ``R(T, 0)`` and then one span where it takes a QR per
     step, its own cut ``angle_tol`` (``SHOOTING_ANGLE_TOL``), and the
-    cokernel from a second propagation of the time-reversed family where it
-    counts dimensions.  The diagnostics ``forward_condition`` and
-    ``backward_condition`` are the condition numbers of the two transfer
-    matrices at ``T``, not a maximum over the grid.
+    cokernel from a propagation of the time-reversed family where it counts
+    dimensions.  The two routes share no loop, factor or decomposition.
+    The diagnostics ``forward_condition`` and ``backward_condition`` are the
+    condition numbers of the two transfer matrices at ``T``, not a maximum
+    over the grid.
     """
     boundary = aps_boundary_data(family, tau_0=tau_0)
-    shared = ShotFactors()
-    forward = nonunitary_propagate(family, intervals, shared=shared)
+    forward, backward = nonunitary_propagate((family, family.time_reversed()), intervals)
     ker, ker_cosines = _shot_kernel_dim(
         forward, boundary.left_subspace, boundary.right_subspace, angle_tol
     )
-
-    backward = nonunitary_propagate(family.time_reversed(), intervals, shared=shared)
     coker, coker_cosines = _shot_kernel_dim(
         backward, boundary.right_complement, boundary.left_complement, angle_tol
     )

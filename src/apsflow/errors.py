@@ -39,8 +39,9 @@ class OffGridError(ApsflowError):
 
 class StiffnessError(ApsflowError):
     """A non-unitary propagation would exceed double-precision range, shooting
-    lost a direction of its boundary subspace to that range, or a
-    boundary-value grid is too coarse for the norm of the family."""
+    lost a direction of its boundary subspace to that range, a
+    boundary-value grid is too coarse for the norm of the family, or the
+    Cayley steps on such a grid left the finite numbers."""
 
 
 class ConsistencyError(ApsflowError):

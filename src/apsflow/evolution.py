@@ -8,14 +8,15 @@ midpoint-exponential (second order) default and a fourth-order
 commutator-free composition for accuracy studies.  A non-unitary variant
 integrates the decaying equation ``dR/dt = -A(t) R`` under a stiffness
 guard and keeps only the end transfer ``R(T, 0)`` and its condition number,
-which is all that shooting reads; shooting's time-reversed call borrows the
-forward call's step exponentials where the mirrored generators agree bit
-for bit (:class:`ShotFactors`).  Both run one streamed integrator loop:
+which is all that shooting reads.  Both run one streamed integrator loop:
 generators are evaluated, exponentiated and multiplied into the products in
 chunks of at most ``STEP_CHUNK_BYTES`` per stage, so a propagation holds
-its stored products plus a small fixed buffer.  The 2x2 eigenline-swapping
-blocks admit a closed-form propagator which serves as an exact oracle for
-everything else.
+its stored products plus a small fixed buffer.  The loop multiplies a stack
+of independent chains with one matrix product per step: shooting propagates
+a family and its time reversal in one call, and the reversal borrows the
+forward step exponentials where the mirrored generators agree bit for bit.
+The 2x2 eigenline-swapping blocks admit a closed-form propagator which
+serves as an exact oracle for everything else.
 """
 
 from __future__ import annotations
@@ -144,66 +145,94 @@ class Propagator:
         return k
 
 
-class ShotFactors:
-    """The midpoint step factors of one shot, lent to the time-reversed shot after it.
+def _step_factors(family: OperatorFamily, stages, exponent: complex, steps: int):
+    """The step factors of one chain in step order, one chunk at a time.
 
-    Empty until the first :func:`nonunitary_propagate` given it records its
-    family, midpoint times, exponent and ``K`` step factors (``K n^2``
-    complex numbers) in it.  A later call given the same record still
-    evaluates and checks its own generators, and multiplies in its own
-    order.  At its step ``k`` it takes the recorded factor of step
-    ``K - 1 - k`` when the recorded family's generator there, evaluated
-    again rather than stored, equals its own bit for bit (compared as
-    ``uint64``, so ``-0.0 != 0.0``) and the exponent is the same; every
-    other step is exponentiated.  A factor depends only on its generator's
-    bytes and the exponent, so the sharing moves no bit.
+    Each chunk of whole intervals, at most ``STEP_CHUNK_BYTES`` of generators
+    per stage, is evaluated and checked (``at_many``) and exponentiated (and
+    composed, for CF4) before the next chunk is evaluated.
     """
+    chunk = _chunk_length(family.dim, steps) * steps
+    for start in range(0, len(stages[0]), chunk):
+        gens = [family.at_many(times[start : start + chunk]) for times in stages]
+        if len(gens) == 1:
+            yield _expi_hermitian_batch(gens[0], exponent)
+        else:
+            a1, a2 = gens
+            first = _expi_hermitian_batch(_CF4_ALPHA * a1 + _CF4_BETA * a2, exponent)
+            second = _expi_hermitian_batch(_CF4_BETA * a1 + _CF4_ALPHA * a2, exponent)
+            yield np.einsum("kij,kjl->kil", second, first)
 
-    def __init__(self):
-        self.family: OperatorFamily | None = None
-        self.times: np.ndarray | None = None
-        self.exponent: complex | None = None
-        self.factors: np.ndarray | None = None
 
-    def mirrored(self, gens: np.ndarray, exponent: complex, start: int) -> np.ndarray:
-        """The factors of ``gens``, steps ``start`` on, recorded ones where the generators agree."""
-        last = len(self.times) - 1 - start
-        mirror = np.arange(last, last - len(gens), -1)
-        recorded = self.family.at_many(self.times[mirror])
-        same = np.all(gens.view(np.uint64) == recorded.view(np.uint64), axis=(1, 2))
-        factors = self.factors[mirror]
+def _mirrored_factors(first: OperatorFamily, reversal: OperatorFamily, times, exponent: complex):
+    """Chunks ``(L, 2, n, n)`` of the midpoint factors of a family and its time reversal.
+
+    ``first``'s ``K`` factors are computed up front and held (``K n^2``
+    complex numbers).  The reversal still evaluates and checks its own
+    generators chunk by chunk in its own order, in chunks of the size one
+    chain uses.  At its step ``k`` it takes ``first``'s factor of step
+    ``K - 1 - k`` where ``first``'s generator there, evaluated again rather
+    than stored, equals its own bit for bit (compared as ``uint64``, so
+    ``-0.0 != 0.0``); every other step is exponentiated.  A factor depends
+    only on its generator's bytes and the exponent, so the sharing moves no
+    bit.  The pairs are handed out as views of one buffer of
+    ``_chunk_length(n, 2)`` steps, overwritten by the next view.
+    """
+    total = len(times)
+    held = np.empty((total, first.dim, first.dim), dtype=complex)
+    filled = 0
+    for factors in _step_factors(first, (times,), exponent, 1):
+        held[filled : filled + len(factors)] = factors
+        filled += len(factors)
+    chunk = _chunk_length(first.dim)
+    pair = _chunk_length(first.dim, 2)
+    buffer = np.empty((min(pair, total), 2, first.dim, first.dim), dtype=complex)
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        mirror = slice(total - stop, total - start)
+        gens = reversal.at_many(times[start:stop])
+        theirs = first.at_many(times[mirror][::-1].copy())
+        same = np.all(gens.view(np.uint64) == theirs.view(np.uint64), axis=(1, 2))
+        own = held[mirror][::-1]
         if not same.all():
-            factors[~same] = _expi_hermitian_batch(gens[~same], exponent)
-        return factors
+            own = own.copy()
+            own[~same] = _expi_hermitian_batch(gens[~same], exponent)
+        gens = theirs = None  # freed before the pairs are handed out
+        for sub in range(start, stop, pair):
+            factors = buffer[: min(pair, stop - sub)]
+            factors[:, 0] = held[sub : sub + len(factors)]
+            factors[:, 1] = own[sub - start : sub - start + len(factors)]
+            yield factors
 
 
 def _transfer_products(
-    family: OperatorFamily,
+    families: tuple[OperatorFamily, ...],
     intervals: int,
     steps: int,
     scheme: str,
     factor_sign: complex,
     *,
     keep_all: bool = True,
-    shared: ShotFactors | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The uniform grid and the time-ordered step-factor products at its points.
+    """The uniform grid and the time-ordered step-factor products of each chain at its points.
 
     The one integrator loop of :func:`propagate` and
-    :func:`nonunitary_propagate`.  The substep times are computed once; the
-    loop then walks them in chunks of whole intervals, at most
-    ``STEP_CHUNK_BYTES`` of generators per stage (at least one interval).
-    Each chunk is evaluated and checked (``at_many``), exponentiated (and
-    composed, for CF4) and multiplied into the products before the next
-    chunk is evaluated.  Every kernel works one matrix at a time, so the
-    chunk size changes no bit.  With ``keep_all`` the result is the
-    ``(intervals + 1, n, n)`` stack of products; without it, only the end
-    product ``(n, n)``, from a two-slot ring.  ``shared`` (midpoint scheme,
-    one substep) is a :class:`ShotFactors` record: an empty one receives
-    this call's step factors, a filled one lends its factors to the steps
-    whose mirrored generators agree bit for bit.
+    :func:`nonunitary_propagate`.  It multiplies ``C = len(families)``
+    (one or two) independent chains at once: one ``np.matmul`` per step on
+    a ``(C, n, n)`` slot (an ``(n, n)`` slot for one chain), which
+    multiplies each chain's matrices exactly as a loop of its own would.  The substep times
+    are computed once from the first family's horizon; the factors come in
+    chunks of at most ``STEP_CHUNK_BYTES`` of generators per stage
+    (:func:`_step_factors`), each multiplied into the products before the
+    next chunk is evaluated.  Every kernel works one matrix at a time, so
+    the chunk size changes no bit.  A second family (midpoint scheme, one
+    substep) is the first one's time reversal and borrows its factors at the
+    mirrored steps (:func:`_mirrored_factors`).  With ``keep_all`` the
+    result is the ``(intervals + 1, ...)`` stack of products; without it,
+    only the end product, from a two-slot ring.
     """
-    grid = np.linspace(0.0, family.horizon, intervals + 1)
+    first, *reversal = families
+    grid = np.linspace(0.0, first.horizon, intervals + 1)
     sub = np.linspace(grid[0], grid[-1], intervals * steps + 1)
     # the times use the linspace spacing, the exponents T / (K steps)
     h_sub = float(sub[1] - sub[0])
@@ -212,36 +241,18 @@ def _transfer_products(
         stages = (sub[:-1] + h_sub / 2.0,)
     else:
         stages = (sub[:-1] + (0.5 - _CF4_NODE) * h_sub, sub[:-1] + (0.5 + _CF4_NODE) * h_sub)
-    n = family.dim
-    products = np.empty((intervals + 1 if keep_all else 2, n, n), dtype=complex)
+    n = first.dim
+    shape = (len(families), n, n) if reversal else (n, n)
+    products = np.empty((intervals + 1 if keep_all else 2, *shape), dtype=complex)
     products[0] = np.eye(n)
     slots = list(products)
     prev = slots[0]
     targets = iter(slots[1:]) if keep_all else itertools.cycle(slots[::-1])
-    record = shared is not None and shared.factors is None
-    borrow = (
-        shared is not None
-        and not record
-        and shared.exponent == exponent
-        and shared.factors.shape == (intervals * steps, n, n)
-    )
-    if record:
-        shared.family, shared.times, shared.exponent = family, stages[0], exponent
-        shared.factors = np.empty((intervals * steps, n, n), dtype=complex)
-    chunk = _chunk_length(n, steps) * steps
-    for start in range(0, intervals * steps, chunk):
-        gens = [family.at_many(times[start : start + chunk]) for times in stages]
-        if borrow:
-            factors = shared.mirrored(gens[0], exponent, start)
-        elif scheme == SCHEME_MIDPOINT:
-            factors = _expi_hermitian_batch(gens[0], exponent)
-            if record:
-                shared.factors[start : start + len(factors)] = factors
-        else:
-            a1, a2 = gens
-            first = _expi_hermitian_batch(_CF4_ALPHA * a1 + _CF4_BETA * a2, exponent)
-            second = _expi_hermitian_batch(_CF4_BETA * a1 + _CF4_ALPHA * a2, exponent)
-            factors = np.einsum("kij,kjl->kil", second, first)
+    if reversal:
+        chunks = _mirrored_factors(first, *reversal, stages[0], exponent)
+    else:
+        chunks = _step_factors(first, stages, exponent, steps)
+    for factors in chunks:
         substeps = iter(factors)
         for factor in substeps:
             slot = next(targets)
@@ -270,7 +281,7 @@ def propagate(
         raise ValueError("intervals and steps must be positive")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    grid, unitaries = _transfer_products(family, intervals, steps, scheme, 1j)
+    grid, unitaries = _transfer_products((family,), intervals, steps, scheme, 1j)
     warnings: tuple[str, ...] = ()
     cost = intervals * steps * family.dim**3
     if cost > COST_BUDGET:
@@ -480,8 +491,8 @@ class NonunitaryPropagator:
 
 
 def nonunitary_propagate(
-    family: OperatorFamily, intervals: int = 512, *, shared: ShotFactors | None = None
-) -> NonunitaryPropagator:
+    family: OperatorFamily | tuple[OperatorFamily, OperatorFamily], intervals: int = 512
+) -> NonunitaryPropagator | tuple[NonunitaryPropagator, NonunitaryPropagator]:
     """Integrate ``dR/dt = -A(t) R`` with one exponential midpoint step per interval.
 
     Holds the stiffness gate: ``StiffnessError`` when ``norm_bound() * T``
@@ -490,22 +501,37 @@ def nonunitary_propagate(
     range.  Multiplies the step factors in the integrator loop that
     :func:`propagate` uses, and returns only the end product ``R(T, 0)``
     with its condition number ``sigma_max / sigma_min`` from one SVD; a
-    warning is attached when that number exceeds ``1e12``.  The partial
-    products ``R(t_k, 0)`` are not kept, and without ``shared`` neither are
-    the step factors.  Shooting passes one :class:`ShotFactors` record to
-    its forward and its time-reversed call: the first fills it with its
-    ``intervals`` step factors, the second borrows those whose mirrored
-    generators agree bit for bit, with the same bytes out.
+    warning is attached when that number exceeds ``1e12``.  Neither the
+    partial products ``R(t_k, 0)`` nor, for one family, the step factors
+    are kept.
+
+    ``family`` may also be a tuple: a family followed by its time reversal,
+    as shooting passes it.  The chains are then multiplied in one loop and a
+    tuple of propagators comes back, each with the bytes its own call would
+    give.  The reversal borrows the first family's step exponential wherever
+    its generator equals the first one's at the mirrored step bit for bit,
+    for which the first family's ``K`` factors are held during the call.
+    The gate reads only the first family's ``norm_bound()``: the reversal's
+    samples are the same matrices at mirrored times.
     """
-    stiffness = family.norm_bound() * family.horizon
+    families = family if isinstance(family, tuple) else (family,)
+    if isinstance(family, tuple) and len(family) != 2:
+        raise ValueError(f"expected a family or a pair of families, got {len(family)}")
+    first = families[0]
+    stiffness = first.norm_bound() * first.horizon
     if stiffness > STIFFNESS_BOUND:
         raise StiffnessError(
             f"||A|| * T = {stiffness:.3g} exceeds the stiffness bound "
             f"{STIFFNESS_BOUND:g}; shrink the horizon or the spectrum"
         )
-    _, end = _transfer_products(
-        family, intervals, 1, SCHEME_MIDPOINT, -1.0, keep_all=False, shared=shared
-    )
+    _, end = _transfer_products(families, intervals, 1, SCHEME_MIDPOINT, -1.0, keep_all=False)
+    ends = end if isinstance(family, tuple) else end[None]
+    results = tuple(_nonunitary_result(f, e) for f, e in zip(families, ends))
+    return results if isinstance(family, tuple) else results[0]
+
+
+def _nonunitary_result(family: OperatorFamily, end: np.ndarray) -> NonunitaryPropagator:
+    """One chain's end product with its condition number and warning."""
     transfer = end.copy()
     sigma = np.linalg.svd(transfer, compute_uv=False)
     condition = float(sigma[0] / np.maximum(sigma[-1], np.finfo(float).tiny))

@@ -26,6 +26,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     AmbiguousSpectralCutError,
@@ -404,6 +405,30 @@ def principal_cosines(u: Subspace, v: Subspace) -> np.ndarray:
     if min(m.shape) == 0:
         return np.zeros(0)
     return np.clip(np.linalg.svd(m, compute_uv=False), 0.0, 1.0)
+
+
+def _raise_qr_failure(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+def reduced_q(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.qr(a)[0]`` bit for bit, for a complex ``(m, r)`` array it overwrites.
+
+    Calls the two gufuncs that ``np.linalg.qr`` calls, ``qr_r_raw`` and
+    then ``qr_reduced``, on ``a`` itself, with the wrapper's error handling:
+    a LAPACK failure sets the invalid flag, which raises ``LinAlgError``
+    as it does in ``np.linalg.qr``.  It skips only the rest of the wrapper,
+    the copy and casts of ``a`` and the assembly of an ``R`` the caller
+    does not read.  ``a`` must be a native complex128 array the caller no
+    longer needs: the factorization is left in it (any other dtype would be
+    cast to a copy, and ``qr_reduced`` would read the untouched input).
+    """
+    if a.dtype != np.complex128:
+        raise TypeError(f"reduced_q factors native complex128 in place, got {a.dtype}")
+    with np.errstate(call=_raise_qr_failure, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+        return _umath_linalg.qr_reduced(a, tau, signature="DD->D")
 
 
 @dataclass(frozen=True)

@@ -379,6 +379,23 @@ class TestRiemannianDiscretized:
             assert whole == left + right
 
 
+class TestNonFiniteCayleyBasis:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_a_non_finite_step_factor_is_a_typed_error(self, monkeypatch):
+        solve = np.linalg.solve
+
+        def one_inf_entry(a, b):
+            factors = solve(a, b)
+            factors[7, 0, 1] = np.inf
+            return factors
+
+        monkeypatch.setattr(apsindex.np.linalg, "solve", one_inf_entry)
+        f = linear_family(diag(-0.5, 0.25), diag(1.0, 0.5), 1.0)
+        message = "grid of 64 intervals carried H_<0.0. to a non-finite basis"
+        with pytest.raises(StiffnessError, match=message):
+            riemannian_index_discretized(f, 64)
+
+
 class TestRiemannianShooting:
     def test_scalar_crossing(self):
         f = linear_family(diag(-0.5), diag(1.0), 1.0)
@@ -450,23 +467,27 @@ def _exponentials(monkeypatch, f):
 
 
 class TestSharedShotFactors:
-    """The reversed shot borrows the forward step exponentials of bitwise-equal generators."""
+    """One call multiplies both shots; the reversed one borrows bitwise-equal exponentials."""
 
     @pytest.mark.parametrize("f", _sharing_families(), ids=lambda f: f.label)
     def test_same_bits_as_two_plain_shots(self, f, monkeypatch):
-        transfers = []
+        calls = []
 
         def recording(*args, **kwargs):
-            transfers.append(nonunitary_propagate(*args, **kwargs))
-            return transfers[-1]
+            calls.append(nonunitary_propagate(*args, **kwargs))
+            return calls[-1]
 
         monkeypatch.setattr(apsindex, "nonunitary_propagate", recording)
         shot = riemannian_kernel_shooting(f)
         forward, backward, (ker, ker_cosines), (coker, coker_cosines) = _plain_shots(f)
-        assert [r.transfer.tobytes() for r in transfers] == [
+        (joint,) = calls
+        assert [r.transfer.tobytes() for r in joint] == [
             forward.transfer.tobytes(),
             backward.transfer.tobytes(),
         ]
+        assert [r.condition for r in joint] == [forward.condition, backward.condition]
+        assert [r.warnings for r in joint] == [forward.warnings, backward.warnings]
+        assert [r.family_label for r in joint] == [forward.family_label, backward.family_label]
         assert (shot.ker_dim, shot.coker_dim) == (ker, coker)
         assert shot.diagnostics["kernel_cosines"].tobytes() == ker_cosines.tobytes()
         assert shot.diagnostics["cokernel_cosines"].tobytes() == coker_cosines.tobytes()
@@ -487,6 +508,26 @@ class TestSharedShotFactors:
         monkeypatch.setattr(OperatorFamily, "time_reversed", lambda self: self)
         f = random_trig_family(4, np.random.default_rng(29))
         assert _exponentials(monkeypatch, f) == 1024
+
+    def test_stiffness_is_gated_once_on_the_forward_family(self, monkeypatch):
+        reversals = []
+        time_reversed = OperatorFamily.time_reversed
+
+        def recording(self):
+            reversals.append(time_reversed(self))
+            return reversals[-1]
+
+        monkeypatch.setattr(OperatorFamily, "time_reversed", recording)
+        riemannian_kernel_shooting(random_trig_family(3, np.random.default_rng(31)))
+        (reversal,) = reversals
+        assert "_norm_bound" not in vars(reversal)  # cached_property: computed only when read
+        f = constant_family(diag(-50.0, 50.0), 1.0)
+        message = (
+            r"^\|\|A\|\| \* T = 50 exceeds the stiffness bound 40; "
+            r"shrink the horizon or the spectrum$"
+        )
+        with pytest.raises(StiffnessError, match=message):
+            riemannian_kernel_shooting(f)
 
     def test_shooting_holds_the_forward_factors_and_a_small_buffer(self):
         f = random_trig_family(16, np.random.default_rng(3))

@@ -51,7 +51,8 @@ def test_traced_layers_record_their_counters(monkeypatch):
 
 
 def test_traced_shooting_records_both_propagations(monkeypatch):
-    # the per-layer metric attributes shooting's time to its two non-unitary propagations
+    # the per-layer metric attributes shooting's time to its one non-unitary propagation,
+    # which multiplies the forward and the time-reversed chain in one loop
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -64,7 +65,7 @@ def test_traced_shooting_records_both_propagations(monkeypatch):
         restore()
     spans, _ = tracer.take()
     names = [span[2] for span in spans]
-    assert names.count("evolution.nonunitary_propagate") == 2
+    assert names.count("evolution.nonunitary_propagate") == 1
     assert names.count("apsindex.riemannian_kernel_shooting") == 1
 
 

@@ -300,6 +300,14 @@ class TestNonunitaryPropagate:
         with pytest.raises(StiffnessError, match=message):
             nonunitary_propagate(f)
 
+    def test_a_tuple_is_a_family_and_its_reversal(self):
+        f = constant_family(diag(-0.5), 1.0)
+        with pytest.raises(ValueError, match="pair of families, got 1"):
+            nonunitary_propagate((f,))
+        forward, backward = nonunitary_propagate((f, f.time_reversed()), 16)
+        assert forward.transfer.tobytes() == nonunitary_propagate(f, 16).transfer.tobytes()
+        assert backward.family_label == f.time_reversed().label
+
     def test_condition_warning_under_the_stiffness_gate(self):
         # ||A|| T = 19 passes the gate; cond R(1, 0) = e^38 exceeds 1e12
         f = constant_family(diag(-19.0, 19.0), 1.0)
@@ -312,7 +320,7 @@ class TestNonunitaryPropagate:
         # the shared integrator loop's last product, bit for bit, and its condition number
         f = random_trig_family(3, rng)
         r = nonunitary_propagate(f, 64)
-        products = evolution._transfer_products(f, 64, 1, SCHEME_MIDPOINT, -1.0)[1]
+        products = evolution._transfer_products((f,), 64, 1, SCHEME_MIDPOINT, -1.0)[1]
         assert r.transfer.shape == (3, 3)
         assert np.array_equal(r.transfer, products[-1])
         sigma = np.linalg.svd(r.transfer, compute_uv=False)

@@ -31,6 +31,14 @@ boundary-value singular values of the theorems suite (and, by far more, a
 gap ratio over a round-off-sized one), so the suites run in a child process
 pinned to one thread.
 
+``BVP_GRID_SHA256`` is the SHA-256 of one pass of the benchmark's
+``bvp-grid`` workload at seed 0 (every family's records through
+``reporting.canonical_json``, the digest ``perfbench/run.py`` prints),
+recorded with one BLAS thread before shooting multiplied its two chains in
+one loop and the Cayley steps took their ``Q`` from the QR gufuncs.  It
+guards every boundary-value float of the singular-endpoint draws and of the
+grids 32 and 64, which no suite report reaches.
+
 ``scalar-crossing/report.json``, ``scalar-crossing/singular_values.csv`` and
 ``suites/suite-theorems.json`` were re-recorded once, with one BLAS thread,
 when the boundary-value route was compactified: only the diagnostics of the
@@ -122,6 +130,42 @@ def test_scalar_crossing_exports_match_golden(tmp_path, what):
     assert (tmp_path / filename).read_bytes() == expected
 
 
+def _one_thread_env():
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+    }
+
+
+BVP_GRID_SHA256 = "c636ce8a5ef4ece27fd6b83b81c7f36de9bc13ea2dc02a6fe363ed33bb98bdc8"
+BVP_GRID_PASS = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+from workloads import BvpGrid
+from apsflow import reporting
+digest = hashlib.sha256()
+for case in BvpGrid.build(0, None):
+    records, _ = BvpGrid.work(case)
+    digest.update(reporting.canonical_json(records).encode("utf-8"))
+print(digest.hexdigest())
+"""
+
+
+def test_bvp_grid_pass_bytes_match_golden():
+    result = subprocess.run(
+        [sys.executable, "-c", BVP_GRID_PASS, str(ROOT / "perfbench")],
+        env=_one_thread_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == BVP_GRID_SHA256
+
+
 SUITES = {
     "theorems": [],
     "convergence": [],
@@ -132,17 +176,10 @@ SUITES = {
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_suite_reports_match_golden(tmp_path, name):
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
-        "OPENBLAS_NUM_THREADS": "1",
-        "OMP_NUM_THREADS": "1",
-        "MKL_NUM_THREADS": "1",
-    }
     result = subprocess.run(
         [sys.executable, "-m", "apsflow", "suite", name, *SUITES[name],
          "--seed", "0", "--out", str(tmp_path)],
-        env=env,
+        env=_one_thread_env(),
         capture_output=True,
         text=True,
         timeout=300,

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from apsflow import matrixcore
 from apsflow.errors import AmbiguousSpectralCutError, DimensionMismatchError
 from apsflow.matrixcore import (
     NEGATIVE_AXIS,
@@ -13,6 +16,7 @@ from apsflow.matrixcore import (
     hermitian_stack,
     principal_cosines,
     rank_kernel,
+    reduced_q,
     relative_index,
     snap_eigenvalues,
     spectral_projection,
@@ -270,6 +274,49 @@ class TestRankKernel:
         assert rep.rank == 2
         rep = rank_kernel(np.diag([1e3, 2e-9, 5e-10]), tau_rank=1e-9)
         assert rep.rank == 1
+
+
+def _qr_inputs(n, r, rng):
+    """Complex ``(n, r)`` inputs: generic, rank-deficient, with a zero column, and Cayley-like."""
+    g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    yield "generic", g
+    low = g[:, :1] @ (rng.standard_normal((1, r)) + 1j * rng.standard_normal((1, r)))
+    yield "rank one", low
+    zero = g.copy()
+    zero[:, r // 2] = 0.0
+    yield "zero column", zero
+    yield "all zero", np.zeros((n, r), dtype=complex)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    yield "orthonormal", q[:, :r] * (1.0 + 1e-3 * rng.standard_normal(r))
+
+
+class TestReducedQ:
+    """``reduced_q`` is ``np.linalg.qr(a)[0]`` bit for bit, through numpy's private gufuncs."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+    def test_same_bits_as_numpy_qr(self, n):
+        rng = np.random.default_rng(100 + n)
+        for r in sorted({1, math.ceil(n / 2), n}):
+            for kind, a in _qr_inputs(n, r, rng):
+                expected = np.linalg.qr(a)[0]
+                got = reduced_q(a.copy())
+                assert got.shape == expected.shape == (n, r), (n, r, kind)
+                assert got.dtype == expected.dtype, (n, r, kind)
+                assert got.tobytes() == expected.tobytes(), (n, r, kind)
+
+    def test_only_native_complex_is_factored_in_place(self):
+        for a in (np.eye(2), np.eye(2, dtype=">c16")):
+            with pytest.raises(TypeError, match="complex128"):
+                reduced_q(a)
+
+    def test_a_lapack_failure_still_raises(self, monkeypatch):
+        # the gufunc reports a LAPACK failure through the invalid flag, as numpy's wrapper expects
+        def failing(a, signature):
+            return np.zeros(1) / np.zeros(1)
+
+        monkeypatch.setattr(matrixcore._umath_linalg, "qr_r_raw", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="QR factorization"):
+            reduced_q(np.eye(2, dtype=complex))
 
 
 class TestSnapping:
