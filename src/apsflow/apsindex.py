@@ -58,7 +58,7 @@ from .evolution import (
     evolved_projection,
     nonunitary_propagate,
 )
-from .spectralflow import spectral_flow
+from .spectralflow import running_flows, spectral_flow
 
 COMPLEMENTARITY_ATOL = 1e-10
 DEFAULT_GRID = 64
@@ -283,29 +283,30 @@ def lorentzian_main_check(
 ) -> LorentzianMainRecord:
     """Check ``index on [0, t] == spectral flow on [0, t]`` at grid checkpoints.
 
-    Uses the projection-pair index.  The checkpoint set subsamples the grid
-    (``DEFAULT_CHECKPOINTS`` points including ``T``); any inequality is a
-    hard failure carrying both integers.  The flow on ``[0, t]`` is the
-    running sum of the flows over the windows between successive
-    checkpoints (spectral flow is additive under concatenation), so the
-    partitions together cover ``[0, T]`` once.
+    The checkpoint set subsamples the grid (``DEFAULT_CHECKPOINTS`` points
+    including ``T``); any inequality is a hard failure carrying both
+    integers.  The flows come from one certified partition of ``[0, T]``,
+    read at every checkpoint by :func:`~apsflow.spectralflow.running_flows`,
+    so a family without a certified partition raises
+    ``NoAdmissibleLevelError`` where :func:`spectral_flow` of the whole
+    family does.  The indices are the projection-pair index at each
+    checkpoint.  What separates the two integers: the flow counts
+    eigenvalue samples of ``A`` against levels that a Weyl speed bound
+    certifies, and never reads the propagator; the index is the relative
+    index of ``P_<0(0)`` and the propagated projection
+    ``Q(0,t) P_<0(t) Q(t,0)``, and never reads the partition.
     """
     grid_count = propagator.grid.shape[0] - 1
     numbers = range(1, DEFAULT_CHECKPOINTS + 1)
     indices = sorted({max(1, round(j * grid_count / DEFAULT_CHECKPOINTS)) for j in numbers})
+    times = [float(propagator.grid[k]) for k in indices]
     p0 = _start_projection(family, tau_0)
+    flows = running_flows(family, times, gamma_min=gamma_min, tau_0=tau_0)
     entries = []
     warnings: list[str] = []
-    sfl = 0
-    t_prev = 0.0
-    for k in indices:
-        t = float(propagator.grid[k])
+    for t, sfl in zip(times, flows):
         rep = _projection_pair_index(p0, family, propagator, t, tau_0, sigma_cut)
         warnings.extend(rep.warnings)
-        sfl += spectral_flow(
-            family.restricted(t_prev, t), gamma_min=gamma_min, tau_0=tau_0
-        ).value
-        t_prev = t
         entries.append(
             CheckpointEntry(
                 t=t,
@@ -427,9 +428,9 @@ def riemannian_index_discretized(
     The basis of ``H_<0(0)`` is multiplied by one factor at a time and
     re-orthonormalized after every step by the ``Q`` of a reduced QR, taken
     straight from LAPACK (:func:`~apsflow.matrixcore.reduced_q`, the same
-    bits as ``np.linalg.qr``); a basis that is not finite after the last
-    step (a step factor that was not) raises ``StiffnessError`` naming the
-    grid instead of reaching the SVD of the cosines.  The kernel counts the
+    bits as ``np.linalg.qr``); a step factor that is not finite raises
+    ``StiffnessError`` naming the grid before the first step, so neither the
+    products nor the SVD of the cosines see it.  The kernel counts the
     principal cosines against ``H_>=0(T)`` that are at least
     ``1 - CAYLEY_ANGLE_TOL``.  The cokernel follows from the dimension count
     ``rows - rank = n - r_left - r_right + ker`` of the same system.
@@ -477,14 +478,14 @@ def riemannian_index_discretized(
     if left.dimension and right.dimension:
         eye = np.eye(n) / h
         cayley = np.linalg.solve(eye + mids / 2.0, eye - mids / 2.0)
-        carried = left.basis
-        for factor in cayley:
-            carried = reduced_q(factor @ carried)
-        if not np.all(np.isfinite(carried)):
+        if not np.all(np.isfinite(cayley)):
             raise StiffnessError(
                 f"the Cayley steps on the grid of {m} intervals carried H_<0(0) "
                 "to a non-finite basis; a step factor is not finite"
             )
+        carried = left.basis
+        for factor in cayley:
+            carried = reduced_q(factor @ carried)
         cosines = principal_cosines(Subspace(n, carried), right)
     ker = int(np.count_nonzero(cosines >= 1.0 - CAYLEY_ANGLE_TOL))
     coker = n - left.dimension - right.dimension + ker

@@ -6,9 +6,11 @@ whole segment; the flow is the telescoping sum of the dimension increments
 of the spectral subspaces for ``[0, a_n)``.  Segment admissibility is
 certified on a sample grid together with an eigenvalue-speed bound (Weyl:
 ``|d lambda / dt| <= ||A'(t)||``); segments without a certified level are
-bisected.  Because any certified level yields the same telescoped integer,
-agreement with the independently computed relative index of the endpoint
-negative spectral projections is a real check on the certificates.
+bisected.  One partition of ``[0, T]`` also fixes the flow on every prefix
+``[0, t]`` (:func:`running_flows`).  Because any certified level yields the
+same telescoped integer, agreement with the independently computed relative
+index of the endpoint negative spectral projections is a real check on the
+certificates.
 """
 
 from __future__ import annotations
@@ -299,11 +301,7 @@ def spectral_flow(
     exactly zero (hence inside the window).
     """
     partition = build_flow_partition(family, n_samples, gamma_min=gamma_min)
-    eigs = _eig_samples(family, partition.points)
-    terms = [
-        _count_window(eigs[n + 1], level, tau_0) - _count_window(eigs[n], level, tau_0)
-        for n, level in enumerate(partition.levels)
-    ]
+    terms = _segment_terms(partition, _eig_samples(family, partition.points), tau_0)
     return SflReport(
         value=sum(terms),
         partition=partition,
@@ -311,6 +309,52 @@ def spectral_flow(
         family=family,
         tau_0=tau_0,
     )
+
+
+def _segment_terms(partition: FlowPartition, eigs: np.ndarray, tau_0: float) -> list[int]:
+    """Dimension increment of each segment's window, from the eigenvalues at the points."""
+    return [
+        _count_window(eigs[n + 1], level, tau_0) - _count_window(eigs[n], level, tau_0)
+        for n, level in enumerate(partition.levels)
+    ]
+
+
+def running_flows(
+    family: OperatorFamily,
+    times,
+    *,
+    gamma_min: float = GAMMA_MIN,
+    tau_0: float = TAU_ZERO,
+) -> list[int]:
+    """Spectral flow on ``[0, t]`` for each time ``t`` in ``(0, T]``, from one partition.
+
+    One certified partition ``p_0 < ... < p_N`` of the whole family fixes
+    every such flow.  For ``t`` in the segment ``(p_n, p_{n+1}]`` the flow is
+    the sum of the terms of the segments before it plus the partial term
+    ``#[0, a_n)(t) - #[0, a_n)(p_n)``: the certificate keeps ``a_n`` at
+    least ``gamma_min`` from the spectrum on the whole segment, ``t``
+    included, so the partial term is the flow on ``[p_n, t]``.  The
+    eigenvalues at the partition points and at the times come from one
+    evaluation and one ``eigvalsh``.  A family without a certified
+    partition raises :class:`NoAdmissibleLevelError` exactly where
+    :func:`spectral_flow` does.
+    """
+    times = np.asarray(times, dtype=float)
+    if np.any(times <= 0.0) or np.any(times > family.horizon + 1e-12):
+        raise ValueError(f"flow times must lie in (0, {family.horizon}], got {times.tolist()}")
+    times = np.minimum(times, family.horizon)  # the clock's tolerance at T
+    partition = build_flow_partition(family, gamma_min=gamma_min)
+    points = partition.points
+    eigs = _eig_samples(family, np.concatenate((points, times)))
+    at_points, at_times = eigs[: points.size], eigs[points.size :]
+    before = np.cumsum([0, *_segment_terms(partition, at_points, tau_0)])
+    segment = np.searchsorted(points, times) - 1  # p_n < t <= p_{n+1}
+    return [
+        int(before[n])
+        + _count_window(eig, partition.levels[n], tau_0)
+        - _count_window(at_points[n], partition.levels[n], tau_0)
+        for n, eig in zip(segment.tolist(), at_times)
+    ]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from apsflow.errors import DimensionMismatchError
-from apsflow.matrixcore import TAU_ANGLE, HermitianMatrix, Subspace
+from apsflow.families import OperatorFamily, linear_family
+from apsflow.matrixcore import TAU_ANGLE, TAU_ZERO, HermitianMatrix, Subspace
 
 
 @pytest.fixture
@@ -55,6 +56,36 @@ def diag_at(t, *entries):
     idx = np.arange(d.shape[-1])
     out[..., idx, idx] = d
     return out
+
+
+def negative_count(family, t):
+    """The number of eigenvalues of ``A(t)`` below ``-TAU_ZERO``."""
+    w = np.linalg.eigvalsh(family.at(t).entries)
+    return int(np.count_nonzero(w < -TAU_ZERO))
+
+
+def _diag(*vals):
+    return HermitianMatrix(np.diag(np.asarray(vals, dtype=float)))
+
+
+def _tangent_touch():
+    # eigenvalue (t - 1/2)^2 touches zero at the checkpoint t = 1/2
+    return OperatorFamily(
+        dim=1,
+        horizon=1.0,
+        label="tangent-touch",
+        eval_fn=lambda t: diag_at(t, (t - 0.5) ** 2),
+        derivative_fn=lambda t: diag_at(t, 2.0 * (t - 0.5)),
+    )
+
+
+# eigenvalues that meet zero exactly at checkpoint times of an 8-point check
+HARD_CHECKPOINT_FAMILIES = {
+    "crossing-at-checkpoint": lambda: linear_family(_diag(-0.5), _diag(1.0), 1.0),
+    "tangent-touch": _tangent_touch,
+    "pinned-zero": lambda: linear_family(_diag(0.0, -0.5), _diag(0.0, 1.0), 1.0),
+    "two-crossings": lambda: linear_family(_diag(-0.25, 0.75), _diag(1.0, -1.0), 1.0),
+}
 
 
 def subspace_intersection(u, v):

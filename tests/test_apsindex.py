@@ -1,10 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from apsflow import apsindex, evolution
+from apsflow import apsindex, evolution, spectralflow
 from apsflow.apsindex import (
     aps_boundary_data,
     assemble_discretized_operator,
@@ -27,39 +28,20 @@ from apsflow.families import (
     linear_family,
     sampled_family,
 )
-from apsflow.matrixcore import SHOOTING_ANGLE_TOL, TAU_ZERO, HermitianMatrix, rank_kernel
+from apsflow.matrixcore import SHOOTING_ANGLE_TOL, HermitianMatrix, rank_kernel
 from apsflow.spectralflow import spectral_flow
 from apsflow.zoo import random_trig_family, random_zoo, shipped_families, singular_endpoint_family
-from conftest import diag_at, flow_plus_one, numpy_peak, subspace_intersection
+from conftest import (
+    HARD_CHECKPOINT_FAMILIES,
+    flow_plus_one,
+    negative_count,
+    numpy_peak,
+    subspace_intersection,
+)
 
 
 def diag(*vals):
     return HermitianMatrix(np.diag(np.asarray(vals, dtype=float)))
-
-
-def negative_count(family, t):
-    w = np.linalg.eigvalsh(family.at(t).entries)
-    return int(np.count_nonzero(w < -TAU_ZERO))
-
-
-def _tangent_touch():
-    # eigenvalue (t - 1/2)^2 touches zero at the checkpoint t = 1/2
-    return OperatorFamily(
-        dim=1,
-        horizon=1.0,
-        label="tangent-touch",
-        eval_fn=lambda t: diag_at(t, (t - 0.5) ** 2),
-        derivative_fn=lambda t: diag_at(t, 2.0 * (t - 0.5)),
-    )
-
-
-# eigenvalues that meet zero exactly at checkpoint times of an 8-point check
-HARD_CHECKPOINT_FAMILIES = {
-    "crossing-at-checkpoint": lambda: linear_family(diag(-0.5), diag(1.0), 1.0),
-    "tangent-touch": _tangent_touch,
-    "pinned-zero": lambda: linear_family(diag(0.0, -0.5), diag(0.0, 1.0), 1.0),
-    "two-crossings": lambda: linear_family(diag(-0.25, 0.75), diag(1.0, -1.0), 1.0),
-}
 
 
 class TestBoundaryData:
@@ -199,17 +181,16 @@ class TestTransportMainCheck:
     def test_checkpoint_flows_cover_the_horizon_once(self, rng, monkeypatch):
         f = random_trig_family(4, rng, drift=3.5)
         horizons = []
-        original = apsindex.spectral_flow
+        original = spectralflow.build_flow_partition
 
         def spy(family, *args, **kwargs):
             horizons.append(family.horizon)
             return original(family, *args, **kwargs)
 
-        monkeypatch.setattr(apsindex, "spectral_flow", spy)
+        monkeypatch.setattr(spectralflow, "build_flow_partition", spy)
         rec = lorentzian_main_check(f, propagate(f, 256))
         assert rec.passed
-        assert len(horizons) == 8
-        assert sum(horizons) == pytest.approx(f.horizon, rel=1e-12)
+        assert horizons == [f.horizon]
 
     @pytest.mark.parametrize("name", sorted(HARD_CHECKPOINT_FAMILIES))
     def test_checkpoint_flows_on_hard_inputs(self, name):
@@ -222,11 +203,16 @@ class TestTransportMainCheck:
             assert e.sfl == negative_count(f, 0.0) - negative_count(f, e.t)
 
     def test_mismatch_raises_with_both_integers(self, monkeypatch):
-        monkeypatch.setattr(apsindex, "spectral_flow", flow_plus_one(spectral_flow))
+        readout = spectralflow.running_flows
+
+        def plus_one(*args, **kwargs):
+            return [v + 1 for v in readout(*args, **kwargs)]
+
+        monkeypatch.setattr(apsindex, "running_flows", plus_one)
         f = constant_family(diag(-1.0, 1.0), 1.0)
         p = propagate(f, 64)
-        # each of the 8 windows now adds one to the running flow; the index stays 0
-        with pytest.raises(ConsistencyError, match=r"\(0\.125, 0, 1\).*\(1\.0, 0, 8\)") as exc:
+        # every checkpoint flow now reads 1; the index stays 0
+        with pytest.raises(ConsistencyError, match=r"\(0\.125, 0, 1\).*\(1\.0, 0, 1\)") as exc:
             lorentzian_main_check(f, p)
         assert exc.value.record.passed is False
         assert not lorentzian_main_check(f, p, raise_on_mismatch=False).passed
@@ -380,7 +366,6 @@ class TestRiemannianDiscretized:
 
 
 class TestNonFiniteCayleyBasis:
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_a_non_finite_step_factor_is_a_typed_error(self, monkeypatch):
         solve = np.linalg.solve
 
@@ -392,8 +377,11 @@ class TestNonFiniteCayleyBasis:
         monkeypatch.setattr(apsindex.np.linalg, "solve", one_inf_entry)
         f = linear_family(diag(-0.5, 0.25), diag(1.0, 0.5), 1.0)
         message = "grid of 64 intervals carried H_<0.0. to a non-finite basis"
-        with pytest.raises(StiffnessError, match=message):
-            riemannian_index_discretized(f, 64)
+        # a RuntimeWarning turned into an error escapes pytest.raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(StiffnessError, match=message):
+                riemannian_index_discretized(f, 64)
 
 
 class TestRiemannianShooting:

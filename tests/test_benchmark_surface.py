@@ -8,9 +8,9 @@ although no other test notices, so one tiny call goes through each counted
 wrapper here.
 
 The benchmark also gates on the integers each workload returns, recorded in
-``perfbench/expected.json``; one seed of the boundary-value workload is
-checked against that record here, so a route change that flips one of its
-integers fails in this suite too.
+``perfbench/expected.json``; seed 0 of each workload is checked against
+that record here, so a route change that flips one of their integers fails
+in this suite too.
 """
 
 import json
@@ -69,16 +69,25 @@ def test_traced_shooting_records_both_propagations(monkeypatch):
     assert names.count("apsindex.riemannian_kernel_shooting") == 1
 
 
-def test_bvp_grid_integers_match_the_benchmark_record(monkeypatch):
+def _seed_zero_integers(monkeypatch, name):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
-    expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
-    wl = workloads.BvpGrid
+    wl = workloads.WORKLOADS[name]
     got = []
     for case in wl.build(0, None):
         _, out = wl.work(case)
         ints, problems = wl.check(case, out)
         assert problems == [], (case.family.label, problems)
         got.append(ints)
-    assert got == expected["bvp-grid"]["0"]
+    return got
+
+
+def test_bvp_grid_integers_match_the_benchmark_record(monkeypatch):
+    expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
+    assert _seed_zero_integers(monkeypatch, "bvp-grid") == expected["bvp-grid"]["0"]
+
+
+def test_transport_zoo_integers_match_the_benchmark_record(monkeypatch):
+    expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
+    assert _seed_zero_integers(monkeypatch, "transport-zoo") == expected["transport-zoo"]["0"]

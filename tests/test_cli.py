@@ -338,7 +338,7 @@ SCALAR_CROSSING = {"kind": "linear", "parameters": {"a0_diagonal": [-0.5], "b_di
 COUNTEREXAMPLE = {"kind": "counterexample", "parameters": {"m": 1}}
 # the function that applies each threshold, and the keyword it takes it by
 TOLERANCE_APPLIERS = {
-    "tau_0": ("spectral_flow", "tau_0"),
+    "tau_0": ("_count_window", "tau_0"),
     "tau_rank": ("relative_index", "tau_rank"),
     "gamma_min": ("build_flow_partition", "gamma_min"),
     "tau_angle": ("lorentzian_index_subspace", "tau_angle"),

@@ -37,7 +37,12 @@ pinned to one thread.
 recorded with one BLAS thread before shooting multiplied its two chains in
 one loop and the Cayley steps took their ``Q`` from the QR gufuncs.  It
 guards every boundary-value float of the singular-endpoint draws and of the
-grids 32 and 64, which no suite report reaches.
+grids 32 and 64, which no suite report reaches.  ``TRANSPORT_ZOO_SHA256`` is
+the same digest of one seed-0 pass of the ``transport-zoo`` workload,
+recorded with one BLAS thread before the transport main check took its
+checkpoint flows from one partition of ``[0, T]`` instead of one per
+checkpoint window; it guards the flow partitions, checkpoint records and
+transport routes of 40 zoo draws up to n = 16.
 
 ``scalar-crossing/report.json``, ``scalar-crossing/singular_values.csv`` and
 ``suites/suite-theorems.json`` were re-recorded once, with one BLAS thread,
@@ -141,29 +146,39 @@ def _one_thread_env():
 
 
 BVP_GRID_SHA256 = "c636ce8a5ef4ece27fd6b83b81c7f36de9bc13ea2dc02a6fe363ed33bb98bdc8"
-BVP_GRID_PASS = """
+TRANSPORT_ZOO_SHA256 = "467a302a594a31119baa0a4d17dd8ba46e8e962e3aa1d728417df886bc5a9c05"
+WORKLOAD_PASS = """
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
-from workloads import BvpGrid
+from workloads import WORKLOADS
 from apsflow import reporting
+workload = WORKLOADS[sys.argv[2]]
 digest = hashlib.sha256()
-for case in BvpGrid.build(0, None):
-    records, _ = BvpGrid.work(case)
+for case in workload.build(0, None):
+    records, _ = workload.work(case)
     digest.update(reporting.canonical_json(records).encode("utf-8"))
 print(digest.hexdigest())
 """
 
 
-def test_bvp_grid_pass_bytes_match_golden():
+def _seed_zero_pass_digest(workload):
     result = subprocess.run(
-        [sys.executable, "-c", BVP_GRID_PASS, str(ROOT / "perfbench")],
+        [sys.executable, "-c", WORKLOAD_PASS, str(ROOT / "perfbench"), workload],
         env=_one_thread_env(),
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == BVP_GRID_SHA256
+    return result.stdout.strip()
+
+
+def test_bvp_grid_pass_bytes_match_golden():
+    assert _seed_zero_pass_digest("bvp-grid") == BVP_GRID_SHA256
+
+
+def test_transport_zoo_pass_bytes_match_golden():
+    assert _seed_zero_pass_digest("transport-zoo") == TRANSPORT_ZOO_SHA256
 
 
 SUITES = {

@@ -11,6 +11,7 @@ from apsflow.families import (
     counterexample_family,
     diagonal_path_family,
     linear_family,
+    sampled_family,
     swap_block_family,
 )
 from apsflow.matrixcore import TAU_ZERO, HermitianMatrix, snap_eigenvalues
@@ -22,11 +23,12 @@ from apsflow.spectralflow import (
     build_flow_partition,
     crossing_log_to_csv,
     flowind_check,
+    running_flows,
     sfl_conjugation_invariance_check,
     spectral_flow,
 )
-from apsflow.zoo import random_trig_family, singular_endpoint_family
-from conftest import diag_at, flow_plus_one
+from apsflow.zoo import random_trig_family, random_zoo, shipped_families, singular_endpoint_family
+from conftest import HARD_CHECKPOINT_FAMILIES, diag_at, flow_plus_one, negative_count
 
 
 def diag(*vals):
@@ -282,8 +284,6 @@ class TestCrossingLogReference:
         )
 
     def test_matches_step_loop(self):
-        from apsflow.zoo import random_zoo, shipped_families
-
         pinned = linear_family(diag(0.0, -0.5), diag(0.0, 1.0), 1.0)
         families = [*shipped_families(), *random_zoo(12, 0), pinned, self._dwell_family()]
         total = dwells = 0
@@ -336,6 +336,58 @@ class TestFlowProperties:
             r0 = spectral_projection(eigh(f.at(0.0)), NEGATIVE_AXIS).rank
             r1 = spectral_projection(eigh(f.at(1.0)), NEGATIVE_AXIS).rank
             assert spectral_flow(f).value == r0 - r1
+
+
+def _readout_families():
+    rng = np.random.default_rng(np.random.SeedSequence(17).spawn(1)[0])
+    sampled = sampled_family(
+        [0.0, 0.4, 1.3],
+        [np.diag([-0.6, 0.2, 0.9]), np.diag([0.3, -0.4, 0.5]), np.diag([0.7, 0.1, -0.8])],
+    )
+    # eigenvalues fast enough (level margins above 1) that the partition has 3 segments
+    fast = linear_family(diag(-90.0, 60.0), diag(150.0, -80.0), 1.0)
+    return [
+        *shipped_families(),
+        *random_zoo(8, 17, sizes=(2, 3, 4, 8, 16)),
+        *(singular_endpoint_family(int(rng.integers(2, 5)), rng) for _ in range(8)),
+        *(make() for make in HARD_CHECKPOINT_FAMILIES.values()),
+        sampled,
+        fast,
+    ]
+
+
+class TestRunningFlows:
+    def test_every_readout_is_the_flow_on_its_prefix(self):
+        inside_moves = 0  # readouts strictly inside a segment that differ from one of its ends
+        segments = []
+        for f in _readout_families():
+            points = build_flow_partition(f).points
+            segments.append(points.size - 1)
+            checkpoints = np.linspace(0.0, f.horizon, 257)[32::32]
+            times = np.unique(np.concatenate((checkpoints, points[1:], [f.horizon])))
+            flows = running_flows(f, times)
+            at_point = dict(zip(times.tolist(), flows))
+            at_point[0.0] = 0
+            for t, flow in zip(times.tolist(), flows):
+                assert flow == spectral_flow(f.restricted(0.0, t)).value, (f.label, t)
+                assert flow == negative_count(f, 0.0) - negative_count(f, t), (f.label, t)
+                n = int(np.searchsorted(points, t)) - 1
+                if t != points[n + 1]:
+                    left, right = at_point[points[n]], at_point[points[n + 1]]
+                    inside_moves += flow != left or flow != right
+        assert inside_moves >= 10 and max(segments) >= 3
+
+    def test_readout_at_the_horizon_is_the_whole_flow(self):
+        for f in _readout_families():
+            assert running_flows(f, [f.horizon]) == [spectral_flow(f).value], f.label
+
+    def test_times_outside_the_horizon_are_rejected(self):
+        f = linear_family(diag(-0.5), diag(1.0), 1.0)
+        for times in ([0.0, 0.5], [0.5, 1.5]):
+            with pytest.raises(ValueError, match="flow times must lie in"):
+                running_flows(f, times)
+        # the evaluation clock's tolerance at T, which imported propagator grids may need
+        assert running_flows(f, [0.5, 1.0 + 1e-13]) == [1, 1]
 
 
 class TestFlowIndexCheck:
