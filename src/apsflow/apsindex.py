@@ -45,9 +45,8 @@ from .matrixcore import (
     IndexReport,
     Projection,
     Subspace,
-    eigh,
+    carried_basis,
     principal_cosines,
-    reduced_q,
     relative_index,
     spectral_projection,
     spectral_subspace,
@@ -86,9 +85,20 @@ class APSBoundaryData:
 
 
 def aps_boundary_data(family: OperatorFamily, *, tau_0: float = TAU_ZERO) -> APSBoundaryData:
-    """Both spectral splits at each end, each validated against its complement."""
-    s0 = eigh(family.at(0.0))
-    st = eigh(family.at(family.horizon))
+    """Both spectral splits at each end, each validated against its complement.
+
+    Computed once per family object and ``tau_0``, from the family's
+    ``endpoint_spectra``: the discretized route at every grid, its
+    regularized repeat, shooting, the subspace route and the operator
+    export of one family all read the same splits.
+    """
+    return family._computed_once(
+        ("aps_boundary_data", tau_0), lambda: _boundary_splits(family, tau_0)
+    )
+
+
+def _boundary_splits(family: OperatorFamily, tau_0: float) -> APSBoundaryData:
+    s0, st = family.endpoint_spectra
     left = spectral_subspace(s0, NEGATIVE_AXIS, tau_0=tau_0)
     right = spectral_subspace(st, NONNEGATIVE_AXIS, tau_0=tau_0)
     left_comp = spectral_subspace(s0, NONNEGATIVE_AXIS, tau_0=tau_0)
@@ -121,6 +131,13 @@ def lorentzian_index_projection(
     Returns the relative index of ``(P_<0(0), Q(0,T) P_<0(T) Q(T,0))``; the
     kernel/cokernel dimensions come from the singular values of the
     restricted projection with the propagation-aware ``sigma_cut``.
+
+    ``P_<0(0)`` and ``P_<0(T)`` are cut from the family's
+    ``endpoint_spectra``, the decompositions :func:`lorentzian_index_subspace`
+    splits too: the two routes always computed them bit for bit alike and
+    now read one copy.  What separates them is unchanged: this route takes
+    the relative index of two projections, the other counts principal
+    cosines and the rank of a restricted map.
     """
     return _projection_pair_index(
         _start_projection(family, tau_0), family, propagator, family.horizon, tau_0, sigma_cut
@@ -142,7 +159,7 @@ def _regularization_advice():
 def _start_projection(family: OperatorFamily, tau_0: float) -> Projection:
     """``P_<0(0)``, shared by every checkpoint of one main check."""
     with _regularization_advice():
-        return spectral_projection(eigh(family.at(0.0)), NEGATIVE_AXIS, tau_0=tau_0)
+        return spectral_projection(family.endpoint_spectra[0], NEGATIVE_AXIS, tau_0=tau_0)
 
 
 def _projection_pair_index(
@@ -202,6 +219,13 @@ def lorentzian_index_subspace(
     reported principal cosines at least ``1 - tau_angle``.
     Cokernel: ``rank P_<0(T)`` minus the rank of ``P_<0(T) Q(T,0)`` restricted
     to ``H_<0(0)``.  Must agree with the projection-pair route exactly.
+
+    The boundary subspaces are the family's :func:`aps_boundary_data`, cut
+    from the same ``endpoint_spectra`` that
+    :func:`lorentzian_index_projection` reads: the two routes always
+    computed these decompositions bit for bit alike and now read one copy.
+    What separates them is unchanged: principal cosines and a restricted-map
+    rank here, the relative index of a projection pair there.
     """
     t_end = family.horizon
     u_t = propagator.unitaries[propagator.index_of(t_end)]
@@ -427,10 +451,10 @@ def riemannian_index_discretized(
     ``H_<0(0)`` that the product of the ``C_k`` carries into ``H_>=0(T)``.
     The basis of ``H_<0(0)`` is multiplied by one factor at a time and
     re-orthonormalized after every step by the ``Q`` of a reduced QR, taken
-    straight from LAPACK (:func:`~apsflow.matrixcore.reduced_q`, the same
-    bits as ``np.linalg.qr``); a step factor that is not finite raises
-    ``StiffnessError`` naming the grid before the first step, so neither the
-    products nor the SVD of the cosines see it.  The kernel counts the
+    straight from LAPACK (:func:`~apsflow.matrixcore.carried_basis`, the
+    same bits as ``np.linalg.qr`` at every step); a step factor that is not
+    finite raises ``StiffnessError`` naming the grid before the first step,
+    so neither the products nor the SVD of the cosines see it.  The kernel counts the
     principal cosines against ``H_>=0(T)`` that are at least
     ``1 - CAYLEY_ANGLE_TOL``.  The cokernel follows from the dimension count
     ``rows - rank = n - r_left - r_right + ker`` of the same system.
@@ -483,10 +507,7 @@ def riemannian_index_discretized(
                 f"the Cayley steps on the grid of {m} intervals carried H_<0(0) "
                 "to a non-finite basis; a step factor is not finite"
             )
-        carried = left.basis
-        for factor in cayley:
-            carried = reduced_q(factor @ carried)
-        cosines = principal_cosines(Subspace(n, carried), right)
+        cosines = principal_cosines(Subspace(n, carried_basis(cayley, left.basis)), right)
     ker = int(np.count_nonzero(cosines >= 1.0 - CAYLEY_ANGLE_TOL))
     coker = n - left.dimension - right.dimension + ker
     diagnostics = {
@@ -574,7 +595,10 @@ def riemannian_kernel_shooting(
     grid, one product ``R(T, 0)`` and then one span where it takes a QR per
     step, its own cut ``angle_tol`` (``SHOOTING_ANGLE_TOL``), and the
     cokernel from a propagation of the time-reversed family where it counts
-    dimensions.  The two routes share no loop, factor or decomposition.
+    dimensions.  The two routes share no loop, factor or decomposition
+    inside ``(0, T)``; both read the family's one copy of the boundary
+    splits (:func:`aps_boundary_data`), which they always computed bit for
+    bit alike.
     The diagnostics ``forward_condition`` and ``backward_condition`` are the
     condition numbers of the two transfer matrices at ``T``, not a maximum
     over the grid.

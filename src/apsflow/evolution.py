@@ -350,10 +350,14 @@ def evolved_projection(
     *,
     tau_0: float = TAU_ZERO,
 ) -> Projection:
-    """The evolved spectral projection ``Q(0, t) P_<0(t) Q(t, 0)`` at a grid time."""
+    """The evolved spectral projection ``Q(0, t) P_<0(t) Q(t, 0)`` at a grid time.
+
+    At ``t = T`` it reads the family's ``endpoint_spectra``.
+    """
     k = propagator.index_of(t)
     tk = float(propagator.grid[k])
-    base = spectral_projection(eigh(family.at(tk)), NEGATIVE_AXIS, tau_0=tau_0)
+    spectrum = family.endpoint_spectra[1] if tk == family.horizon else eigh(family.at(tk))
+    base = spectral_projection(spectrum, NEGATIVE_AXIS, tau_0=tau_0)
     u = propagator.unitaries[k]
     mat = u.conj().T @ base.matrix.entries @ u
     return Projection(HermitianMatrix(mat), rank=base.rank)

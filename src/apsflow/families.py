@@ -20,7 +20,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, FamilyConstructionError
-from .matrixcore import TAU_ZERO, HermitianMatrix, eigh, hermitian_stack, snap_eigenvalues
+from .matrixcore import (
+    TAU_ZERO,
+    HermitianMatrix,
+    SpectralData,
+    eigh,
+    hermitian_stack,
+    snap_eigenvalues,
+)
 
 DERIVATIVE_CHECK_STEP = 1e-4
 _VALIDATION_SAMPLES = 9
@@ -224,12 +231,34 @@ class OperatorFamily:
         """Max spectral norm over ``NORM_SAMPLES`` uniform times, computed once per instance."""
         return self._norm_bound
 
+    # Facts computed once per instance live in the instance __dict__, not in
+    # fields: ``replace`` copies compute them again, and equality and
+    # ``asdict`` do not see them.  Every value kept is read-only.
+
     @cached_property
     def _norm_bound(self) -> float:
-        # kept in the instance __dict__, not a field: ``replace`` copies
-        # recompute it, and equality and ``asdict`` do not see it
         ts = np.linspace(0.0, self.horizon, NORM_SAMPLES)
         return float(np.max(np.abs(np.linalg.eigvalsh(self.at_many(ts)))))
+
+    @cached_property
+    def endpoint_spectra(self) -> tuple[SpectralData, SpectralData]:
+        """``eigh(at(0))`` and ``eigh(at(T))``, computed once per instance.
+
+        Every boundary condition is a spectral projection of these two
+        matrices, so every route reads this one pair.
+        """
+        return eigh(self.at(0.0)), eigh(self.at(self.horizon))
+
+    def _computed_once(self, key: tuple, compute: Callable[[], object]):
+        """``compute()`` on the first call with ``key``, the same object after.
+
+        ``key`` names the computation and every tolerance its result
+        depends on.  An exception is not kept: the next call computes again.
+        """
+        memo = self.__dict__.setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     def restricted(self, t0: float, t1: float) -> "OperatorFamily":
         """The family on ``[t0, t1]`` reparametrized to start at 0."""
@@ -499,9 +528,11 @@ def _plateau_slope(u: float) -> float:
     return (ap * b + a * bp) / (a + b) ** 2
 
 
-def kernel_projection(h: HermitianMatrix, *, tau_0: float = TAU_ZERO) -> np.ndarray:
-    """Orthogonal projection onto the (snapped) kernel of ``h``."""
-    s = eigh(h)
+def kernel_projection(
+    h: HermitianMatrix | SpectralData, *, tau_0: float = TAU_ZERO
+) -> np.ndarray:
+    """Orthogonal projection onto the (snapped) kernel of ``h`` or of its decomposition."""
+    s = h if isinstance(h, SpectralData) else eigh(h)
     keep = snap_eigenvalues(s.eigenvalues, tau_0) == 0.0
     v = s.eigenvectors[:, keep]
     return v @ v.conj().T
@@ -526,8 +557,7 @@ def endpoint_regularize(
     if not 0.0 < epsilon < 0.5:
         raise ConfigError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     t_end = family.horizon
-    p_left = kernel_projection(family.at(0.0), tau_0=tau_0)
-    p_right = kernel_projection(family.at(t_end), tau_0=tau_0)
+    p_left, p_right = (kernel_projection(s, tau_0=tau_0) for s in family.endpoint_spectra)
     rank_left = int(round(float(np.real(np.trace(p_left)))))
     rank_right = int(round(float(np.real(np.trace(p_right)))))
     if rank_left == 0 and rank_right == 0:

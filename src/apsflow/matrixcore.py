@@ -411,24 +411,31 @@ def _raise_qr_failure(err, flag):
     raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
-def reduced_q(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.qr(a)[0]`` bit for bit, for a complex ``(m, r)`` array it overwrites.
+def carried_basis(factors: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``basis`` carried through each factor in turn, re-orthonormalized after every step.
 
-    Calls the two gufuncs that ``np.linalg.qr`` calls, ``qr_r_raw`` and
-    then ``qr_reduced``, on ``a`` itself, with the wrapper's error handling:
-    a LAPACK failure sets the invalid flag, which raises ``LinAlgError``
-    as it does in ``np.linalg.qr``.  It skips only the rest of the wrapper,
-    the copy and casts of ``a`` and the assembly of an ``R`` the caller
-    does not read.  ``a`` must be a native complex128 array the caller no
-    longer needs: the factorization is left in it (any other dtype would be
-    cast to a copy, and ``qr_reduced`` would read the untouched input).
+    Each step is ``basis = np.linalg.qr(factor @ basis)[0]`` bit for bit:
+    it calls the two gufuncs that ``np.linalg.qr`` calls, ``qr_r_raw`` and
+    then ``qr_reduced``, on the product itself, with the wrapper's error
+    handling, entered once for the whole loop: a LAPACK failure sets the
+    invalid flag, which raises ``LinAlgError`` as it does in
+    ``np.linalg.qr``.  It skips only the rest of the wrapper, the copy and
+    casts of the product and the assembly of an ``R`` nobody reads.  The
+    products must be complex128 (any other dtype would be cast to a copy,
+    and ``qr_reduced`` would read the untouched product), and the factors
+    finite: the caller checks them before the loop.
     """
-    if a.dtype != np.complex128:
-        raise TypeError(f"reduced_q factors native complex128 in place, got {a.dtype}")
+    if np.result_type(factors, basis) != np.complex128:
+        raise TypeError(
+            f"carried_basis factors complex128 products, got {np.result_type(factors, basis)}"
+        )
     with np.errstate(call=_raise_qr_failure, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
-        tau = _umath_linalg.qr_r_raw(a, signature="D->D")
-        return _umath_linalg.qr_reduced(a, tau, signature="DD->D")
+        for factor in factors:
+            a = factor @ basis
+            tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+            basis = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
+    return basis
 
 
 @dataclass(frozen=True)

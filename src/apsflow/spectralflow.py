@@ -29,7 +29,6 @@ from .matrixcore import (
     TAU_RANK_PAIR,
     TAU_ZERO,
     IndexReport,
-    eigh,
     relative_index,
     snap_eigenvalues,
     spectral_projection,
@@ -51,6 +50,13 @@ class FlowPartition:
     witness_gaps: np.ndarray  # min sampled distance from the level to the spectrum
     margins: np.ndarray  # clearance each level had to certify: gamma_min + speed * coverage
     certificates: tuple[str, ...]  # "derivative" or "sampled", per segment
+
+    def __post_init__(self):
+        # one partition serves every caller on its family: none may write to it
+        for name in ("points", "levels", "witness_gaps", "margins"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def segments(self) -> int:
@@ -193,9 +199,19 @@ def build_flow_partition(
     grid-discrete families).  Segments without an admissible level are
     bisected, down to a minimal width of ``T * MIN_SEGMENT_FRACTION``
     (``T * 2^-20``), below which the family is reported as pathological.
+
+    Computed once per family object, ``n_samples`` and ``gamma_min``; the
+    arrays of the partition returned are read-only.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
+    return family._computed_once(
+        ("build_flow_partition", n_samples, gamma_min),
+        lambda: _bisected_partition(family, n_samples, gamma_min),
+    )
+
+
+def _bisected_partition(family: OperatorFamily, n_samples: int, gamma_min: float) -> FlowPartition:
     horizon = family.horizon
     delta_min = horizon * MIN_SEGMENT_FRACTION
 
@@ -337,7 +353,10 @@ def running_flows(
     eigenvalues at the partition points and at the times come from one
     evaluation and one ``eigvalsh``.  A family without a certified
     partition raises :class:`NoAdmissibleLevelError` exactly where
-    :func:`spectral_flow` does.
+    :func:`spectral_flow` does.  The partition is the family's one
+    partition at ``gamma_min`` (:func:`build_flow_partition` keeps it per
+    family object), so a family whose flow :func:`flowind_check` already
+    took is not bisected again.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0.0) or np.any(times > family.horizon + 1e-12):
@@ -394,11 +413,16 @@ def flowind_check(
     relative index of the negative spectral projections at ``t = 0`` and
     ``t = T``.  On mismatch the record is raised inside a
     :class:`ConsistencyError` (or returned with ``passed=False`` when
-    ``raise_on_mismatch`` is off).
+    ``raise_on_mismatch`` is off).  The partition is the one
+    :func:`running_flows` reads for the same family and ``gamma_min``, and
+    the two projections come from the family's ``endpoint_spectra``, which
+    every route reads; the flow still reads eigenvalue samples against
+    certified levels, the index only the two endpoint decompositions.
     """
     report = spectral_flow(family, gamma_min=gamma_min, tau_0=tau_0)
-    p0 = spectral_projection(eigh(family.at(0.0)), NEGATIVE_AXIS, tau_0=tau_0)
-    pt = spectral_projection(eigh(family.at(family.horizon)), NEGATIVE_AXIS, tau_0=tau_0)
+    p0, pt = (
+        spectral_projection(s, NEGATIVE_AXIS, tau_0=tau_0) for s in family.endpoint_spectra
+    )
     pair = relative_index(p0, pt, tau_rank=tau_rank)
     record = FlowIndexRecord(
         family_label=family.label,

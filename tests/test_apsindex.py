@@ -71,6 +71,28 @@ class TestBoundaryData:
                 assert got.basis.shape == want.basis.shape, f.label
                 assert got.basis.tobytes() == want.basis.tobytes(), f.label
 
+    def test_computed_once_per_tau_0(self):
+        # -1e-3 is negative under tau_0 = 1e-9 and snaps to zero under 1e-2
+        f = linear_family(diag(-1e-3, 1.0), diag(2.0, -3.0), 1.0)
+        fine = aps_boundary_data(f, tau_0=1e-9)
+        coarse = aps_boundary_data(f, tau_0=1e-2)
+        assert (fine.left_subspace.dimension, coarse.left_subspace.dimension) == (1, 0)
+        assert aps_boundary_data(f, tau_0=1e-9) is fine
+        assert aps_boundary_data(f, tau_0=1e-2) is coarse
+        for tau_0, kept in ((1e-9, fine), (1e-2, coarse)):
+            fresh = aps_boundary_data(replace(f), tau_0=tau_0)
+            assert fresh is not kept
+            for name in ("left_subspace", "right_subspace", "left_complement", "right_complement"):
+                got, want = getattr(kept, name).basis, getattr(fresh, name).basis
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    def test_kept_bases_are_read_only(self):
+        f = constant_family(diag(-1.0, 1.0), 1.0)
+        data = aps_boundary_data(f)
+        with pytest.raises(ValueError, match="read-only"):
+            data.left_subspace.basis[0, 0] = 7.0
+        assert aps_boundary_data(f).left_subspace.basis[0, 0] == 1.0
+
 
 class TestTransportIndexRoutes:
     def test_constant_invertible_zero(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from apsflow import apsindex, cli, evolution, matrixcore, spectralflow
+from apsflow import apsindex, cli, evolution, families, matrixcore, spectralflow
 from apsflow.cli import (
     ExperimentConfig,
     ToleranceSet,
@@ -17,7 +17,7 @@ from apsflow.cli import (
     run_suite,
 )
 from apsflow.errors import ConfigError
-from apsflow.families import FamilySpec, family_from_spec
+from apsflow.families import FamilySpec, OperatorFamily, family_from_spec
 
 
 def write_config(path, **overrides):
@@ -438,6 +438,65 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def count_endpoint_eighs(monkeypatch):
+    """Count the ``eigh`` calls on ``A(0)`` or ``A(T)`` of each family object.
+
+    Each endpoint matrix ``OperatorFamily.at`` returns is remembered with
+    its family; an ``eigh`` of that very matrix object counts for the
+    family.  Returns ``{id(family): [family, count]}``, filled as calls come.
+    """
+    at, eigh = OperatorFamily.at, matrixcore.eigh
+    endpoint_of = {}
+    counts = {}
+
+    def spy_at(self, t):
+        h = at(self, t)
+        if t == 0.0 or t == self.horizon:
+            endpoint_of[id(h)] = (h, self)
+        return h
+
+    def spy_eigh(h):
+        matrix, family = endpoint_of.get(id(h), (None, None))
+        if matrix is h:
+            counts.setdefault(id(family), [family, 0])[1] += 1
+        return eigh(h)
+
+    monkeypatch.setattr(OperatorFamily, "at", spy_at)
+    for m in (matrixcore, families, apsindex, spectralflow, evolution):
+        if getattr(m, "eigh", None) is eigh:
+            monkeypatch.setattr(m, "eigh", spy_eigh)
+    return counts
+
+
+def count_made(monkeypatch, module, function, result_type):
+    """The ``(family, tolerances)`` asked of ``module.function``, and the results built.
+
+    ``asked`` holds one key per distinct family object and keyword set;
+    ``built`` one entry per ``result_type`` instance ``module`` constructs.
+    """
+    original, make = getattr(module, function), getattr(module, result_type)
+    signature = inspect.signature(original)
+    asked, built, alive = set(), [], []
+
+    def spy(family, *args, **kwargs):
+        alive.append(family)  # keeps ids unique while the test runs
+        bound = signature.bind(family, *args, **kwargs)
+        bound.apply_defaults()
+        asked.add((id(family), *list(bound.arguments.values())[1:]))
+        return original(family, *args, **kwargs)
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(module, function, spy)
+    monkeypatch.setattr(module, result_type, counting)
+    return asked, built
+
+
 class TestWorkDoneOnce:
     def config(self, check):
         return parse_config(
@@ -473,6 +532,43 @@ class TestWorkDoneOnce:
         assert len(calls) == 8
         assert len(starts) == 1  # P_<0(0) is shared by the checkpoints
         assert entry["projection_route"]["diagnostics"]["t_end"] == 1.0
+
+    def test_bvp_grid_work_splits_each_endpoint_once(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        cases = workloads.BvpGrid.build(0, None)
+        eighs = count_endpoint_eighs(monkeypatch)
+        asked, built = count_made(monkeypatch, apsindex, "aps_boundary_data", "APSBoundaryData")
+        regularized = 0
+        for case in cases:
+            _, (main, _, _) = workloads.BvpGrid.work(case)
+            regularized += main.regularized
+            # the family and, for a singular endpoint, its regularized copy
+            assert len(eighs) == 1 + main.regularized, case.family.label
+            assert id(case.family) in eighs, case.family.label
+            assert [count for _, count in eighs.values()] == [2] * len(eighs), case.family.label
+            assert len(built) == len(asked) == len(eighs), case.family.label
+            eighs.clear()
+            asked.clear()
+            built.clear()
+        assert regularized >= 10
+
+    def test_one_partition_per_family_for_all_three_checks(self, monkeypatch):
+        from apsflow.zoo import shipped_families, singular_endpoint_family
+
+        base = ExperimentConfig(family_spec=FamilySpec("constant", {"matrix_diagonal": [1.0]}),
+                                steps=128)
+        rng = np.random.default_rng(3)
+        fams = [*shipped_families(), *(singular_endpoint_family(3, rng) for _ in range(3))]
+        asked, built = count_made(monkeypatch, spectralflow, "build_flow_partition", "FlowPartition")
+        for f in fams:
+            result = cli._family_result(f, base, ("flowind", "lorentzian-main", "riemannian-main"))
+            assert all("error" not in e for e in result["results"]), f.label
+            assert len(built) == len(asked), f.label
+            assert {id(f)} <= {key[0] for key in asked} and len(asked) <= 2, f.label
+            asked.clear()
+            built.clear()
 
 
 class TestFlagRanges:

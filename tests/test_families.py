@@ -24,7 +24,7 @@ from apsflow.families import (
     unitary_conjugated_family,
     write_sample_series,
 )
-from apsflow.matrixcore import HermitianMatrix
+from apsflow.matrixcore import HermitianMatrix, eigh
 from conftest import diag_at, random_hermitian_entries, random_unitary
 
 
@@ -302,6 +302,77 @@ class TestNormBound:
         f.norm_bound()
         assert f == fresh
         assert asdict(f).keys() == before.keys()
+
+
+class TestEndpointSpectra:
+    def test_one_decomposition_per_end_per_instance(self):
+        f = linear_family(diag(-0.5, 0.25), diag(1.0, 2.0), 1.0)
+        first = f.endpoint_spectra
+        assert f.endpoint_spectra is first
+        for s, t in zip(first, (0.0, f.horizon)):
+            fresh = eigh(f.at(t))
+            assert s.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+            assert s.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
+
+    def test_replaced_copy_computes_its_own(self):
+        f = linear_family(diag(-0.5, 0.25), diag(1.0, 2.0), 1.0)
+        ends = f.endpoint_spectra
+        ev = f.eval_fn
+        g = replace(f, eval_fn=lambda t: 3.0 * ev(t))
+        assert np.allclose(g.endpoint_spectra[1].eigenvalues, [1.5, 6.75])
+        assert f.endpoint_spectra is ends
+        assert np.allclose(ends[1].eigenvalues, [0.5, 2.25])
+
+    def test_invisible_to_equality_and_asdict(self):
+        f = linear_family(diag(-0.5, 0.25), diag(1.0, 2.0), 1.0)
+        fresh = replace(f)
+        before = asdict(f)
+        f.endpoint_spectra
+        f._computed_once(("key", 1.0), lambda: 1)
+        assert f == fresh
+        assert asdict(f).keys() == before.keys()
+        assert "endpoint_spectra" not in fresh.__dict__ and "_memo" not in fresh.__dict__
+
+    def test_shared_arrays_are_read_only(self):
+        f = linear_family(diag(-0.5, 0.25), diag(1.0, 2.0), 1.0)
+        for s in f.endpoint_spectra:
+            for a in (s.eigenvalues, s.eigenvectors):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 7.0
+        assert np.array_equal(f.endpoint_spectra[0].eigenvalues, [-0.5, 0.25])
+
+    def test_regularization_reads_the_cached_pair(self):
+        f = constant_family(diag(0.0, -1.0), 1.0)
+        reg = endpoint_regularize(f)
+        assert reg is not f
+        assert np.array_equal(kernel_projection(f.endpoint_spectra[0]), np.diag([1.0, 0.0]))
+        assert np.array_equal(kernel_projection(f.at(0.0)), kernel_projection(f.endpoint_spectra[0]))
+
+
+class TestComputedOnce:
+    def test_keys_keep_their_own_values(self):
+        f = linear_family(diag(-0.5), diag(1.0), 1.0)
+        calls = []
+
+        def compute(value):
+            calls.append(value)
+            return [value]
+
+        a = f._computed_once(("what", 1e-9), lambda: compute(1))
+        b = f._computed_once(("what", 1e-2), lambda: compute(2))
+        assert f._computed_once(("what", 1e-9), lambda: compute(3)) is a
+        assert f._computed_once(("what", 1e-2), lambda: compute(4)) is b
+        assert calls == [1, 2]
+
+    def test_an_exception_is_not_kept(self):
+        f = linear_family(diag(-0.5), diag(1.0), 1.0)
+
+        def fail():
+            raise ConfigError("not kept")
+
+        with pytest.raises(ConfigError):
+            f._computed_once(("what",), fail)
+        assert f._computed_once(("what",), lambda: 5) == 5
 
 
 class TestSpecsAndSerialization:

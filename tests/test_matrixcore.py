@@ -12,11 +12,11 @@ from apsflow.matrixcore import (
     Projection,
     Subspace,
     _fix_phases,
+    carried_basis,
     eigh,
     hermitian_stack,
     principal_cosines,
     rank_kernel,
-    reduced_q,
     relative_index,
     snap_eigenvalues,
     spectral_projection,
@@ -290,24 +290,46 @@ def _qr_inputs(n, r, rng):
     yield "orthonormal", q[:, :r] * (1.0 + 1e-3 * rng.standard_normal(r))
 
 
-class TestReducedQ:
-    """``reduced_q`` is ``np.linalg.qr(a)[0]`` bit for bit, through numpy's private gufuncs."""
+def _reference_carry(factors, basis):
+    """Every step's ``Q`` of the loop ``basis = np.linalg.qr(factor @ basis)[0]``."""
+    steps = []
+    for factor in factors:
+        basis = np.linalg.qr(factor @ basis)[0]
+        steps.append(basis)
+    return steps
+
+
+class TestCarriedBasis:
+    """Each step of ``carried_basis`` is ``np.linalg.qr(factor @ basis)[0]`` bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
-    def test_same_bits_as_numpy_qr(self, n):
+    def test_every_step_has_the_bits_of_numpy_qr(self, n):
         rng = np.random.default_rng(100 + n)
+        eye = np.eye(n, dtype=complex)
         for r in sorted({1, math.ceil(n / 2), n}):
             for kind, a in _qr_inputs(n, r, rng):
-                expected = np.linalg.qr(a)[0]
-                got = reduced_q(a.copy())
-                assert got.shape == expected.shape == (n, r), (n, r, kind)
-                assert got.dtype == expected.dtype, (n, r, kind)
-                assert got.tobytes() == expected.tobytes(), (n, r, kind)
+                # the identity hands each input to the first QR as it is
+                factors = np.stack(
+                    [eye, *(g for _, g in _qr_inputs(n, n, rng)), eye]
+                )
+                expected = _reference_carry(factors, a)
+                for j, want in enumerate(expected, start=1):
+                    got = carried_basis(factors[:j], a)
+                    assert got.shape == want.shape == (n, r), (n, r, kind, j)
+                    assert got.dtype == want.dtype, (n, r, kind, j)
+                    assert got.tobytes() == want.tobytes(), (n, r, kind, j)
 
-    def test_only_native_complex_is_factored_in_place(self):
-        for a in (np.eye(2), np.eye(2, dtype=">c16")):
-            with pytest.raises(TypeError, match="complex128"):
-                reduced_q(a)
+    def test_the_input_basis_is_not_written(self):
+        basis = np.eye(3, 2, dtype=complex)
+        basis.setflags(write=False)
+        carried_basis(np.stack([2.0 * np.eye(3, dtype=complex)] * 3), basis)
+        assert np.array_equal(basis, np.eye(3, 2))
+
+    def test_only_complex_products_are_factored(self):
+        with pytest.raises(TypeError, match="complex128"):
+            carried_basis(np.eye(2)[None], np.eye(2))
+        with pytest.raises(TypeError, match="complex128"):
+            carried_basis(np.eye(2, dtype=np.complex64)[None], np.eye(2, dtype=np.complex64))
 
     def test_a_lapack_failure_still_raises(self, monkeypatch):
         # the gufunc reports a LAPACK failure through the invalid flag, as numpy's wrapper expects
@@ -316,7 +338,7 @@ class TestReducedQ:
 
         monkeypatch.setattr(matrixcore._umath_linalg, "qr_r_raw", failing)
         with pytest.raises(np.linalg.LinAlgError, match="QR factorization"):
-            reduced_q(np.eye(2, dtype=complex))
+            carried_basis(np.eye(2, dtype=complex)[None], np.eye(2, dtype=complex))
 
 
 class TestSnapping:

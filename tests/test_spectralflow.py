@@ -1,5 +1,6 @@
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,6 +87,28 @@ class TestFlowPartition:
         # than bottoming out, so the flow machinery stays total on valid input
         wide = build_flow_partition(f, gamma_min=10.0)
         assert np.all(wide.witness_gaps >= 10.0)
+
+    def test_computed_once_per_sample_count_and_gamma_min(self):
+        f = linear_family(diag(-1.0, 0.3), diag(0.0, 0.1), 1.0)
+        keys = [(33, 1e-6), (33, 0.4), (17, 1e-6)]
+        kept = [build_flow_partition(f, n, gamma_min=g) for n, g in keys]
+        # a clearance of 0.4 fits no level between -1 and 0.3: it moves above the spectrum
+        assert kept[0].levels.tolist() == [0.0]
+        assert kept[1].levels[0] > 1.0
+        assert kept[0].margins.tolist() != kept[2].margins.tolist()
+        for (n, g), part in zip(keys, kept):
+            assert build_flow_partition(f, n, gamma_min=g) is part
+            fresh = build_flow_partition(replace(f), n, gamma_min=g)
+            assert fresh is not part
+            assert fresh.to_dict() == part.to_dict()
+
+    def test_kept_arrays_are_read_only(self):
+        f = linear_family(diag(-0.5), diag(1.0), 1.0)
+        part = build_flow_partition(f)
+        for name in ("points", "levels", "witness_gaps", "margins"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(part, name)[0] = 7.0
+        assert build_flow_partition(f).points[0] == 0.0
 
 
 class TestSpectralFlow:
