@@ -23,7 +23,7 @@ error and would miscount.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -47,14 +47,14 @@ from .matrixcore import (
     Subspace,
     carried_basis,
     principal_cosines,
-    relative_index,
-    spectral_projection,
+    range_bases,
+    ranges_relative_index,
     spectral_subspace,
 )
 from .evolution import (
     NonunitaryPropagator,
     Propagator,
-    evolved_projection,
+    evolved_projections,
     nonunitary_propagate,
 )
 from .spectralflow import running_flows, spectral_flow
@@ -132,16 +132,19 @@ def lorentzian_index_projection(
     kernel/cokernel dimensions come from the singular values of the
     restricted projection with the propagation-aware ``sigma_cut``.
 
-    ``P_<0(0)`` and ``P_<0(T)`` are cut from the family's
-    ``endpoint_spectra``, the decompositions :func:`lorentzian_index_subspace`
-    splits too: the two routes always computed them bit for bit alike and
-    now read one copy.  What separates them is unchanged: this route takes
-    the relative index of two projections, the other counts principal
-    cosines and the rank of a restricted map.
+    ``P_<0(0)`` and ``P_<0(T)`` are the family's kept
+    ``negative_projection``, which :func:`lorentzian_main_check` and
+    :func:`~apsflow.spectralflow.flowind_check` read too, cut from the
+    ``endpoint_spectra`` that :func:`lorentzian_index_subspace` splits: the
+    routes always computed them bit for bit alike and now read one copy.
+    The pair is the one-time case of the stacked pass the main check runs
+    over its checkpoints.  What separates this route from the subspace
+    route is unchanged: this route takes the relative index of two
+    projections, the other counts principal cosines and the rank of a
+    restricted map.
     """
-    return _projection_pair_index(
-        _start_projection(family, tau_0), family, propagator, family.horizon, tau_0, sigma_cut
-    )
+    p0 = _start_projection(family, tau_0)
+    return _projection_pair_indices(p0, family, propagator, [family.horizon], tau_0, sigma_cut)[0]
 
 
 @contextlib.contextmanager
@@ -157,36 +160,40 @@ def _regularization_advice():
 
 
 def _start_projection(family: OperatorFamily, tau_0: float) -> Projection:
-    """``P_<0(0)``, shared by every checkpoint of one main check."""
+    """``P_<0(0)``, kept per family and ``tau_0``, with the advice to regularize."""
     with _regularization_advice():
-        return spectral_projection(family.endpoint_spectra[0], NEGATIVE_AXIS, tau_0=tau_0)
+        return family.negative_projection(0, tau_0)
 
 
-def _projection_pair_index(
+def _projection_pair_indices(
     p0: Projection,
     family: OperatorFamily,
     propagator: Propagator,
-    t_end: float,
+    times,
     tau_0: float,
     sigma_cut: float,
-) -> IndexReport:
-    """The projection-pair index of ``(p0, Q(0,t) P_<0(t) Q(t,0))`` at ``t = t_end``."""
+) -> list[IndexReport]:
+    """The projection-pair index of ``(p0, Q(0,t) P_<0(t) Q(t,0))`` at each time, in one pass.
+
+    The evolved projections come as one stack
+    (:func:`~apsflow.evolution.evolved_projections`) and their range bases
+    from one stacked eigendecomposition; the restriction SVD and the rank
+    identity of :func:`~apsflow.matrixcore.relative_index` run per time.
+    """
     with _regularization_advice():
-        p_hat = evolved_projection(family, propagator, t_end, tau_0=tau_0)
-    report = relative_index(p0, p_hat, tau_rank=sigma_cut)
-    diagnostics = dict(report.diagnostics)
-    diagnostics["t_end"] = float(t_end)
-    diagnostics["sigma_cut"] = sigma_cut
-    return IndexReport(
-        ker_dim=report.ker_dim,
-        coker_dim=report.coker_dim,
-        index=report.index,
-        method="projection-pair",
-        diagnostics=diagnostics,
-        warnings=_gray_zone_warnings(
-            "projection-pair", t_end, diagnostics["singular_values"], sigma_cut
-        ),
-    )
+        evolved, ranks = evolved_projections(family, propagator, times, tau_0=tau_0)
+    reports = []
+    for t_end, basis, rank in zip(times, range_bases(evolved), ranks):
+        report = ranges_relative_index(p0.range_basis, p0.rank, basis, rank, tau_rank=sigma_cut)
+        sigma = report.diagnostics["singular_values"]
+        reports.append(
+            replace(
+                report,
+                diagnostics={**report.diagnostics, "t_end": float(t_end), "sigma_cut": sigma_cut},
+                warnings=_gray_zone_warnings("projection-pair", t_end, sigma, sigma_cut),
+            )
+        )
+    return reports
 
 
 def _near_cut(values, cut: float) -> list[float]:
@@ -314,7 +321,12 @@ def lorentzian_main_check(
     so a family without a certified partition raises
     ``NoAdmissibleLevelError`` where :func:`spectral_flow` of the whole
     family does.  The indices are the projection-pair index at each
-    checkpoint.  What separates the two integers: the flow counts
+    checkpoint, read in one stacked pass (one evaluation, one stacked
+    ``eigh`` of the checkpoints before ``T``, one stacked conjugation, one
+    stacked ``eigh`` for the range bases) with ``P_<0(0)`` and ``P_<0(T)``
+    the family's kept ``negative_projection``; every report has the bytes
+    a pass over that checkpoint alone gives.  What separates the two
+    integers is unchanged: the flow counts
     eigenvalue samples of ``A`` against levels that a Weyl speed bound
     certifies, and never reads the propagator; the index is the relative
     index of ``P_<0(0)`` and the propagated projection
@@ -326,27 +338,24 @@ def lorentzian_main_check(
     times = [float(propagator.grid[k]) for k in indices]
     p0 = _start_projection(family, tau_0)
     flows = running_flows(family, times, gamma_min=gamma_min, tau_0=tau_0)
-    entries = []
-    warnings: list[str] = []
-    for t, sfl in zip(times, flows):
-        rep = _projection_pair_index(p0, family, propagator, t, tau_0, sigma_cut)
-        warnings.extend(rep.warnings)
-        entries.append(
-            CheckpointEntry(
-                t=t,
-                index=rep.index,
-                sfl=sfl,
-                ker_dim=rep.ker_dim,
-                coker_dim=rep.coker_dim,
-                passed=rep.index == sfl,
-            )
+    reports = _projection_pair_indices(p0, family, propagator, times, tau_0, sigma_cut)
+    entries = [
+        CheckpointEntry(
+            t=t,
+            index=rep.index,
+            sfl=sfl,
+            ker_dim=rep.ker_dim,
+            coker_dim=rep.coker_dim,
+            passed=rep.index == sfl,
         )
+        for t, sfl, rep in zip(times, flows, reports)
+    ]
     record = LorentzianMainRecord(
         family_label=family.label,
         checkpoints=tuple(entries),
         passed=all(e.passed for e in entries),
-        projection_at_end=rep,
-        warnings=tuple(warnings),
+        projection_at_end=reports[-1],
+        warnings=tuple(w for rep in reports for w in rep.warnings),
     )
     if not record.passed and raise_on_mismatch:
         bad = [e for e in entries if not e.passed]

@@ -38,10 +38,9 @@ from .families import OperatorFamily, Times, quintic_profile
 from .matrixcore import (
     NEGATIVE_AXIS,
     TAU_ZERO,
-    HermitianMatrix,
-    Projection,
-    eigh,
-    spectral_projection,
+    eigh_stack,
+    projection_stack,
+    spectral_projections,
 )
 
 SCHEME_MIDPOINT = "midpoint-exponential"
@@ -219,8 +218,9 @@ def _transfer_products(
     The one integrator loop of :func:`propagate` and
     :func:`nonunitary_propagate`.  It multiplies ``C = len(families)``
     (one or two) independent chains at once: one ``np.matmul`` per step on
-    a ``(C, n, n)`` slot (an ``(n, n)`` slot for one chain), which
-    multiplies each chain's matrices exactly as a loop of its own would.  The substep times
+    a ``(C, n, n)`` slot, which multiplies each chain's matrices exactly as
+    a loop of its own would, and one ``np.dot`` per step on the ``(n, n)``
+    slot of one chain, the same BLAS product bit for bit.  The substep times
     are computed once from the first family's horizon; the factors come in
     chunks of at most ``STEP_CHUNK_BYTES`` of generators per stage
     (:func:`_step_factors`), each multiplied into the products before the
@@ -252,13 +252,15 @@ def _transfer_products(
         chunks = _mirrored_factors(first, *reversal, stages[0], exponent)
     else:
         chunks = _step_factors(first, stages, exponent, steps)
+    # one chain: np.dot makes matmul's cblas_zgemm call with less overhead per step
+    multiply = np.matmul if reversal else np.dot
     for factors in chunks:
         substeps = iter(factors)
         for factor in substeps:
             slot = next(targets)
-            np.matmul(factor, prev, out=slot)
+            multiply(factor, prev, out=slot)
             for _ in range(1, steps):
-                np.matmul(next(substeps), slot, out=slot)
+                multiply(next(substeps), slot, out=slot)
             prev = slot
     return grid, products if keep_all else prev
 
@@ -343,24 +345,37 @@ def evolved_family(family: OperatorFamily, propagator: Propagator) -> OperatorFa
     )
 
 
-def evolved_projection(
+def evolved_projections(
     family: OperatorFamily,
     propagator: Propagator,
-    t: float,
+    times,
     *,
     tau_0: float = TAU_ZERO,
-) -> Projection:
-    """The evolved spectral projection ``Q(0, t) P_<0(t) Q(t, 0)`` at a grid time.
+) -> tuple[np.ndarray, list[int]]:
+    """The evolved spectral projections ``Q(0, t) P_<0(t) Q(t, 0)`` at grid times, as one stack.
 
-    At ``t = T`` it reads the family's ``endpoint_spectra``.
+    Returns the read-only ``(K, n, n)`` stack and the rank of each
+    projection.  The times other than ``T`` are evaluated in one
+    ``at_many``, decomposed in one :func:`~apsflow.matrixcore.eigh_stack`
+    and cut into projections checked as one stack; at ``T`` it reads the
+    family's kept ``negative_projection(1, tau_0)``.  All are conjugated
+    by their unitaries in one stacked product, and the results are checked
+    as one stack again (Hermiticity, idempotency, trace).
     """
-    k = propagator.index_of(t)
-    tk = float(propagator.grid[k])
-    spectrum = family.endpoint_spectra[1] if tk == family.horizon else eigh(family.at(tk))
-    base = spectral_projection(spectrum, NEGATIVE_AXIS, tau_0=tau_0)
-    u = propagator.unitaries[k]
-    mat = u.conj().T @ base.matrix.entries @ u
-    return Projection(HermitianMatrix(mat), rank=base.rank)
+    ks = [propagator.index_of(t) for t in times]
+    grid_times = propagator.grid[ks]
+    at_end = grid_times == family.horizon
+    base = np.empty((len(ks), family.dim, family.dim), dtype=complex)
+    ranks = np.empty(len(ks), dtype=int)
+    if not at_end.all():
+        spectra = eigh_stack(family.at_many(grid_times[~at_end]))
+        base[~at_end], ranks[~at_end] = spectral_projections(spectra, NEGATIVE_AXIS, tau_0=tau_0)
+    if at_end.any():
+        end = family.negative_projection(1, tau_0)
+        base[at_end], ranks[at_end] = end.matrix.entries, end.rank
+    u = propagator.unitaries[ks]
+    ranks = ranks.tolist()
+    return projection_stack(np.conj(u).swapaxes(-1, -2) @ base @ u, ranks), ranks
 
 
 def closed_form_swap_propagator(lambda1: float, lambda2: float, t: float) -> np.ndarray:

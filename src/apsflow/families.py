@@ -21,12 +21,15 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, FamilyConstructionError
 from .matrixcore import (
+    NEGATIVE_AXIS,
     TAU_ZERO,
     HermitianMatrix,
+    Projection,
     SpectralData,
     eigh,
     hermitian_stack,
     snap_eigenvalues,
+    spectral_projection,
 )
 
 DERIVATIVE_CHECK_STEP = 1e-4
@@ -248,6 +251,19 @@ class OperatorFamily:
         matrices, so every route reads this one pair.
         """
         return eigh(self.at(0.0)), eigh(self.at(self.horizon))
+
+    def negative_projection(self, end: int, tau_0: float = TAU_ZERO) -> Projection:
+        """``P_<0`` of ``A(0)`` (``end`` 0) or of ``A(T)`` (``end`` 1).
+
+        Computed once per instance and ``tau_0``, cut from
+        ``endpoint_spectra``; the projection keeps its ``range_basis`` once
+        asked for.  The flow check, the transport main
+        check and the projection route of one family all read these two.
+        """
+        return self._computed_once(
+            ("negative_projection", end, tau_0),
+            lambda: spectral_projection(self.endpoint_spectra[end], NEGATIVE_AXIS, tau_0=tau_0),
+        )
 
     def _computed_once(self, key: tuple, compute: Callable[[], object]):
         """``compute()`` on the first call with ``key``, the same object after.

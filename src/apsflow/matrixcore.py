@@ -149,47 +149,67 @@ class SpectralData:
 def eigh(h: HermitianMatrix) -> SpectralData:
     """Eigendecomposition of a Hermitian matrix with deterministic phases.
 
+    The one-matrix case of :func:`eigh_stack`, which raises
+    ``EigendecompositionError`` as described there.
+    """
+    return eigh_stack(h.entries[None])[0]
+
+
+def eigh_stack(a: np.ndarray) -> list[SpectralData]:
+    """Eigendecompositions of a ``(K, n, n)`` Hermitian stack from one LAPACK call.
+
+    LAPACK decomposes each matrix of the stack on its own, so every matrix
+    gets the bits :func:`eigh` gives it alone.  Phases are fixed and each
+    decomposition is validated per matrix.
+
     Raises
     ------
     EigendecompositionError
-        If LAPACK fails to converge, or the reconstruction ``V L V*`` does
-        not reproduce the input at working precision.  The message carries
-        a content hash of the offending matrix.
+        If LAPACK fails to converge, or the reconstruction ``V L V*`` of a
+        matrix does not reproduce it at working precision.  The message
+        carries a content hash of the first offending matrix.
     """
-    a = h.entries
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
+        if a.shape[0] > 1:  # name the matrix LAPACK failed on
+            for m in a:
+                eigh_stack(m[None])
         raise EigendecompositionError(
-            f"eigendecomposition failed for matrix {_matrix_hash(a)}: {exc}"
+            f"eigendecomposition failed for matrix {_matrix_hash(a[0])}: {exc}"
         ) from exc
     v = _fix_phases(v)
-    scale = 1.0 + float(np.max(np.abs(w))) if w.size else 1.0
-    ortho = float(np.max(np.abs(v.conj().T @ v - np.eye(h.dim))))
-    recon = float(np.max(np.abs((v * w) @ v.conj().T - a)))
-    if ortho > ORTHONORMALITY_ATOL or recon > ORTHONORMALITY_ATOL * scale:
+    adjoint = np.conj(v).swapaxes(1, 2)
+    scale = 1.0 + np.abs(w).max(axis=1, initial=0.0)
+    ortho = np.abs(adjoint @ v - np.eye(a.shape[-1])).max(axis=(1, 2))
+    recon = np.abs((v * w[:, None, :]) @ adjoint - a).max(axis=(1, 2))
+    bad = (ortho > ORTHONORMALITY_ATOL) | (recon > ORTHONORMALITY_ATOL * scale)
+    if bad.any():
+        k = int(bad.argmax())
         raise EigendecompositionError(
-            f"eigendecomposition of matrix {_matrix_hash(a)} failed validation: "
-            f"orthonormality defect {ortho:.3e}, reconstruction defect {recon:.3e}"
+            f"eigendecomposition of matrix {_matrix_hash(a[k])} failed validation: "
+            f"orthonormality defect {ortho[k]:.3e}, reconstruction defect {recon[k]:.3e}"
         )
     w = w.copy()
     w.setflags(write=False)
     v.setflags(write=False)
-    return SpectralData(eigenvalues=w, eigenvectors=v)
+    return [SpectralData(eigenvalues=wk, eigenvectors=vk) for wk, vk in zip(w, v)]
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first nonnegligible component is real positive.
+    """Rotate each column of a ``(K, n, n)`` stack to a real positive pivot.
 
-    The pivot search and the rotation run over all columns at once; each
-    column's phase stays the numpy scalar ``conj(pivot) / |pivot|``, whose
-    array form would round differently.
+    The pivot is the column's first nonnegligible component.  The pivot
+    search and the rotation run over all columns at once; each column's
+    phase stays the numpy scalar ``conj(pivot) / |pivot|``, whose array
+    form would round differently.
     """
+    k, _, n = v.shape
     mags = np.abs(v)
-    rows = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
-    pivots = v[rows, np.arange(v.shape[1])]
-    phases = [p.conjugate() / abs(p) if abs(p) > 0 else 1.0 for p in pivots]
-    return v * np.array(phases, dtype=complex)
+    rows = (mags > 1e-8 * mags.max(axis=1, keepdims=True)).argmax(axis=1)
+    pivots = v[np.arange(k)[:, None], rows, np.arange(n)]
+    phases = [p.conjugate() / abs(p) if abs(p) > 0 else 1.0 for p in pivots.ravel()]
+    return v * np.array(phases, dtype=complex).reshape(k, 1, n)
 
 
 # The two spectral cuts the boundary conditions take, named as they print
@@ -274,13 +294,7 @@ class Projection:
     rank: int
 
     def __post_init__(self):
-        p = self.matrix.entries
-        idem = float(np.max(np.abs(p @ p - p)))
-        if idem > IDEMPOTENCY_ATOL:
-            raise ValueError(f"matrix is not idempotent (defect {idem:.3e})")
-        tr = float(np.real(np.trace(p)))
-        if abs(tr - self.rank) > TRACE_ATOL:
-            raise ValueError(f"trace {tr!r} does not match declared rank {self.rank}")
+        _check_projections(self.matrix.entries[None], (self.rank,))
 
     @property
     def dim(self) -> int:
@@ -289,9 +303,44 @@ class Projection:
     @functools.cached_property
     def range_basis(self) -> Subspace:
         """Orthonormal basis of the range, from one eigendecomposition per projection."""
-        s = eigh(self.matrix)
-        keep = s.eigenvalues > 0.5
-        return Subspace(self.dim, s.eigenvectors[:, keep])
+        return range_bases(self.matrix.entries[None])[0]
+
+
+def _check_projections(p: np.ndarray, ranks) -> None:
+    """The checks of :class:`Projection` on a ``(K, n, n)`` stack, first offender raising.
+
+    Each matrix must be idempotent and have the trace of its declared rank.
+    """
+    defects = np.abs(p @ p - p).max(axis=(1, 2))
+    for matrix, idem, rank in zip(p, defects, ranks):
+        if idem > IDEMPOTENCY_ATOL:
+            raise ValueError(f"matrix is not idempotent (defect {idem:.3e})")
+        tr = float(np.real(np.trace(matrix)))
+        if abs(tr - rank) > TRACE_ATOL:
+            raise ValueError(f"trace {tr!r} does not match declared rank {rank}")
+
+
+def projection_stack(mats, ranks) -> np.ndarray:
+    """The Hermitian parts of a ``(K, n, n)`` stack of projections, checked as a stack.
+
+    The checks and errors of :class:`HermitianMatrix` and :class:`Projection`,
+    each in one pass over the stack; ``ranks`` are the declared ranks.
+    Returns the read-only stack.
+    """
+    p = hermitian_stack(mats)
+    _check_projections(p, ranks)
+    return p
+
+
+def range_bases(p: np.ndarray) -> list[Subspace]:
+    """Orthonormal bases of the ranges of a ``(K, n, n)`` stack of projections.
+
+    One :func:`eigh_stack` for the stack; each basis keeps the eigenvectors
+    of eigenvalues above 0.5, as :attr:`Projection.range_basis` does.
+    """
+    return [
+        Subspace(p.shape[-1], s.eigenvectors[:, s.eigenvalues > 0.5]) for s in eigh_stack(p)
+    ]
 
 
 def spectral_projection(
@@ -307,10 +356,27 @@ def spectral_projection(
     ``[0, inf)`` and not in ``(-inf, 0)``).  Any other eigenvalue within
     ``TAU_GAP`` of zero raises ``AmbiguousSpectralCutError``.
     """
+    p, rank = _spectral_matrix(s, axis, tau_0)
+    return Projection(HermitianMatrix(p), rank=rank)
+
+
+def spectral_projections(
+    spectra, axis: str, *, tau_0: float = TAU_ZERO
+) -> tuple[np.ndarray, list[int]]:
+    """The matrices and ranks of :func:`spectral_projection` for several spectra.
+
+    Each ``V_sel V_sel*`` is built on its own (the ranks differ); the stack
+    is symmetrized and checked in one :func:`projection_stack`.
+    """
+    mats, ranks = zip(*(_spectral_matrix(s, axis, tau_0) for s in spectra))
+    return projection_stack(np.stack(mats), ranks), list(ranks)
+
+
+def _spectral_matrix(s: SpectralData, axis: str, tau_0: float) -> tuple[np.ndarray, int]:
+    """``V_sel V_sel*`` for the eigenvectors of ``axis``, and their number."""
     select = _select_indices(s.eigenvalues, axis, tau_0)
     v = s.eigenvectors[:, select]
-    p = v @ v.conj().T
-    return Projection(HermitianMatrix(p), rank=int(np.count_nonzero(select)))
+    return v @ v.conj().T, int(np.count_nonzero(select))
 
 
 def spectral_subspace(
@@ -369,18 +435,28 @@ def relative_index(
     """
     if p.dim != q.dim:
         raise DimensionMismatchError(f"ambient dims differ: {p.dim} vs {q.dim}")
-    bp = p.range_basis.basis
-    bq = q.range_basis.basis
-    m = bq.conj().T @ bp  # restriction map Ran(P) -> Ran(Q) in orthonormal bases
+    return ranges_relative_index(p.range_basis, p.rank, q.range_basis, q.rank, tau_rank=tau_rank)
+
+
+def ranges_relative_index(
+    range_p: Subspace,
+    rank_p: int,
+    range_q: Subspace,
+    rank_q: int,
+    *,
+    tau_rank: float = TAU_RANK_PAIR,
+) -> IndexReport:
+    """:func:`relative_index` of projections given by their range bases and declared ranks."""
+    m = range_q.basis.conj().T @ range_p.basis  # restriction map Ran(P) -> Ran(Q)
     sigma = np.linalg.svd(m, compute_uv=False) if min(m.shape) else np.zeros(0)
     rank = int(np.count_nonzero(sigma > tau_rank))
-    ker = p.rank - rank
-    coker = q.rank - rank
+    ker = rank_p - rank
+    coker = rank_q - rank
     index = ker - coker
-    if index != p.rank - q.rank:
+    if index != rank_p - rank_q:
         raise ConsistencyError(
             f"relative index {index} disagrees with rank difference "
-            f"{p.rank} - {q.rank}; singular values {sigma.tolist()}"
+            f"{rank_p} - {rank_q}; singular values {sigma.tolist()}"
         )
     return IndexReport(
         ker_dim=ker,

@@ -25,13 +25,11 @@ from .errors import ConsistencyError, NoAdmissibleLevelError
 from .families import OperatorFamily, unitary_conjugated_family
 from .matrixcore import (
     GAMMA_MIN,
-    NEGATIVE_AXIS,
     TAU_RANK_PAIR,
     TAU_ZERO,
     IndexReport,
     relative_index,
     snap_eigenvalues,
-    spectral_projection,
 )
 from .reporting import write_csv
 
@@ -415,14 +413,14 @@ def flowind_check(
     :class:`ConsistencyError` (or returned with ``passed=False`` when
     ``raise_on_mismatch`` is off).  The partition is the one
     :func:`running_flows` reads for the same family and ``gamma_min``, and
-    the two projections come from the family's ``endpoint_spectra``, which
-    every route reads; the flow still reads eigenvalue samples against
-    certified levels, the index only the two endpoint decompositions.
+    the two projections are the family's kept ``negative_projection`` at
+    each end, which the transport main check and the projection route read
+    too, with their range bases.  What separates the two integers is
+    unchanged: the flow reads eigenvalue samples against certified levels,
+    the index only the two endpoint decompositions.
     """
     report = spectral_flow(family, gamma_min=gamma_min, tau_0=tau_0)
-    p0, pt = (
-        spectral_projection(s, NEGATIVE_AXIS, tau_0=tau_0) for s in family.endpoint_spectra
-    )
+    p0, pt = (family.negative_projection(end, tau_0) for end in (0, 1))
     pair = relative_index(p0, pt, tau_rank=tau_rank)
     record = FlowIndexRecord(
         family_label=family.label,

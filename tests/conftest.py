@@ -107,6 +107,23 @@ def subspace_intersection(u, v):
     return Subspace(u.ambient_dim, u.basis @ lu[:, : int(np.count_nonzero(keep))])
 
 
+def faulty_eigh(monkeypatch, target, fault):
+    """``np.linalg.eigh`` of stacks, ``fault(w, v)`` applied to each matrix equal to ``target``.
+
+    ``fault`` returns the corrupted ``(w, v)`` of that matrix, or raises.
+    """
+    original = np.linalg.eigh
+
+    def eigh_with_fault(a):
+        w, v = original(a)
+        for k, m in enumerate(a):
+            if np.array_equal(m, target):
+                w[k], v[k] = fault(w[k].copy(), v[k].copy())
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_with_fault)
+
+
 def numpy_peak(fn):
     """``fn()`` and the peak of traced allocations (numpy buffers included) while it ran."""
     tracemalloc.start()

@@ -18,7 +18,12 @@ from apsflow.apsindex import (
     riemannian_main_check,
 )
 from apsflow.cli import RIEMANNIAN_NORM_CAP
-from apsflow.errors import ConsistencyError, StiffnessError
+from apsflow.errors import (
+    AmbiguousSpectralCutError,
+    ConsistencyError,
+    EigendecompositionError,
+    StiffnessError,
+)
 from apsflow.evolution import nonunitary_propagate, propagate
 from apsflow.families import (
     OperatorFamily,
@@ -28,11 +33,24 @@ from apsflow.families import (
     linear_family,
     sampled_family,
 )
-from apsflow.matrixcore import SHOOTING_ANGLE_TOL, HermitianMatrix, rank_kernel
+from apsflow.matrixcore import (
+    NEGATIVE_AXIS,
+    SHOOTING_ANGLE_TOL,
+    SIGMA_CUT,
+    TAU_ZERO,
+    HermitianMatrix,
+    Projection,
+    eigh,
+    rank_kernel,
+    relative_index,
+    spectral_projection,
+)
+from apsflow.reporting import canonical_json
 from apsflow.spectralflow import spectral_flow
 from apsflow.zoo import random_trig_family, random_zoo, shipped_families, singular_endpoint_family
 from conftest import (
     HARD_CHECKPOINT_FAMILIES,
+    faulty_eigh,
     flow_plus_one,
     negative_count,
     numpy_peak,
@@ -155,14 +173,21 @@ class TestTransportIndexRoutes:
     def test_evolved_endpoint_projection_identity(self, rng):
         # conjugating the t=0 projection is a no-op, so replacing the left
         # member of the pair by its evolved version cannot change the report
-        from apsflow.evolution import evolved_projection
-        from apsflow.matrixcore import NEGATIVE_AXIS, eigh, relative_index, spectral_projection
+        from apsflow.evolution import evolved_projections
+        from apsflow.matrixcore import (
+            NEGATIVE_AXIS,
+            HermitianMatrix,
+            Projection,
+            eigh,
+            relative_index,
+            spectral_projection,
+        )
 
         f = random_trig_family(3, rng)
         p = propagate(f, 256)
         left_plain = spectral_projection(eigh(f.at(0.0)), NEGATIVE_AXIS)
-        left_evolved = evolved_projection(f, p, 0.0)
-        right = evolved_projection(f, p, 1.0)
+        mats, ranks = evolved_projections(f, p, [0.0, 1.0])
+        left_evolved, right = (Projection(HermitianMatrix(m), r) for m, r in zip(mats, ranks))
         a = relative_index(left_plain, right, tau_rank=1e-4)
         b = relative_index(left_evolved, right, tau_rank=1e-4)
         assert (a.ker_dim, a.coker_dim, a.index) == (b.ker_dim, b.coker_dim, b.index)
@@ -238,6 +263,128 @@ class TestTransportMainCheck:
             lorentzian_main_check(f, p)
         assert exc.value.record.passed is False
         assert not lorentzian_main_check(f, p, raise_on_mismatch=False).passed
+
+
+def one_checkpoint_reference(f, prop, t, tau_0=TAU_ZERO, sigma_cut=SIGMA_CUT):
+    """The projection-pair report at one checkpoint, one matrix at a time.
+
+    The reference for the stacked pass: ``P_<0(0)`` and ``P_<0(t)`` cut from
+    their own decompositions, the evolved projection built and checked as a
+    :class:`Projection`, and the pair's :func:`relative_index`.
+    """
+    k = prop.index_of(t)
+    tk = float(prop.grid[k])
+    spectrum = f.endpoint_spectra[1] if tk == f.horizon else eigh(f.at(tk))
+    base = spectral_projection(spectrum, NEGATIVE_AXIS, tau_0=tau_0)
+    u = prop.unitaries[k]
+    evolved = Projection(HermitianMatrix(u.conj().T @ base.matrix.entries @ u), rank=base.rank)
+    p0 = spectral_projection(eigh(f.at(0.0)), NEGATIVE_AXIS, tau_0=tau_0)
+    rep = relative_index(p0, evolved, tau_rank=sigma_cut)
+    diagnostics = {**rep.diagnostics, "t_end": float(t), "sigma_cut": sigma_cut}
+    sigma = diagnostics["singular_values"]
+    return replace(
+        rep,
+        diagnostics=diagnostics,
+        warnings=apsindex._gray_zone_warnings("projection-pair", t, sigma, sigma_cut),
+    )
+
+
+def checkpoint_families():
+    rng = np.random.default_rng(41)
+    return [
+        *shipped_families(),
+        *random_zoo(10, 41, sizes=(2, 3, 4, 8, 16)),
+        *(singular_endpoint_family(int(rng.integers(2, 6)), rng) for _ in range(4)),
+        *(make() for make in HARD_CHECKPOINT_FAMILIES.values()),
+    ]
+
+
+def report_bytes(rep):
+    return canonical_json(rep.to_dict()), rep.warnings
+
+
+class TestStackedCheckpointPass:
+    """The stacked checkpoint pass gives each report the bytes of a pass at that time alone."""
+
+    def test_every_report_has_the_bytes_of_a_one_time_pass(self):
+        for f in checkpoint_families():
+            prop = propagate(f, 256)
+            rec = lorentzian_main_check(f, prop, raise_on_mismatch=False)
+            times = [e.t for e in rec.checkpoints]
+            p0 = apsindex._start_projection(f, TAU_ZERO)
+            stacked = apsindex._projection_pair_indices(p0, f, prop, times, TAU_ZERO, SIGMA_CUT)
+            assert report_bytes(stacked[-1]) == report_bytes(rec.projection_at_end), f.label
+            assert rec.warnings == tuple(w for r in stacked for w in r.warnings), f.label
+            for t, rep, entry in zip(times, stacked, rec.checkpoints):
+                fresh = replace(f)  # keeps none of f's endpoint projections
+                (alone,) = apsindex._projection_pair_indices(
+                    apsindex._start_projection(fresh, TAU_ZERO), fresh, prop, [t],
+                    TAU_ZERO, SIGMA_CUT,
+                )
+                assert report_bytes(rep) == report_bytes(alone), (f.label, t)
+                want = one_checkpoint_reference(f, prop, t)
+                assert report_bytes(rep) == report_bytes(want), (f.label, t)
+                assert (entry.ker_dim, entry.coker_dim, entry.index) == (
+                    want.ker_dim, want.coker_dim, want.index
+                )
+            route = lorentzian_index_projection(f, prop)
+            assert report_bytes(route) == report_bytes(rec.projection_at_end), f.label
+
+    def test_interior_ambiguous_cut_keeps_the_advice(self):
+        # the eigenvalue is 5e-8 at the checkpoint t = 1/4: above snapping, inside the gap
+        f = linear_family(diag(-0.25 + 5e-8), diag(1.0), 1.0)
+        with pytest.raises(AmbiguousSpectralCutError) as alone:
+            spectral_projection(eigh(f.at(0.25)), NEGATIVE_AXIS)
+        with pytest.raises(AmbiguousSpectralCutError) as stacked:
+            lorentzian_main_check(f, propagate(f, 256))
+        assert str(stacked.value) == (
+            f"{alone.value}; apply endpoint_regularize to push the offending "
+            "eigenvalue away from the spectral cut"
+        )
+
+    def test_failed_checkpoint_eigh_raises_its_one_matrix_text(self, monkeypatch):
+        f = random_trig_family(3, np.random.default_rng(8))
+        prop = propagate(f, 256)
+        # shifted eigenvalues: the reconstruction of A(1/2) fails
+        faulty_eigh(monkeypatch, f.at(0.5).entries, lambda w, v: (w + 1.0, v))
+        with pytest.raises(EigendecompositionError) as alone:
+            eigh(f.at(0.5))
+        with pytest.raises(EigendecompositionError) as stacked:
+            lorentzian_main_check(f, prop)
+        assert str(stacked.value) == str(alone.value)
+        assert "failed validation" in str(alone.value)
+
+    def test_failed_projection_check_raises_its_one_matrix_text(self):
+        f = random_trig_family(3, np.random.default_rng(9))
+        prop = propagate(f, 256)
+        u = prop.unitaries.copy()
+        u[128] *= 1.001  # Q(1/2, 0) no longer unitary: its evolved projection is not idempotent
+        object.__setattr__(prop, "unitaries", u)
+        base = spectral_projection(eigh(f.at(0.5)), NEGATIVE_AXIS)
+        assert base.rank
+        with pytest.raises(ValueError) as alone:
+            Projection(HermitianMatrix(u[128].conj().T @ base.matrix.entries @ u[128]), base.rank)
+        with pytest.raises(ValueError) as stacked:
+            lorentzian_main_check(f, prop)
+        assert str(stacked.value) == str(alone.value)
+        assert "not idempotent" in str(alone.value)
+
+    def test_non_hermitian_checkpoint_raises_its_one_matrix_text(self):
+        base = random_trig_family(2, np.random.default_rng(10))
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+        def eval_fn(t):
+            return base.eval_fn(t) + (np.asarray(t) == 0.5)[..., None, None] * skew
+
+        f = replace(base, eval_fn=eval_fn)
+        prop = propagate(base, 256)
+        with pytest.raises(ValueError) as alone:
+            f.at(0.5)
+        p0 = apsindex._start_projection(f, TAU_ZERO)
+        with pytest.raises(ValueError) as stacked:
+            apsindex._projection_pair_indices(p0, f, prop, [0.25, 0.5, 1.0], TAU_ZERO, SIGMA_CUT)
+        assert str(stacked.value) == str(alone.value)
+        assert "not Hermitian" in str(alone.value)
 
 
 class TestDiscretizedOperator:

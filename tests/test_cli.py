@@ -342,7 +342,7 @@ TOLERANCE_APPLIERS = {
     "tau_rank": ("relative_index", "tau_rank"),
     "gamma_min": ("build_flow_partition", "gamma_min"),
     "tau_angle": ("lorentzian_index_subspace", "tau_angle"),
-    "sigma_cut": ("_projection_pair_index", "sigma_cut"),
+    "sigma_cut": ("_projection_pair_indices", "sigma_cut"),
     "shooting_angle_tol": ("riemannian_kernel_shooting", "angle_tol"),
 }
 TOLERANCE_CHECKS = [
@@ -524,14 +524,52 @@ class TestWorkDoneOnce:
         assert prop.unitarity_defect() == prop.unitarity_defect()
         assert len(calls) == 2
 
-    def test_projection_index_at_end_computed_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, apsindex, "_projection_pair_index")
-        starts = count_calls(monkeypatch, apsindex, "_start_projection")
+    def test_one_pass_reads_every_checkpoint(self, monkeypatch):
+        times = spy_keyword(monkeypatch, "_projection_pair_indices", "times")
         entry = execute_config(self.config("lorentzian-main"))["results"][0]
         assert len(entry["checkpoints"]) == 8
-        assert len(calls) == 8
-        assert len(starts) == 1  # P_<0(0) is shared by the checkpoints
+        # one call for all 8 times; the projection route is its report at T
+        assert [len(t) for t in times] == [8]
         assert entry["projection_route"]["diagnostics"]["t_end"] == 1.0
+
+    def test_one_stacked_eigh_for_the_checkpoints_before_the_end(self, monkeypatch):
+        from apsflow.zoo import random_zoo
+
+        f = random_zoo(1, 5, sizes=(4,))[0]
+        prop = evolution.propagate(f, 256)
+        spectralflow.flowind_check(f)  # keeps the endpoint projections and the partition
+        inputs = []
+        original = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            inputs.append(np.array(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        rec = apsindex.lorentzian_main_check(f, prop)
+        # the 7 checkpoint matrices before T, then the 8 evolved projections
+        assert [a.shape for a in inputs] == [(7, 4, 4), (8, 4, 4)]
+        assert np.array_equal(inputs[0], f.at_many([e.t for e in rec.checkpoints[:-1]]))
+
+    def test_transport_zoo_work_cuts_each_endpoint_projection_once(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        original = matrixcore.spectral_projection
+        cut = []
+
+        def spy(s, *args, **kwargs):
+            cut.append(s)
+            return original(s, *args, **kwargs)
+
+        for m in (matrixcore, families, apsindex, spectralflow, evolution):
+            if getattr(m, "spectral_projection", None) is original:
+                monkeypatch.setattr(m, "spectral_projection", spy)
+        for case in workloads.TransportZoo.build(0, 6):
+            workloads.TransportZoo.work(case)  # flowind, lorentzian-main and the projection route
+            for s in case.family.endpoint_spectra:
+                assert sum(c is s for c in cut) == 1, case.family.label
+            cut.clear()
 
     def test_bvp_grid_work_splits_each_endpoint_once(self, monkeypatch):
         monkeypatch.syspath_prepend(str(PERFBENCH))

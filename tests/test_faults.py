@@ -3,14 +3,18 @@
 Every fault is applied by ``monkeypatch`` and run over one small fixed set
 of families: the shipped families, 4 zoo draws, 4 singular-endpoint draws,
 the hard checkpoint families and one fast family whose partition has 3
-segments.  A fault no check catches fails here and is stated as a limit in
+segments.  The checks are the transport main check and, at ``T``, the
+agreement of the projection pair's singular values with the subspace
+route's.  A fault no check catches fails here and is stated as a limit in
 the README.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from apsflow import apsindex, spectralflow
+from apsflow import apsindex, evolution, matrixcore, spectralflow
 from apsflow.evolution import propagate
 from apsflow.families import linear_family
 from apsflow.matrixcore import HermitianMatrix
@@ -50,6 +54,19 @@ def _read_at_partition_point(side):
     return faulty
 
 
+def _swapped_pair(range_p, rank_p, range_q, rank_q, **kwargs):
+    """The relative index with P and Q swapped."""
+    return matrixcore.ranges_relative_index(range_q, rank_q, range_p, rank_p, **kwargs)
+
+
+def _conjugated_by_u(family, propagator, times, **kwargs):
+    """The evolved projections ``U P U*`` in place of ``U* P U``."""
+    adjoints = np.conj(propagator.unitaries).swapaxes(-1, -2)
+    return evolution.evolved_projections(
+        family, replace(propagator, unitaries=adjoints), times, **kwargs
+    )
+
+
 # name: (module, attribute, replacement)
 FAULTS = {
     "checkpoint flow read at the segment start": (
@@ -58,24 +75,38 @@ FAULTS = {
     "checkpoint flow read at the segment end": (
         apsindex, "running_flows", _read_at_partition_point(1)
     ),
+    "P and Q swapped in the relative index": (
+        apsindex, "ranges_relative_index", _swapped_pair
+    ),
+    "evolved projection conjugated by U in place of U*": (
+        apsindex, "evolved_projections", _conjugated_by_u
+    ),
 }
+# the projection pair at T and the subspace route restrict the same map:
+# their singular values agree to rounding (clean gap at most 1e-13 here)
+SINGULAR_VALUE_ATOL = 1e-10
 
 
-def _main_check_failures():
+def _transport_check_failures():
+    """The families failing the transport main check or the singular-value check at T."""
     failed = []
     for f in _families():
-        rec = apsindex.lorentzian_main_check(f, propagate(f, 256), raise_on_mismatch=False)
-        if not rec.passed:
+        prop = propagate(f, 256)
+        rec = apsindex.lorentzian_main_check(f, prop, raise_on_mismatch=False)
+        pair = rec.projection_at_end.diagnostics["singular_values"]
+        sub = apsindex.lorentzian_index_subspace(f, prop).diagnostics["restriction_singular_values"]
+        agree = pair.shape == sub.shape and np.allclose(pair, sub, rtol=0, atol=SINGULAR_VALUE_ATOL)
+        if not (rec.passed and agree):
             failed.append(f.label)
     return failed
 
 
 def test_the_fixed_set_passes_without_a_fault():
-    assert _main_check_failures() == []
+    assert _transport_check_failures() == []
 
 
 @pytest.mark.parametrize("name", sorted(FAULTS))
 def test_fault_fails_the_transport_main_check(monkeypatch, name):
     module, attr, replacement = FAULTS[name]
     monkeypatch.setattr(module, attr, replacement)
-    assert _main_check_failures(), f"no check caught: {name}"
+    assert _transport_check_failures(), f"no check caught: {name}"

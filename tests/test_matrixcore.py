@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from apsflow import matrixcore
-from apsflow.errors import AmbiguousSpectralCutError, DimensionMismatchError
+from apsflow.errors import (
+    AmbiguousSpectralCutError,
+    DimensionMismatchError,
+    EigendecompositionError,
+)
 from apsflow.matrixcore import (
     NEGATIVE_AXIS,
     NONNEGATIVE_AXIS,
@@ -14,14 +18,25 @@ from apsflow.matrixcore import (
     _fix_phases,
     carried_basis,
     eigh,
+    eigh_stack,
     hermitian_stack,
     principal_cosines,
+    projection_stack,
+    range_bases,
+    ranges_relative_index,
     rank_kernel,
     relative_index,
     snap_eigenvalues,
     spectral_projection,
+    spectral_projections,
 )
-from conftest import random_hermitian_entries, random_projection, subspace_intersection
+from apsflow.reporting import canonical_json
+from conftest import (
+    faulty_eigh,
+    random_hermitian_entries,
+    random_projection,
+    subspace_intersection,
+)
 
 
 class TestHermitianMatrix:
@@ -106,9 +121,12 @@ class TestFixPhases:
             inputs.append(block)
         for h in inputs:
             _, v = np.linalg.eigh(HermitianMatrix(h).entries)  # complex, as eigh sees it
-            got, want = _fix_phases(v), _fix_phases_loop(v)
+            got, want = _fix_phases(v[None])[0], _fix_phases_loop(v)
             # compare bit patterns, so signed zeros count too
             assert got.tobytes() == want.tobytes()
+        _, stack = np.linalg.eigh(hermitian_stack(inputs))
+        want = np.stack([_fix_phases_loop(v) for v in stack])
+        assert _fix_phases(stack).tobytes() == want.tobytes()
 
 
 class TestSpectralProjection:
@@ -209,6 +227,74 @@ class TestRelativeIndex:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
             relative_index(random_projection(3, 1, rng), random_projection(4, 1, rng))
+
+
+def _shifted(w, v):
+    return w + 1.0, v
+
+
+def _no_convergence(w, v):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+class TestStackedChecks:
+    """Each stacked helper gives every matrix the bits and the errors of its one-matrix form."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+    def test_eigh_stack_has_the_bits_of_eigh(self, n, rng):
+        mats = hermitian_stack([random_hermitian_entries(n, rng) for _ in range(7)])
+        for got, m in zip(eigh_stack(mats), mats):
+            want = eigh(HermitianMatrix(m))
+            assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+            assert not got.eigenvalues.flags.writeable and not got.eigenvectors.flags.writeable
+
+    @pytest.mark.parametrize("fault", [_shifted, _no_convergence])
+    def test_eigh_stack_failure_names_the_offending_matrix(self, monkeypatch, rng, fault):
+        mats = hermitian_stack([random_hermitian_entries(3, rng) for _ in range(4)])
+        faulty_eigh(monkeypatch, mats[2], fault)
+        with pytest.raises(EigendecompositionError) as single:
+            eigh(HermitianMatrix(mats[2]))
+        with pytest.raises(EigendecompositionError) as stacked:
+            eigh_stack(mats)
+        assert str(stacked.value) == str(single.value)
+        assert matrixcore._matrix_hash(mats[2]) in str(single.value)
+
+    def test_range_bases_have_the_bits_of_range_basis(self, rng):
+        ps = [random_projection(5, r, rng) for r in (0, 1, 3, 5)]
+        stack = np.stack([p.matrix.entries for p in ps])
+        for got, p in zip(range_bases(stack), ps):
+            assert got.basis.tobytes() == p.range_basis.basis.tobytes()
+
+    def test_projection_stack_checks_as_projection_does(self, rng):
+        good = random_projection(3, 1, rng).matrix.entries
+        bad = [
+            (np.array([[0.0, 1.0], [0.5, 0.0]]), 1),  # not Hermitian
+            (np.diag([1.0, 0.5]), 1),  # not idempotent
+            (np.diag([1.0, 0.0]), 2),  # trace off its rank
+        ]
+        for mat, rank in bad:
+            with pytest.raises(ValueError) as single:
+                Projection(HermitianMatrix(mat), rank)
+            with pytest.raises(ValueError) as stacked:
+                projection_stack(np.stack([np.eye(2), mat, np.diag([0.5, 0.5])]), (2, rank, 1))
+            assert str(stacked.value) == str(single.value)
+        assert np.array_equal(projection_stack(good[None], (1,))[0], good)
+
+    def test_spectral_projections_have_the_bits_of_spectral_projection(self, rng):
+        spectra = [eigh(HermitianMatrix(random_hermitian_entries(4, rng))) for _ in range(5)]
+        mats, ranks = spectral_projections(spectra, NEGATIVE_AXIS)
+        for m, r, s in zip(mats, ranks, spectra):
+            p = spectral_projection(s, NEGATIVE_AXIS)
+            assert m.tobytes() == p.matrix.entries.tobytes() and r == p.rank
+
+    def test_ranges_relative_index_is_relative_index(self, rng):
+        for _ in range(10):
+            p = random_projection(5, int(rng.integers(0, 6)), rng)
+            q = random_projection(5, int(rng.integers(0, 6)), rng)
+            want = relative_index(p, q, tau_rank=1e-4)
+            got = ranges_relative_index(p.range_basis, p.rank, q.range_basis, q.rank, tau_rank=1e-4)
+            assert canonical_json(got.to_dict()) == canonical_json(want.to_dict())
 
 
 class TestSubspaces:
