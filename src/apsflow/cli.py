@@ -2,6 +2,8 @@
 
 Exit codes are stable: 0 when every requested check passes, 1 on a check
 failure (the report is still written), 2 on a configuration or usage error.
+``export`` exits 1 when its computation raises a package error, with one
+stderr line ``export failed: <Type>: <message>`` and no traceback.
 Reports are byte-deterministic for a fixed config, seed, and version;
 wall-clock timings are echoed to stderr and deliberately kept out of the
 report files.
@@ -604,6 +606,9 @@ def export(what, config_path, out, samples, steps, grid):
     except OSError as exc:
         click.echo(f"I/O error writing under {outdir}: {exc}", err=True)
         sys.exit(2)
+    except ApsflowError as exc:
+        click.echo(f"export failed: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(1)
     click.echo(f"wrote {path}")
     sys.exit(0)
 

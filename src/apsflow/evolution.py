@@ -1,4 +1,4 @@
-"""Structure-preserving propagators and the Cauchy solver.
+"""Structure-preserving propagators.
 
 The unitary propagator integrates ``dU/dt = i A(t) U`` with exponential
 one-step maps (each step is the exponential of a skew-Hermitian matrix,
@@ -16,7 +16,9 @@ of independent chains with one matrix product per step: shooting propagates
 a family and its time reversal in one call, and the reversal borrows the
 forward step exponentials where the mirrored generators agree bit for bit.
 The 2x2 eigenline-swapping blocks admit a closed-form propagator which
-serves as an exact oracle for everything else.
+serves as an exact oracle for everything else.  The rest of the module
+reads propagators: evolved spectral projections, convergence studies, and
+the propagator file format.
 """
 
 from __future__ import annotations
@@ -24,17 +26,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    DimensionMismatchError,
-    OffGridError,
-    StiffnessError,
-)
-from .families import OperatorFamily, Times, quintic_profile
+from .errors import ConsistencyError, OffGridError, StiffnessError
+from .families import OperatorFamily, quintic_profile
 from .matrixcore import (
     NEGATIVE_AXIS,
     TAU_ZERO,
@@ -48,7 +45,6 @@ SCHEME_CF4 = "fourth-order-commutator-free"
 SCHEMES = (SCHEME_MIDPOINT, SCHEME_CF4)
 
 UNITARITY_ATOL = 1e-10
-ANCHOR_ATOL = 1e-12
 STIFFNESS_BOUND = 40.0
 CONDITION_WARNING = 1e12
 COST_BUDGET = 2e10  # flop-ish budget: substeps * dim^3 before a cost warning
@@ -96,9 +92,11 @@ def _unitarity_defect(u: np.ndarray) -> float:
 class Propagator:
     """Unitaries ``U_k ~ Q(t_k, 0)`` on a time grid.
 
-    ``U_0`` is exactly the identity and every ``U_k`` is unitary within
-    ``UNITARITY_ATOL`` (validated at construction).  ``Q(t, s)`` between
-    grid points is recovered as ``U_t U_s*``.
+    The grid is 1-D and finite, holds one time per unitary, starts at
+    exactly 0 and increases strictly; ``U_0`` is exactly the identity and
+    every ``U_k`` is unitary within ``UNITARITY_ATOL`` (all validated at
+    construction).  ``Q(t, s)`` between grid points is recovered as
+    ``U_t U_s*``.
     """
 
     family_label: str
@@ -110,8 +108,18 @@ class Propagator:
     _defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        u = self.unitaries
+        grid, u = self.grid, self.unitaries
         n = u.shape[-1]
+        if grid.ndim != 1 or grid.shape[0] != u.shape[0]:
+            raise ConsistencyError(
+                f"propagator grid of shape {grid.shape} does not hold one time per "
+                f"unitary ({u.shape[0]} unitaries)"
+            )
+        finite = np.all(np.isfinite(grid))
+        if not (grid.size and finite and grid[0] == 0.0 and np.all(np.diff(grid) > 0.0)):
+            raise ConsistencyError(
+                "propagator grid must be finite, start at exactly 0 and increase strictly"
+            )
         if not np.array_equal(u[0], np.eye(n)):
             raise ConsistencyError("propagator does not start at the identity")
         defect = _unitarity_defect(u)
@@ -301,50 +309,6 @@ def propagate(
     )
 
 
-def q_between(propagator: Propagator, t: float, s: float) -> np.ndarray:
-    """The unitary ``Q(t, s) = U_t U_s*`` for grid times ``t`` and ``s``."""
-    kt = propagator.index_of(t)
-    ks = propagator.index_of(s)
-    return propagator.unitaries[kt] @ propagator.unitaries[ks].conj().T
-
-
-def evolved_family(family: OperatorFamily, propagator: Propagator) -> OperatorFamily:
-    """The conjugated family ``t -> Q(0, t) A(t) Q(t, 0)`` on the propagator grid.
-
-    Defined at grid points; evaluation snaps to the nearest grid time (the
-    family is marked grid-discrete so downstream certificates widen their
-    coverage accordingly).  Its pointwise spectrum equals that of the input,
-    while its endpoint spectral projections carry the boundary-value index.
-    """
-    if propagator.dim != family.dim:
-        raise DimensionMismatchError(
-            f"propagator dim {propagator.dim} != family dim {family.dim}"
-        )
-    if abs(propagator.horizon - family.horizon) > 1e-9 * max(1.0, family.horizon):
-        raise DimensionMismatchError(
-            f"propagator horizon {propagator.horizon} != family horizon {family.horizon}"
-        )
-    grid = propagator.grid
-    unitaries = propagator.unitaries
-    ev = family.eval_fn
-    dv = family.derivative_fn
-
-    def conjugated(fn, t: Times) -> np.ndarray:
-        """``fn`` at the grid time nearest each time, conjugated by the unitary there."""
-        k = np.argmin(np.abs(grid - np.asarray(t, dtype=float)[..., None]), axis=-1)
-        u = unitaries[k]
-        return np.conj(u).swapaxes(-1, -2) @ fn(grid[k]) @ u
-
-    return replace(
-        family,
-        label=f"{family.label}(evolved)",
-        eval_fn=lambda t: conjugated(ev, t),
-        derivative_fn=None if dv is None else (lambda t: conjugated(dv, t)),
-        smoothness="discrete",
-        grid=grid,
-    )
-
-
 def evolved_projections(
     family: OperatorFamily,
     propagator: Propagator,
@@ -400,103 +364,6 @@ def closed_form_counterexample_propagator(lambdas, t: float) -> np.ndarray:
     for i, l in enumerate(lam):
         out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = closed_form_swap_propagator(-l, l, t)
     return out
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A solution sampled on the propagator grid, anchored at ``f(s) = x``."""
-
-    grid: np.ndarray
-    values: np.ndarray  # (K+1, n)
-    source: str
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("trajectory values must be finite")
-
-
-def _source_samples(g, grid: np.ndarray, n: int) -> tuple[np.ndarray, str]:
-    """The source ``g`` sampled on ``grid`` as a ``(K+1, n)`` array, and its kind.
-
-    ``g`` is ``None`` (zero), a callable of one time, or an array already
-    sampled on the grid; any other shape raises ``DimensionMismatchError``.
-    """
-    if g is None:
-        return np.zeros((grid.shape[0], n), dtype=complex), "zero"
-    if callable(g):
-        gs = np.stack([np.asarray(g(float(t)), dtype=complex) for t in grid])
-        kind = "callable"
-    else:
-        gs = np.asarray(g, dtype=complex)
-        kind = "gridded"
-    if gs.shape != (grid.shape[0], n):
-        raise DimensionMismatchError(
-            f"source samples have shape {gs.shape}, expected {(grid.shape[0], n)}"
-        )
-    return gs, kind
-
-
-def cauchy_solve(
-    family: OperatorFamily,
-    propagator: Propagator,
-    s: float,
-    x,
-    g=None,
-) -> Trajectory:
-    """Solve ``df/dt - i A(t) f = g`` with ``f(s) = x`` on the propagator grid.
-
-    Implements ``f(t) = Q(t, s) x + int_s^t Q(t, r) g(r) dr`` with
-    trapezoidal quadrature on the grid (signed for ``t < s``).  ``g`` may be
-    ``None`` (zero source), an array sampled on the grid, or a callable.
-    """
-    ks = propagator.index_of(s)
-    grid = propagator.grid
-    n = propagator.dim
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (n,):
-        raise DimensionMismatchError(f"x has shape {x.shape}, expected ({n},)")
-    gs, kind = _source_samples(g, grid, n)
-    source = f"x at t={float(grid[ks]):g}, {kind} source"
-    u = propagator.unitaries
-    # pulled-back source d_j = U_j^* g_j; cumulative trapezoid relative to s
-    pulled = np.einsum("kji,kj->ki", u.conj(), gs)
-    coeff = np.empty_like(pulled)
-    anchor = u[ks].conj().T @ x
-    coeff[ks] = anchor
-    acc = anchor.copy()
-    for k in range(ks + 1, grid.shape[0]):
-        w = (grid[k] - grid[k - 1]) / 2.0
-        acc = acc + w * (pulled[k - 1] + pulled[k])
-        coeff[k] = acc
-    acc = anchor.copy()
-    for k in range(ks - 1, -1, -1):
-        w = (grid[k + 1] - grid[k]) / 2.0
-        acc = acc - w * (pulled[k] + pulled[k + 1])
-        coeff[k] = acc
-    values = np.einsum("kij,kj->ki", u, coeff)
-    drift = float(np.linalg.norm(values[ks] - x))
-    if drift > ANCHOR_ATOL * (1.0 + float(np.linalg.norm(x))):
-        raise ConsistencyError(f"solution drifts from its anchor by {drift:.3e}")
-    return Trajectory(grid=grid, values=values, source=source)
-
-
-def cauchy_residual(family: OperatorFamily, trajectory: Trajectory, g=None) -> float:
-    """Max discrete residual of ``df/dt - i A f = g`` along the trajectory.
-
-    Uses the midpoint discretization ``(f_{k+1} - f_k)/h - i A(t_{k+1/2})
-    (f_k + f_{k+1})/2 - g_mid``; refining the grid must shrink this at
-    second order.
-    """
-    grid = trajectory.grid
-    f = trajectory.values
-    gs, _ = _source_samples(g, grid, f.shape[1])
-    mids = family.at_many((grid[:-1] + grid[1:]) / 2.0)
-    worst = 0.0
-    for k, a in enumerate(mids):
-        h = float(grid[k + 1] - grid[k])
-        res = (f[k + 1] - f[k]) / h - 1j * (a @ (f[k] + f[k + 1]) / 2.0) - (gs[k] + gs[k + 1]) / 2.0
-        worst = max(worst, float(np.linalg.norm(res)))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -642,13 +509,13 @@ def propagator_from_payload(payload: dict) -> Propagator:
     """Rebuild a propagator from :func:`propagator_to_payload` output.
 
     This is the import path for replaying an externally computed propagator
-    through the index pipeline; the unitarity invariant is revalidated.
+    through the index pipeline; every invariant of :class:`Propagator`
+    (grid, ``U_0 = I``, unitarity) is checked again, nothing is repaired.
     """
     grid = np.asarray(payload["grid"], dtype=float)
     n = int(payload["dim"])
-    flat = np.asarray(payload["unitaries_re_im"], dtype=float).reshape(grid.shape[0], n, n, 2)
+    flat = np.asarray(payload["unitaries_re_im"], dtype=float).reshape(-1, n, n, 2)
     unitaries = flat[..., 0] + 1j * flat[..., 1]
-    unitaries[0] = np.eye(n)
     return Propagator(
         family_label=str(payload.get("family_label", "imported")),
         grid=grid,

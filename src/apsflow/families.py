@@ -36,7 +36,6 @@ DERIVATIVE_CHECK_STEP = 1e-4
 _VALIDATION_SAMPLES = 9
 NORM_SAMPLES = 65  # uniform times behind every norm_bound, hence every stiffness gate
 SAMPLED_HERMITICITY_ATOL = 1e-10  # sampled data is read from files: looser than 1e-12
-CONJUGATOR_ATOL = 1e-10  # unitarity cut on U(t) in unitary_conjugated_family
 
 
 # ---------------------------------------------------------------------------
@@ -275,29 +274,6 @@ class OperatorFamily:
         if key not in memo:
             memo[key] = compute()
         return memo[key]
-
-    def restricted(self, t0: float, t1: float) -> "OperatorFamily":
-        """The family on ``[t0, t1]`` reparametrized to start at 0."""
-        if not (0.0 <= t0 < t1 <= self.horizon + 1e-12):
-            raise ValueError(f"invalid restriction [{t0}, {t1}] of [0, {self.horizon}]")
-        ev = self.eval_fn
-        dv = self.derivative_fn
-        grid = None
-        if self.grid is not None:
-            keep = (self.grid >= t0 - 1e-12) & (self.grid <= t1 + 1e-12)
-            grid = self.grid[keep] - t0
-            if grid.size == 0:
-                # window narrower than the snap spacing: defer to the
-                # underlying evaluator's own snapping
-                grid = None
-        return replace(
-            self,
-            horizon=t1 - t0,
-            label=f"{self.label}|[{t0:g},{t1:g}]",
-            eval_fn=lambda s: ev(t0 + s),
-            derivative_fn=None if dv is None else (lambda s: dv(t0 + s)),
-            grid=grid,
-        )
 
     def time_reversed(self) -> "OperatorFamily":
         ev = self.eval_fn
@@ -617,7 +593,7 @@ def endpoint_regularize(
 
 
 # ---------------------------------------------------------------------------
-# sampled data and conjugation
+# sampled data
 
 
 def sampled_family(times, matrices) -> OperatorFamily:
@@ -669,42 +645,6 @@ def sampled_family(times, matrices) -> OperatorFamily:
             "sampled family is piecewise-C1: interpolation is linear between "
             "knots and the derivative jumps at knots",
         ),
-    )
-
-
-def unitary_conjugated_family(
-    family: OperatorFamily, unitary_fn: Callable[[float], np.ndarray]
-) -> OperatorFamily:
-    """The family ``t -> U(t)* A(t) U(t)`` for a pointwise-unitary ``U``.
-
-    ``unitary_fn`` maps one float to one ``(n, n)`` matrix; the conjugated
-    family's evaluator calls it once per time and conjugates the whole stack.
-    ``U(t)`` is checked to be unitary within ``CONJUGATOR_ATOL`` at sampled
-    times.  The conjugated family carries no derivative (the derivative of
-    ``U`` is not available), so downstream Lipschitz estimates fall back to
-    sampling.
-    """
-    ev = family.eval_fn
-    for t in np.linspace(0.0, family.horizon, _VALIDATION_SAMPLES):
-        u = np.asarray(unitary_fn(t), dtype=complex)
-        if u.shape != (family.dim, family.dim):
-            raise DimensionMismatchError(f"U({t}) has shape {u.shape}")
-        defect = float(np.max(np.abs(u.conj().T @ u - np.eye(family.dim))))
-        if defect > CONJUGATOR_ATOL:
-            raise ValueError(f"U({t}) is not unitary (defect {defect:.3e} > {CONJUGATOR_ATOL:.1e})")
-
-    def eval_fn(t: Times) -> np.ndarray:
-        u = _pointwise(lambda s: np.asarray(unitary_fn(s), dtype=complex), t)
-        return np.conj(u).swapaxes(-1, -2) @ ev(t) @ u
-
-    return _validated_family(
-        family.dim,
-        family.horizon,
-        f"{family.label}(conjugated)",
-        eval_fn,
-        None,
-        smoothness=family.smoothness,
-        grid=family.grid,
     )
 
 
@@ -872,6 +812,13 @@ def read_sample_series(path) -> tuple[np.ndarray, list[np.ndarray]]:
         if 1 + 2 * n * n != len(header):
             raise ConfigError(f"CSV header of {path} does not describe a square complex matrix")
         for row in reader:
+            if not row:
+                continue  # csv.reader's row for a blank line
+            if len(row) != len(header):
+                raise ConfigError(
+                    f"sample file {path} line {reader.line_num}: {len(row)} columns, "
+                    f"the header has {len(header)}"
+                )
             times.append(float(row[0]))
             vals = np.asarray(row[1:], dtype=float)
             mats.append(vals[0::2].reshape(n, n) + 1j * vals[1::2].reshape(n, n))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, NoAdmissibleLevelError
-from .families import OperatorFamily, unitary_conjugated_family
+from .families import OperatorFamily
 from .matrixcore import (
     GAMMA_MIN,
     TAU_RANK_PAIR,
@@ -36,7 +36,6 @@ from .reporting import write_csv
 MIN_SEGMENT_FRACTION = 2.0**-20
 DEFAULT_SEGMENT_SAMPLES = 33
 CROSSING_SAMPLES = 129  # uniform times the crossing log samples over [0, T]
-SPECTRUM_SAMPLES = 33  # times at which conjugation must preserve the spectrum
 
 
 @dataclass(frozen=True)
@@ -434,60 +433,6 @@ def flowind_check(
         raise ConsistencyError(
             f"family {family.label!r}: spectral flow {report.value} != "
             f"endpoint pair index {pair.index}",
-            record=record,
-        )
-    return record
-
-
-@dataclass(frozen=True)
-class ConjugationRecord:
-    """Agreement record for unitary-conjugation invariance of the flow."""
-
-    family_label: str
-    sfl_original: int
-    sfl_conjugated: int
-    max_spectrum_deviation: float
-    passed: bool
-
-
-def sfl_conjugation_invariance_check(
-    family: OperatorFamily,
-    unitary,
-    *,
-    spectrum_tol: float = 1e-10,
-) -> ConjugationRecord:
-    """Check that conjugating by a unitary family preserves the spectral flow.
-
-    ``unitary`` is either a callable ``t -> U(t)`` or a propagator (in which
-    case the conjugated family is the evolved family on the propagator grid).
-    Pointwise spectra of the conjugated family must match the original within
-    ``spectrum_tol`` at ``SPECTRUM_SAMPLES`` uniform times.  A mismatch raises
-    :class:`ConsistencyError` carrying the record.
-    """
-    if callable(unitary):
-        conj = unitary_conjugated_family(family, unitary)
-    else:
-        from .evolution import evolved_family
-
-        conj = evolved_family(family, unitary)
-    base = spectral_flow(family)
-    other = spectral_flow(conj)
-    ts = np.linspace(0.0, family.horizon, SPECTRUM_SAMPLES)
-    w_base = _eig_samples(family, conj._clock(ts))
-    w_conj = _eig_samples(conj, ts)
-    deviation = float(np.max(np.abs(w_base - w_conj), initial=0.0))
-    record = ConjugationRecord(
-        family_label=family.label,
-        sfl_original=base.value,
-        sfl_conjugated=other.value,
-        max_spectrum_deviation=deviation,
-        passed=(base.value == other.value) and deviation <= spectrum_tol,
-    )
-    if not record.passed:
-        raise ConsistencyError(
-            f"family {family.label!r}: conjugation changed the flow "
-            f"({base.value} -> {other.value}) or the spectrum "
-            f"(deviation {deviation:.3e} > {spectrum_tol:.1e})",
             record=record,
         )
     return record

@@ -7,6 +7,7 @@ import pytest
 from apsflow.errors import DimensionMismatchError
 from apsflow.families import OperatorFamily, linear_family
 from apsflow.matrixcore import TAU_ANGLE, TAU_ZERO, HermitianMatrix, Subspace
+from apsflow.spectralflow import spectral_flow
 
 
 @pytest.fixture
@@ -105,6 +106,122 @@ def subspace_intersection(u, v):
     lu, s, _ = np.linalg.svd(m)
     keep = np.clip(s, 0.0, 1.0) >= 1.0 - TAU_ANGLE
     return Subspace(u.ambient_dim, u.basis @ lu[:, : int(np.count_nonzero(keep))])
+
+
+def q_between(propagator, t, s):
+    """``Q(t, s) = U_t U_s*`` for grid times ``t`` and ``s``."""
+    u = propagator.unitaries
+    return u[propagator.index_of(t)] @ u[propagator.index_of(s)].conj().T
+
+
+def restricted(family, t0, t1):
+    """``family`` on ``[t0, t1]``, reparametrized to start at 0."""
+    ev, dv, grid = family.eval_fn, family.derivative_fn, family.grid
+    if grid is not None:
+        grid = grid[(grid >= t0 - 1e-12) & (grid <= t1 + 1e-12)] - t0
+    return replace(
+        family,
+        horizon=t1 - t0,
+        label=f"{family.label}|[{t0:g},{t1:g}]",
+        eval_fn=lambda s: ev(t0 + s),
+        derivative_fn=None if dv is None else (lambda s: dv(t0 + s)),
+        grid=grid,
+    )
+
+
+def evolved_family(family, propagator):
+    """``t -> Q(0, t) A(t) Q(t, 0)``, evaluated at the propagator grid time nearest ``t``.
+
+    The oracle of acceptance criterion 8: a grid-discrete family with the
+    pointwise spectrum of ``family`` and the same flow.
+    """
+    grid, u = propagator.grid, propagator.unitaries
+
+    def conjugated(fn):
+        def at(t):
+            k = np.argmin(np.abs(grid - np.asarray(t, dtype=float)[..., None]), axis=-1)
+            uk = u[k]
+            return np.conj(uk).swapaxes(-1, -2) @ fn(grid[k]) @ uk
+
+        return at
+
+    dv = family.derivative_fn
+    return replace(
+        family,
+        label=f"{family.label}(evolved)",
+        eval_fn=conjugated(family.eval_fn),
+        derivative_fn=None if dv is None else conjugated(dv),
+        smoothness="discrete",
+        grid=grid,
+    )
+
+
+def unitary_conjugated_family(family, unitary_fn):
+    """``t -> U(t)* A(t) U(t)``, with ``unitary_fn`` mapping one float to one matrix.
+
+    The derivative of ``U`` is not known, so the result has none.
+    """
+    ev = family.eval_fn
+
+    def eval_fn(t):
+        times = np.asarray(t, dtype=float)
+        u = np.array([unitary_fn(s) for s in times.ravel().tolist()], dtype=complex)
+        u = u.reshape(times.shape + u.shape[1:])
+        return np.conj(u).swapaxes(-1, -2) @ ev(t) @ u
+
+    return replace(family, label=f"{family.label}(conjugated)", eval_fn=eval_fn, derivative_fn=None)
+
+
+def conjugation_flows(family, conjugated):
+    """The flows of ``family`` and ``conjugated``, and their largest spectrum deviation.
+
+    The spectra are compared at 33 uniform times, each snapped the way
+    ``conjugated`` snaps it.
+    """
+    ts = np.linspace(0.0, family.horizon, 33)
+    w = np.linalg.eigvalsh(family.at_many(conjugated._clock(ts)))
+    w_conj = np.linalg.eigvalsh(conjugated.at_many(ts))
+    deviation = float(np.max(np.abs(w - w_conj), initial=0.0))
+    return spectral_flow(family).value, spectral_flow(conjugated).value, deviation
+
+
+def _source_samples(g, grid, n):
+    if g is None:
+        return np.zeros((grid.size, n), dtype=complex)
+    return np.array([g(t) for t in grid.tolist()], dtype=complex)
+
+
+def cauchy_solve(propagator, s, x, g=None):
+    """``f(t) = Q(t, s) x + int_s^t Q(t, r) g(r) dr`` on the propagator grid, as ``(K+1, n)``.
+
+    The oracle of acceptance criterion 9: it solves ``df/dt - i A(t) f = g``
+    with ``f(s) = x`` through the trapezoid rule on the pulled-back source
+    ``U_k* g(t_k)``, signed for ``t < s``.  ``g`` is ``None`` (no source) or
+    a callable of one time.
+    """
+    grid, u = propagator.grid, propagator.unitaries
+    ks = propagator.index_of(s)
+    pulled = np.einsum("kji,kj->ki", u.conj(), _source_samples(g, grid, propagator.dim))
+    trapezoids = np.diff(grid)[:, None] * (pulled[:-1] + pulled[1:]) / 2.0
+    integral = np.concatenate([np.zeros_like(pulled[:1]), np.cumsum(trapezoids, axis=0)])
+    coeff = u[ks].conj().T @ np.asarray(x, dtype=complex) + (integral - integral[ks])
+    return np.einsum("kij,kj->ki", u, coeff)
+
+
+def cauchy_residual(family, grid, f, g=None):
+    """The largest midpoint residual of ``df/dt - i A f = g`` over the grid steps.
+
+    Step ``k`` has ``(f_{k+1} - f_k)/h - i A(t_{k+1/2}) (f_k + f_{k+1})/2 -
+    (g_k + g_{k+1})/2``; refining the grid shrinks it at second order.
+    """
+    gs = _source_samples(g, grid, f.shape[1])
+    mids = family.at_many((grid[:-1] + grid[1:]) / 2.0)
+    res = (
+        (f[1:] - f[:-1]) / np.diff(grid)[:, None]
+        - 1j * np.einsum("kij,kj->ki", mids, f[:-1] + f[1:]) / 2.0
+        - (gs[:-1] + gs[1:]) / 2.0
+    )
+    return float(np.max(np.linalg.norm(res, axis=1)))
 
 
 def faulty_eigh(monkeypatch, target, fault):

@@ -23,20 +23,20 @@ from apsflow.apsindex import (
 from apsflow.cli import RIEMANNIAN_NORM_CAP
 from apsflow.evolution import (
     SCHEME_CF4,
-    cauchy_residual,
-    cauchy_solve,
     closed_form_counterexample_propagator,
     convergence_study,
     propagate,
-    q_between,
 )
 from apsflow.families import counterexample_family, endpoint_regularize
-from apsflow.spectralflow import (
-    flowind_check,
-    sfl_conjugation_invariance_check,
-    spectral_flow,
-)
+from apsflow.spectralflow import flowind_check, spectral_flow
 from apsflow.zoo import random_zoo, shipped_families, singular_endpoint_family
+from conftest import (
+    cauchy_residual,
+    cauchy_solve,
+    conjugation_flows,
+    evolved_family,
+    q_between,
+)
 
 ACCEPT_SEED = 20240521
 ZOO_COUNT = 100
@@ -262,9 +262,9 @@ def test_criterion_8_conjugation_invariance(transported_zoo):
     failures = []
     worst_dev = 0.0
     for family, prop in transported_zoo:
-        rec = sfl_conjugation_invariance_check(family, prop, spectrum_tol=1e-10)
-        worst_dev = max(worst_dev, rec.max_spectrum_deviation)
-        if not rec.passed:
+        flow, flow_evolved, deviation = conjugation_flows(family, evolved_family(family, prop))
+        worst_dev = max(worst_dev, deviation)
+        if not (flow == flow_evolved and deviation <= 1e-10):
             failures.append(family.label)
     _criterion(
         8,
@@ -290,20 +290,20 @@ def test_criterion_9_cauchy_well_posedness():
         residuals = []
         for intervals in (64, 128, 256):
             prop = propagate(family, intervals)
-            traj = cauchy_solve(family, prop, 0.0, x, source)
-            residuals.append(cauchy_residual(family, traj, source))
+            values = cauchy_solve(prop, 0.0, x, source)
+            residuals.append(cauchy_residual(family, prop.grid, values, source))
         r1 = residuals[0] / residuals[1]
         r2 = residuals[1] / residuals[2]
         if not (2.8 <= r1 <= 5.2 and 2.8 <= r2 <= 5.2):
             ratio_failures.append((family.label, round(r1, 2), round(r2, 2)))
 
         prop = propagate(family, 128)
-        traj = cauchy_solve(family, prop, 0.5, x)
+        values = cauchy_solve(prop, 0.5, x)
         for t in (0.0, 0.25, 1.0):
             k = prop.index_of(t)
             expected = q_between(prop, t, 0.5) @ x
             transport_defect = max(
-                transport_defect, float(np.max(np.abs(traj.values[k] - expected)))
+                transport_defect, float(np.max(np.abs(values[k] - expected)))
             )
     _criterion(
         9,

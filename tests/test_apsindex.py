@@ -54,6 +54,8 @@ from conftest import (
     flow_plus_one,
     negative_count,
     numpy_peak,
+    q_between,
+    restricted,
     subspace_intersection,
 )
 
@@ -139,7 +141,6 @@ class TestTransportIndexRoutes:
         cos = rep.diagnostics["principal_cosines"]
         assert cos[0] > 1.0 - 1e-9
         # and that line is literally span(e1)
-        from apsflow.evolution import q_between
         from apsflow.matrixcore import (
             NEGATIVE_AXIS,
             NONNEGATIVE_AXIS,
@@ -246,7 +247,7 @@ class TestTransportMainCheck:
         assert rec.passed
         assert [e.t for e in rec.checkpoints] == [0.125 * j for j in range(1, 9)]
         for e in rec.checkpoints:
-            assert e.sfl == spectral_flow(f.restricted(0.0, e.t)).value
+            assert e.sfl == spectral_flow(restricted(f, 0.0, e.t)).value
             assert e.sfl == negative_count(f, 0.0) - negative_count(f, e.t)
 
     def test_mismatch_raises_with_both_integers(self, monkeypatch):
@@ -529,8 +530,8 @@ class TestRiemannianDiscretized:
             if min(np.abs(np.linalg.eigvalsh(f.at(s).entries))) < 1e-6:
                 continue
             whole = riemannian_index_discretized(f, 64).index
-            left = riemannian_index_discretized(f.restricted(0.0, s), 32).index
-            right = riemannian_index_discretized(f.restricted(s, 1.0), 32).index
+            left = riemannian_index_discretized(restricted(f, 0.0, s), 32).index
+            right = riemannian_index_discretized(restricted(f, s, 1.0), 32).index
             assert whole == left + right
 
 

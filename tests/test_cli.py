@@ -250,9 +250,17 @@ class TestRunCommand:
         assert "shooting_route" in entry and entry["shooting_route"] is None
         assert "shooting_agrees" in entry and entry["shooting_agrees"] is None
 
-    @pytest.mark.parametrize("payload", ['{"matrices": []}', '{"times": [0.0, 1.0]}', ""])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"matrices": []}',
+            '{"times": [0.0, 1.0]}',
+            "",
+            "t,re_0_0,im_0_0\n0.0,-0.5,0.0\n1.0,0.5\n",  # a row one column short
+        ],
+    )
     def test_faulty_sample_file_is_blamed(self, tmp_path, payload):
-        samples = tmp_path / ("samples.json" if payload else "samples.csv")
+        samples = tmp_path / ("samples.json" if payload.startswith("{") else "samples.csv")
         samples.write_text(payload, encoding="utf-8")
         path = tmp_path / "config.json"
         write_config(path, family=_family("custom-samples", path=str(samples)))
@@ -261,6 +269,17 @@ class TestRunCommand:
         assert result.stderr.startswith(f"config error: sample file {samples}"), result.stderr
         assert "missing parameter" not in result.stderr
         assert "Traceback" not in result.output
+
+    def test_csv_sample_file_ending_in_a_blank_line_runs(self, tmp_path):
+        from apsflow.families import write_sample_series
+
+        samples = tmp_path / "samples.csv"
+        write_sample_series(samples, [0.0, 1.0], [np.diag([-0.5]), np.diag([0.5])])
+        samples.write_text(samples.read_text() + "\n", encoding="utf-8")
+        path = tmp_path / "config.json"
+        write_config(path, family=_family("custom-samples", path=str(samples)))
+        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 0, result.output
 
     def test_check_failure_exit_one_report_written(self, tmp_path):
         # a counterexample oracle comparison at 8 coarse midpoint steps
@@ -731,6 +750,20 @@ class TestExportCommand:
         header = (tmp_path / "operator.txt").read_text().splitlines()[0]
         # rows M n; cols (M+1) n - rank P_>=0(0) - rank P_<0(T) = 34 - 1 - 1
         assert header == "# rows 32 cols 32"
+
+    def test_typed_error_is_one_line_exit_one(self, tmp_path):
+        # an eigenvalue 5e-8 from zero at t = 0: the boundary split cannot be decided
+        path = tmp_path / "config.json"
+        write_config(
+            path,
+            family=_family("diagonal-path", start=[-1.0, 5e-8], end=[1.0, 2.0]),
+            output={"path": str(tmp_path), "formats": ["json"]},
+        )
+        result = CliRunner().invoke(main, ["export", "operator", "--config", str(path)])
+        assert result.exit_code == 1, result.output
+        assert result.stderr.startswith("export failed: AmbiguousSpectralCutError: "), result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert isinstance(result.exception, SystemExit)  # not the error itself
 
     def test_missing_config_exit_two(self, tmp_path):
         runner = CliRunner()

@@ -3,22 +3,18 @@ import pytest
 import scipy.linalg
 
 from apsflow import evolution
-from apsflow.errors import ConsistencyError, DimensionMismatchError, OffGridError, StiffnessError
+from apsflow.errors import ConsistencyError, OffGridError, StiffnessError
 from apsflow.evolution import (
     SCHEME_CF4,
     SCHEME_MIDPOINT,
-    cauchy_residual,
-    cauchy_solve,
     closed_form_counterexample_propagator,
     closed_form_swap_propagator,
     convergence_study,
-    evolved_family,
     evolved_projections,
     nonunitary_propagate,
     propagate,
     propagator_from_payload,
     propagator_to_payload,
-    q_between,
     read_propagator,
     write_propagator,
 )
@@ -37,7 +33,7 @@ from apsflow.matrixcore import (
     spectral_projection,
 )
 from apsflow.zoo import random_trig_family, random_zoo
-from conftest import numpy_peak
+from conftest import cauchy_residual, cauchy_solve, evolved_family, numpy_peak, q_between
 
 
 def diag(*vals):
@@ -216,41 +212,40 @@ class TestCauchySolve:
         f = constant_family(a0, 1.0)
         p = propagate(f, 64)
         x = np.array([1.0, 0.0], dtype=complex)  # eigenvector, eigenvalue -1
-        traj = cauchy_solve(f, p, 0.0, x)
+        values = cauchy_solve(p, 0.0, x)
         for k in [16, 32, 64]:
             t = float(p.grid[k])
-            assert np.max(np.abs(traj.values[k] - np.exp(-1j * t) * x)) < 1e-12
+            assert np.max(np.abs(values[k] - np.exp(-1j * t) * x)) < 1e-12
 
     def test_zero_data_zero_solution(self, rng):
         f = random_trig_family(3, rng)
         p = propagate(f, 32)
-        traj = cauchy_solve(f, p, 0.5, np.zeros(3))
-        assert np.max(np.abs(traj.values)) == 0.0
+        assert np.max(np.abs(cauchy_solve(p, 0.5, np.zeros(3)))) == 0.0
 
     def test_constant_source_integrates_linearly(self):
         # oracle: with A = 0 and g = 1 the solution from 0 is f(t) = t
         f = constant_family(diag(0.0), 1.0)
         p = propagate(f, 128)
-        traj = cauchy_solve(f, p, 0.0, np.zeros(1), lambda t: np.array([1.0]))
-        assert np.max(np.abs(traj.values[:, 0] - p.grid)) < 1e-10
+        values = cauchy_solve(p, 0.0, np.zeros(1), lambda t: np.array([1.0]))
+        assert np.max(np.abs(values[:, 0] - p.grid)) < 1e-10
 
     def test_matches_transport_without_source(self, rng):
         f = random_trig_family(3, rng)
         p = propagate(f, 64)
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        traj = cauchy_solve(f, p, 0.25, x)
+        values = cauchy_solve(p, 0.25, x)
         for t in [0.0, 0.5, 1.0]:
             k = p.index_of(t)
             expected = q_between(p, t, 0.25) @ x
-            assert np.max(np.abs(traj.values[k] - expected)) < 1e-9
+            assert np.max(np.abs(values[k] - expected)) < 1e-9
 
     def test_anchor_holds_backward_in_time(self, rng):
         f = random_trig_family(2, rng)
         p = propagate(f, 64)
         x = np.array([1.0, 1j])
         g = lambda t: np.array([np.sin(t), np.cos(t)], dtype=complex)
-        traj = cauchy_solve(f, p, 1.0, x, g)
-        assert np.max(np.abs(traj.values[p.index_of(1.0)] - x)) < 1e-12
+        values = cauchy_solve(p, 1.0, x, g)
+        assert np.max(np.abs(values[p.index_of(1.0)] - x)) < 1e-12
 
     def test_residual_second_order(self, rng):
         f = random_trig_family(3, rng)
@@ -259,21 +254,9 @@ class TestCauchySolve:
         res = []
         for intervals in (64, 128, 256):
             p = propagate(f, intervals)
-            traj = cauchy_solve(f, p, 0.0, x, g)
-            res.append(cauchy_residual(f, traj, g))
+            res.append(cauchy_residual(f, p.grid, cauchy_solve(p, 0.0, x, g), g))
         assert res[0] / res[1] == pytest.approx(4.0, rel=0.3)
         assert res[1] / res[2] == pytest.approx(4.0, rel=0.3)
-
-    @pytest.mark.parametrize("shape", [(17, 1), (17,), (16, 2)])
-    def test_misshaped_source_rejected_by_solve_and_residual(self, rng, shape):
-        f = random_trig_family(2, rng)
-        p = propagate(f, 16)
-        traj = cauchy_solve(f, p, 0.0, np.array([1.0, 0.0]))
-        g = np.ones(shape)
-        with pytest.raises(DimensionMismatchError, match="source samples"):
-            cauchy_solve(f, p, 0.0, np.array([1.0, 0.0]), g)
-        with pytest.raises(DimensionMismatchError, match="source samples"):
-            cauchy_residual(f, traj, g)
 
 
 class TestNonunitaryPropagate:
@@ -460,4 +443,30 @@ class TestSerialization:
         payload = propagator_to_payload(p)
         payload["unitaries_re_im"][3][0] += 0.5  # corrupt one entry
         with pytest.raises(ConsistencyError, match="unitarity"):
+            propagator_from_payload(payload)
+
+    def test_import_rejects_a_non_identity_start(self):
+        p = propagate(constant_family(diag(-1.0, 1.0), 1.0), 8)
+        payload = propagator_to_payload(p)
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        payload["unitaries_re_im"][0] = np.stack([swap, 0 * swap], axis=-1).ravel().tolist()
+        with pytest.raises(ConsistencyError, match="does not start at the identity"):
+            propagator_from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda grid: [t + 0.5 for t in grid],  # shifted: index_of(T) would read U at T - 0.5
+            lambda grid: [grid[0], grid[2], grid[1], *grid[3:]],  # not increasing
+            lambda grid: [grid[0], grid[1], grid[1], *grid[3:]],  # a repeated time
+            lambda grid: [*grid[:-1], float("nan")],
+            lambda grid: grid[:-1],  # one time short
+            lambda grid: [[t] for t in grid],  # not 1-D
+        ],
+        ids=["shifted", "unordered", "repeated", "non-finite", "short", "two-d"],
+    )
+    def test_import_rejects_a_faulty_grid(self, rng, corrupt):
+        payload = propagator_to_payload(propagate(random_trig_family(2, rng), 8))
+        payload["grid"] = corrupt(payload["grid"])
+        with pytest.raises(ConsistencyError, match="propagator grid"):
             propagator_from_payload(payload)

@@ -21,11 +21,17 @@ from apsflow.families import (
     read_sample_series,
     sampled_family,
     swap_block_family,
-    unitary_conjugated_family,
     write_sample_series,
 )
 from apsflow.matrixcore import HermitianMatrix, eigh
-from conftest import diag_at, random_hermitian_entries, random_unitary
+from conftest import (
+    diag_at,
+    evolved_family,
+    random_hermitian_entries,
+    random_unitary,
+    restricted,
+    unitary_conjugated_family,
+)
 
 
 def diag(*vals):
@@ -254,16 +260,11 @@ class TestConjugation:
                 np.linalg.eigvalsh(g.at(t).entries), np.linalg.eigvalsh(f.at(t).entries)
             )
 
-    def test_rejects_non_unitary(self):
-        f = constant_family(diag(1.0, 2.0), 1.0)
-        with pytest.raises(ValueError, match="unitary"):
-            unitary_conjugated_family(f, lambda t: np.diag([1.0, 2.0]))
-
 
 class TestRestriction:
     def test_restricted_matches_shifted(self):
         f = linear_family(diag(-0.5), diag(1.0), 1.0)
-        g = f.restricted(0.25, 0.75)
+        g = restricted(f, 0.25, 0.75)
         assert g.horizon == pytest.approx(0.5)
         assert np.allclose(g.at(0.0).entries, f.at(0.25).entries)
         assert np.allclose(g.at(0.5).entries, f.at(0.75).entries)
@@ -414,9 +415,32 @@ class TestSpecsAndSerialization:
         fam = family_from_spec(FamilySpec("custom-samples", {"path": str(path)}))
         assert fam.dim == 2
 
+    def test_csv_blank_lines_are_skipped(self, tmp_path, rng):
+        times = [0.0, 0.5, 1.0]
+        mats = [random_hermitian_entries(2, rng) for _ in times]
+        path = tmp_path / "series.csv"
+        write_sample_series(path, times, mats)
+        text = path.read_text()
+        lines = text.splitlines(keepends=True)
+        path.write_text(lines[0] + lines[1] + "\n" + "".join(lines[2:]) + "\n")
+        fam = family_from_spec(FamilySpec("custom-samples", {"path": str(path)}))
+        path.write_text(text)
+        clean = family_from_spec(FamilySpec("custom-samples", {"path": str(path)}))
+        assert np.array_equal(fam.at_many(times), clean.at_many(times))
+
+    def test_csv_short_row_names_file_and_line(self, tmp_path, rng):
+        path = tmp_path / "series.csv"
+        write_sample_series(path, [0.0, 1.0], [random_hermitian_entries(2, rng) for _ in range(2)])
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:-2])  # drop the last (re, im) pair
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError) as exc:
+            family_from_spec(FamilySpec("custom-samples", {"path": str(path)}))
+        assert str(exc.value) == f"sample file {path} line 3: 7 columns, the header has 9"
+
 
 def _batched_cases():
-    from apsflow.evolution import evolved_family, propagate
+    from apsflow.evolution import propagate
     from apsflow.zoo import random_zoo, singular_endpoint_family
 
     zoo = random_zoo(4, 0, max_dim=8)
@@ -453,9 +477,9 @@ def _batched_cases():
         "conjugated": unitary_conjugated_family(
             zoo[1], lambda t: (v * np.exp(1j * t * w)) @ v.conj().T @ u0
         ),
-        "restricted": zoo[3].restricted(0.2, 0.7),
+        "restricted": restricted(zoo[3], 0.2, 0.7),
         "time-reversed": endpoint_regularize(singular).time_reversed(),
-        "evolved-restricted": evolved_family(zoo[1], propagate(zoo[1], 64)).restricted(0.3, 0.9),
+        "evolved-restricted": restricted(evolved_family(zoo[1], propagate(zoo[1], 64)), 0.3, 0.9),
     }
 
 

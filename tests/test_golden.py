@@ -19,9 +19,10 @@ loop was shared.
 
 ``tests/golden/suites/`` holds the reports of ``apsflow suite theorems
 --seed 0`` and ``apsflow suite convergence --seed 0``, recorded with one
-BLAS thread before ``OperatorFamily.restricted`` and ``time_reversed`` were
-rebuilt on ``dataclasses.replace``.  They guard the checkpoint flows and the
-shooting route across the shipped families.  ``suite random --families 8
+BLAS thread before ``OperatorFamily.time_reversed`` and the restriction of
+a family (now ``conftest.restricted``) were rebuilt on
+``dataclasses.replace``.  They guard the checkpoint flows and the shooting
+route across the shipped families.  ``suite random --families 8
 --seed 0`` and ``suite counterexample --max-blocks 4 --seed 0`` were
 recorded the same way before the spectral cuts were reduced to the two
 half-lines; the random section is the only one that sends zoo draws of

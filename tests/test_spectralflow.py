@@ -25,11 +25,18 @@ from apsflow.spectralflow import (
     crossing_log_to_csv,
     flowind_check,
     running_flows,
-    sfl_conjugation_invariance_check,
     spectral_flow,
 )
 from apsflow.zoo import random_trig_family, random_zoo, shipped_families, singular_endpoint_family
-from conftest import HARD_CHECKPOINT_FAMILIES, diag_at, flow_plus_one, negative_count
+from conftest import (
+    HARD_CHECKPOINT_FAMILIES,
+    conjugation_flows,
+    diag_at,
+    flow_plus_one,
+    negative_count,
+    restricted,
+    unitary_conjugated_family,
+)
 
 
 def diag(*vals):
@@ -324,8 +331,8 @@ class TestFlowProperties:
             f = random_trig_family(4, rng)
             s = float(rng.uniform(0.2, 0.8))
             total = spectral_flow(f).value
-            left = spectral_flow(f.restricted(0.0, s)).value
-            right = spectral_flow(f.restricted(s, f.horizon)).value
+            left = spectral_flow(restricted(f, 0.0, s)).value
+            right = spectral_flow(restricted(f, s, f.horizon)).value
             assert total == left + right
 
     def test_time_reversal_negates(self, rng):
@@ -347,8 +354,8 @@ class TestFlowProperties:
             halves = 0
             for t0, t1 in zip(coarse.partition.points[:-1], coarse.partition.points[1:]):
                 mid = (float(t0) + float(t1)) / 2.0
-                halves += spectral_flow(f.restricted(float(t0), mid)).value
-                halves += spectral_flow(f.restricted(mid, float(t1))).value
+                halves += spectral_flow(restricted(f, float(t0), mid)).value
+                halves += spectral_flow(restricted(f, mid, float(t1))).value
             assert halves == coarse.value
 
     def test_flow_equals_endpoint_rank_difference(self, rng):
@@ -392,7 +399,7 @@ class TestRunningFlows:
             at_point = dict(zip(times.tolist(), flows))
             at_point[0.0] = 0
             for t, flow in zip(times.tolist(), flows):
-                assert flow == spectral_flow(f.restricted(0.0, t)).value, (f.label, t)
+                assert flow == spectral_flow(restricted(f, 0.0, t)).value, (f.label, t)
                 assert flow == negative_count(f, 0.0) - negative_count(f, t), (f.label, t)
                 n = int(np.searchsorted(points, t)) - 1
                 if t != points[n + 1]:
@@ -459,15 +466,16 @@ class TestConcurrentUse:
 class TestConjugationInvariance:
     def test_identity(self):
         f = linear_family(diag(-0.5), diag(1.0), 1.0)
-        rec = sfl_conjugation_invariance_check(f, lambda t: np.eye(1))
-        assert rec.passed and rec.max_spectrum_deviation < 1e-14
+        conj = unitary_conjugated_family(f, lambda t: np.eye(1))
+        flow, flow_conj, deviation = conjugation_flows(f, conj)
+        assert flow == flow_conj and deviation < 1e-14
 
     def test_constant_hadamard_like(self):
         f = linear_family(diag(-0.5, 0.5), diag(1.0, 1.0), 1.0)
         h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        rec = sfl_conjugation_invariance_check(f, lambda t: h)
-        assert rec.passed
-        assert rec.sfl_original == rec.sfl_conjugated
+        conj = unitary_conjugated_family(f, lambda t: h)
+        flow, flow_conj, deviation = conjugation_flows(f, conj)
+        assert flow == flow_conj and deviation <= 1e-10
 
     def test_time_dependent_unitary_path(self, rng):
         f = random_trig_family(3, rng)
@@ -478,26 +486,6 @@ class TestConjugationInvariance:
         def u_path(t):
             return (v * np.exp(-1j * t * w)) @ v.conj().T
 
-        rec = sfl_conjugation_invariance_check(f, u_path)
-        assert rec.passed
-
-    def test_rejects_non_unitary(self):
-        f = constant_family(diag(1.0, 2.0), 1.0)
-        with pytest.raises(ValueError, match="unitary"):
-            sfl_conjugation_invariance_check(f, lambda t: np.diag([1.0, 2.0]))
-
-    def test_mismatch_raises_consistency_error(self, rng):
-        # sanity check of the failure path: tamper with the comparison by
-        # conjugating a different family than the one checked
-        f = linear_family(diag(-0.5), diag(1.0), 1.0)
-        g = linear_family(diag(0.5), diag(-1.0), 1.0)
-        from apsflow.spectralflow import ConjugationRecord, spectral_flow as sf
-
-        rec = ConjugationRecord(
-            family_label="tampered",
-            sfl_original=sf(f).value,
-            sfl_conjugated=sf(g).value,
-            max_spectrum_deviation=0.0,
-            passed=sf(f).value == sf(g).value,
-        )
-        assert not rec.passed
+        conj = unitary_conjugated_family(f, u_path)
+        flow, flow_conj, deviation = conjugation_flows(f, conj)
+        assert flow == flow_conj and deviation <= 1e-10
