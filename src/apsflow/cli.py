@@ -1,7 +1,10 @@
 """Command-line harness: declarative configs, check runners, suites, exports.
 
 Exit codes are stable: 0 when every requested check passes, 1 on a check
-failure (the report is still written), 2 on a configuration or usage error.
+failure (the report is still written), 2 on a configuration or usage error
+or when the output directory cannot be created or written, the latter with
+one stderr line ``I/O error writing under <dir>: <reason>``.  The output
+directory is created before any computation.
 ``export`` exits 1 when its computation raises a package error, with one
 stderr line ``export failed: <Type>: <message>`` and no traceback.
 Reports are byte-deterministic for a fixed config, seed, and version;
@@ -9,6 +12,7 @@ wall-clock timings are echoed to stderr and deliberately kept out of the
 report files.
 """
 
+import contextlib
 import json
 import sys
 import time
@@ -107,6 +111,9 @@ def _integer(value, name: str) -> int:
 def _number(value, name: str) -> float:
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     _require(ok, f"config.{name} must be a number, got {value!r}")
+    # false for NaN, inf (json reads Infinity and 1e400 as inf) and ints past the float range
+    finite = abs(value) <= sys.float_info.max
+    _require(finite, f"config.{name} must be finite, got {value!r}")
     return float(value)
 
 
@@ -491,6 +498,17 @@ def main():
     """Spectral flow and boundary-index experiments on Hermitian families."""
 
 
+@contextlib.contextmanager
+def _writing_under(outdir: Path):
+    """Create ``outdir``; an ``OSError`` from that or from the writes inside exits 2."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        click.echo(f"I/O error writing under {outdir}: {exc}", err=True)
+        sys.exit(2)
+
+
 def _config_overrides(config: ExperimentConfig, steps, grid, out, formats) -> ExperimentConfig:
     return replace(
         config,
@@ -520,10 +538,10 @@ def run(config_path, seed, out, formats, steps, grid, strict):
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     outdir = Path(config.output_path)
-    outdir.mkdir(parents=True, exist_ok=True)
-    report = execute_config(config, seed=seed, outdir=outdir)
-    path = outdir / "report.json"
-    path.write_text(canonical_json(report), encoding="utf-8")
+    with _writing_under(outdir):
+        report = execute_config(config, seed=seed, outdir=outdir)
+        path = outdir / "report.json"
+        path.write_text(canonical_json(report), encoding="utf-8")
     click.echo(f"report written to {path}")
     for entry in report["results"]:
         status = "pass" if entry.get("passed") else "FAIL"
@@ -544,25 +562,25 @@ def run(config_path, seed, out, formats, steps, grid, strict):
 def suite(name, seed, out, formats, families, max_n, max_blocks, steps, grid):
     """Run a named reproduction suite and write the aggregate report."""
     started = time.perf_counter()
-    report = run_suite(
-        name,
-        seed=seed,
-        families=families,
-        max_dim=max_n,
-        max_blocks=max_blocks,
-        steps=steps,
-        grid=grid,
-    )
     outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"suite-{name}.json"
-    path.write_text(canonical_json(report), encoding="utf-8")
-    if "csv" in formats and "counterexample" in report["sections"]:
-        rows = [
-            [e["blocks"], e["ker_dim"], e["coker_dim"], e["index"], e["sfl"]]
-            for e in report["sections"]["counterexample"]
-        ]
-        write_csv(outdir / "counterexample-growth.csv", ["m", "ker_dim", "coker_dim", "index", "sfl"], rows)
+    with _writing_under(outdir):
+        report = run_suite(
+            name,
+            seed=seed,
+            families=families,
+            max_dim=max_n,
+            max_blocks=max_blocks,
+            steps=steps,
+            grid=grid,
+        )
+        path = outdir / f"suite-{name}.json"
+        path.write_text(canonical_json(report), encoding="utf-8")
+        if "csv" in formats and "counterexample" in report["sections"]:
+            rows = [
+                [e["blocks"], e["ker_dim"], e["coker_dim"], e["index"], e["sfl"]]
+                for e in report["sections"]["counterexample"]
+            ]
+            write_csv(outdir / "counterexample-growth.csv", ["m", "ker_dim", "coker_dim", "index", "sfl"], rows)
     click.echo(f"suite report written to {path}", err=False)
     click.echo(f"  wall time {time.perf_counter() - started:.1f}s", err=True)
     total = sum(len(v) for v in report["sections"].values())
@@ -587,28 +605,25 @@ def export(what, config_path, out, samples, steps, grid):
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     outdir = Path(config.output_path)
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        if what == "eigenflow":
-            path = outdir / "eigenflow.csv"
-            write_eigenflow_csv(family, path, samples)
-        elif what == "propagator":
-            prop = propagate(family, config.steps, scheme=config.scheme)
-            path = outdir / "propagator.json"
-            write_propagator(prop, path)
-        else:
-            disc = assemble_discretized_operator(family, config.grid)
-            path = outdir / "operator.txt"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(f"# rows {disc.codomain_dim} cols {disc.domain_dim}\n")
-                for r, c, re, im in operator_triplets(disc):
-                    fh.write(f"{r} {c} {re!r} {im!r}\n")
-    except OSError as exc:
-        click.echo(f"I/O error writing under {outdir}: {exc}", err=True)
-        sys.exit(2)
-    except ApsflowError as exc:
-        click.echo(f"export failed: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(1)
+    with _writing_under(outdir):
+        try:
+            if what == "eigenflow":
+                path = outdir / "eigenflow.csv"
+                write_eigenflow_csv(family, path, samples)
+            elif what == "propagator":
+                prop = propagate(family, config.steps, scheme=config.scheme)
+                path = outdir / "propagator.json"
+                write_propagator(prop, path)
+            else:
+                disc = assemble_discretized_operator(family, config.grid)
+                path = outdir / "operator.txt"
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(f"# rows {disc.codomain_dim} cols {disc.domain_dim}\n")
+                    for r, c, re, im in operator_triplets(disc):
+                        fh.write(f"{r} {c} {re!r} {im!r}\n")
+        except ApsflowError as exc:
+            click.echo(f"export failed: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(1)
     click.echo(f"wrote {path}")
     sys.exit(0)
 

@@ -1,7 +1,7 @@
 """Time-dependent Hermitian operator families and their constructors.
 
 An :class:`OperatorFamily` is a Hermitian-matrix-valued function of time on
-``[0, T]`` with an optional derivative.  This module provides the concrete
+``[0, T]`` together with its derivative.  This module provides the concrete
 builders used throughout: constant and linear families, diagonal paths,
 the 2x2 eigenline-swapping blocks and their block-diagonal direct sums,
 piecewise-linear ingestion of sampled data, and the endpoint-regularizing
@@ -14,7 +14,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -167,46 +166,36 @@ class OperatorFamily:
     ``eval_fn`` and ``derivative_fn`` take either one float ``t``, returning
     the ``(n, n)`` matrix at ``t``, or a 1-D float array of K times,
     returning the ``(K, n, n)`` stack in one call.  Both forms must agree
-    bit for bit.  Times reach them already clamped to ``[0, T]`` (and snapped
-    to ``grid`` for discrete families).
+    bit for bit.  Times reach them already clamped to ``[0, T]``.  Flow
+    certificates bound eigenvalue speeds by the sampled ``||A'(t)||``
+    (Weyl), so ``derivative_fn`` is required.
 
     ``smoothness`` distinguishes genuinely smooth families from
-    piecewise-differentiable interpolants and from grid-snapped discrete
-    families (whose evaluation rounds to the nearest grid time).  Flow
-    certificates downstream use it to pick a Lipschitz estimator.
+    piecewise-differentiable interpolants; it decides only whether
+    construction compares the derivative with a finite difference.
     """
 
     dim: int
     horizon: float
     label: str
     eval_fn: Evaluator
-    derivative_fn: Evaluator | None = None
-    smoothness: str = "smooth"  # smooth | piecewise | discrete
-    grid: np.ndarray | None = None  # snap targets for discrete families
+    derivative_fn: Evaluator
+    smoothness: str = "smooth"  # smooth | piecewise
     construction_warnings: tuple[str, ...] = ()
 
-    @property
-    def has_derivative(self) -> bool:
-        return self.derivative_fn is not None
-
     def _clock(self, t: Times) -> Times:
-        """Range-check, clamp and grid-snap times: a float gives a float, an array an array."""
+        """Range-check and clamp times: a float gives a float, an array an array."""
         times = np.asarray(t, dtype=float)
         outside = (times < -1e-12) | (times > self.horizon + 1e-12)
         if np.any(outside):
             raise ValueError(f"time {float(times[outside][0])} outside [0, {self.horizon}]")
         times = np.minimum(np.maximum(times, 0.0), self.horizon)
-        if self.smoothness == "discrete" and self.grid is not None:
-            # argmin keeps the first of equally near grid times
-            times = self.grid[np.argmin(np.abs(self.grid - times[..., None]), axis=-1)]
         return times if np.ndim(times) else float(times)
 
     def at(self, t: float) -> HermitianMatrix:
         return HermitianMatrix(self.eval_fn(self._clock(t)))
 
     def derivative_at(self, t: float) -> HermitianMatrix:
-        if self.derivative_fn is None:
-            raise FamilyConstructionError(f"family {self.label!r} has no derivative")
         return HermitianMatrix(self.derivative_fn(self._clock(t)))
 
     def at_many(self, ts) -> np.ndarray:
@@ -221,7 +210,12 @@ class OperatorFamily:
         )
 
     def derivative_at_many(self, ts) -> np.ndarray:
-        """The stack of ``derivative_at(t).entries`` for ``t`` in ``ts``."""
+        """The stack of ``derivative_at(t).entries`` for ``t`` in ``ts``.
+
+        Every flow certificate reads ``A'`` here; a family whose
+        ``derivative_fn`` was replaced by ``None`` raises
+        :class:`FamilyConstructionError`.
+        """
         if self.derivative_fn is None:
             raise FamilyConstructionError(f"family {self.label!r} has no derivative")
         times = self._clock(np.asarray(ts, dtype=float))
@@ -229,27 +223,30 @@ class OperatorFamily:
             _evaluate(self.derivative_fn, times, self.dim, self.label, DimensionMismatchError)
         )
 
+    # Facts computed once per instance live in the instance's ``_memo``
+    # (:meth:`_computed_once`), not in fields: ``replace`` copies compute them
+    # again, and equality and ``asdict`` do not see them.  Every value kept
+    # is read-only.
+
     def norm_bound(self) -> float:
         """Max spectral norm over ``NORM_SAMPLES`` uniform times, computed once per instance."""
-        return self._norm_bound
 
-    # Facts computed once per instance live in the instance __dict__, not in
-    # fields: ``replace`` copies compute them again, and equality and
-    # ``asdict`` do not see them.  Every value kept is read-only.
+        def sampled_max() -> float:
+            ts = np.linspace(0.0, self.horizon, NORM_SAMPLES)
+            return float(np.max(np.abs(np.linalg.eigvalsh(self.at_many(ts)))))
 
-    @cached_property
-    def _norm_bound(self) -> float:
-        ts = np.linspace(0.0, self.horizon, NORM_SAMPLES)
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.at_many(ts)))))
+        return self._computed_once(("norm_bound",), sampled_max)
 
-    @cached_property
+    @property
     def endpoint_spectra(self) -> tuple[SpectralData, SpectralData]:
         """``eigh(at(0))`` and ``eigh(at(T))``, computed once per instance.
 
         Every boundary condition is a spectral projection of these two
         matrices, so every route reads this one pair.
         """
-        return eigh(self.at(0.0)), eigh(self.at(self.horizon))
+        return self._computed_once(
+            ("endpoint_spectra",), lambda: (eigh(self.at(0.0)), eigh(self.at(self.horizon)))
+        )
 
     def negative_projection(self, end: int, tau_0: float = TAU_ZERO) -> Projection:
         """``P_<0`` of ``A(0)`` (``end`` 0) or of ``A(T)`` (``end`` 1).
@@ -283,8 +280,7 @@ class OperatorFamily:
             self,
             label=f"{self.label}(reversed)",
             eval_fn=lambda s: ev(horizon - s),
-            derivative_fn=None if dv is None else (lambda s: -dv(horizon - s)),
-            grid=None if self.grid is None else np.sort(horizon - self.grid),
+            derivative_fn=lambda s: -dv(horizon - s),
         )
 
 
@@ -297,16 +293,15 @@ def _validated_family(
     horizon: float,
     label: str,
     eval_fn: Evaluator,
-    derivative_fn: Evaluator | None,
+    derivative_fn: Evaluator,
     *,
     smoothness: str = "smooth",
-    grid: np.ndarray | None = None,
     extra_warnings: tuple[str, ...] = (),
 ) -> OperatorFamily:
     """Run construction checks and assemble the family.
 
-    Hermiticity is enforced at sampled times.  When a derivative is present
-    and the family is smooth, it is compared against a symmetric finite
+    Hermiticity is enforced at sampled times.  When the family is smooth,
+    its derivative is compared against a symmetric finite
     difference; the allowed defect is ``C h^2`` with ``C`` estimated from
     second differences (plus a roundoff floor).  A failure is a construction
     warning (``family_from_spec(..., strict=True)`` turns it into an error).
@@ -323,7 +318,7 @@ def _validated_family(
     ts = np.linspace(0.0, horizon, _VALIDATION_SAMPLES)
     hermitian_stack(evaluate(eval_fn, ts))  # raises if non-Hermitian beyond tolerance
 
-    if derivative_fn is not None and smoothness == "smooth":
+    if smoothness == "smooth":
         h = min(DERIVATIVE_CHECK_STEP, horizon / 1000.0)
         interior = np.linspace(h, horizon - h, 5)
         values = evaluate(eval_fn, np.concatenate([interior + h, interior - h, interior]))
@@ -351,7 +346,6 @@ def _validated_family(
         eval_fn=eval_fn,
         derivative_fn=derivative_fn,
         smoothness=smoothness,
-        grid=grid,
         construction_warnings=tuple(warnings),
     )
 
@@ -572,13 +566,10 @@ def endpoint_regularize(
         right = _column(_pointwise(lambda s: chi(t_end - s), t))
         return ev(t) + left * p_left + right * p_right
 
-    deriv_fn = None
-    if dv is not None:
-
-        def deriv_fn(t: Times) -> np.ndarray:
-            left = _column(_pointwise(chi_slope, t))
-            right = _column(_pointwise(lambda s: chi_slope(t_end - s), t))
-            return dv(t) + left * p_left - right * p_right
+    def deriv_fn(t: Times) -> np.ndarray:
+        left = _column(_pointwise(chi_slope, t))
+        right = _column(_pointwise(lambda s: chi_slope(t_end - s), t))
+        return dv(t) + left * p_left - right * p_right
 
     return _validated_family(
         family.dim,
@@ -587,7 +578,6 @@ def endpoint_regularize(
         eval_fn,
         deriv_fn,
         smoothness=family.smoothness,
-        grid=family.grid,
         extra_warnings=family.construction_warnings,
     )
 

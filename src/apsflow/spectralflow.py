@@ -4,9 +4,9 @@ The flow of a family is computed from a partition ``0 = t_0 < ... < t_N = T``
 with per-segment levels ``a_n >= 0`` that stay clear of the spectrum on the
 whole segment; the flow is the telescoping sum of the dimension increments
 of the spectral subspaces for ``[0, a_n)``.  Segment admissibility is
-certified on a sample grid together with an eigenvalue-speed bound (Weyl:
-``|d lambda / dt| <= ||A'(t)||``); segments without a certified level are
-bisected.  One partition of ``[0, T]`` also fixes the flow on every prefix
+certified on a sample grid together with an eigenvalue-speed bound read
+from the family's derivative (Weyl: ``|d lambda / dt| <= ||A'(t)||``);
+segments without a certified level are bisected.  One partition of ``[0, T]`` also fixes the flow on every prefix
 ``[0, t]`` (:func:`running_flows`).  Because any certified level yields the
 same telescoped integer, agreement with the independently computed relative
 index of the endpoint negative spectral projections is a real check on the
@@ -45,8 +45,7 @@ class FlowPartition:
     points: np.ndarray
     levels: np.ndarray
     witness_gaps: np.ndarray  # min sampled distance from the level to the spectrum
-    margins: np.ndarray  # clearance each level had to certify: gamma_min + speed * coverage
-    certificates: tuple[str, ...]  # "derivative" or "sampled", per segment
+    margins: np.ndarray  # clearance each level had to certify: gamma_min + max ||A'|| * spacing/2
 
     def __post_init__(self):
         # one partition serves every caller on its family: none may write to it
@@ -65,7 +64,7 @@ class FlowPartition:
             "levels": [float(a) for a in self.levels],
             "witness_gaps": [float(g) for g in self.witness_gaps],
             "margins": [float(m) for m in self.margins],
-            "certificates": list(self.certificates),
+            "certificates": ["derivative"] * self.segments,
         }
 
 
@@ -131,29 +130,10 @@ def _eig_samples(family: OperatorFamily, ts: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(family.at_many(ts))
 
 
-def _max_abs_eigenvalue(stack: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(stack)), initial=0.0))
-
-
-def _speed_bound(family: OperatorFamily, ts: np.ndarray) -> tuple[float, str]:
-    """Max eigenvalue speed on the segment, from the derivative if available."""
-    if family.has_derivative:
-        return _max_abs_eigenvalue(family.derivative_at_many(ts)), "derivative"
-    if family.smoothness == "discrete" and family.grid is not None:
-        lo, hi = float(ts[0]), float(ts[-1])
-        keep = (family.grid >= lo - 1e-12) & (family.grid <= hi + 1e-12)
-        gts = family.grid[keep]
-        if gts.size < 2:
-            gts = family.grid[: 2] if family.grid.size >= 2 else ts
-        stack = family.at_many(gts)
-        dt = np.diff(gts)
-        step = dt > 0
-        slopes = (stack[1:][step] - stack[:-1][step]) / dt[step][:, None, None]
-        return _max_abs_eigenvalue(slopes), "sampled"
-    h = max(family.horizon * 1e-6, 1e-9)
-    lo = np.minimum(np.maximum(ts - h, 0.0), family.horizon - 2 * h)
-    diff = (family.at_many(lo + 2 * h) - family.at_many(lo)) / (2 * h)
-    return _max_abs_eigenvalue(diff), "sampled"
+def _speed_bound(family: OperatorFamily, ts: np.ndarray) -> float:
+    """Max eigenvalue speed at the segment's samples: the largest sampled ``||A'(t)||``."""
+    speeds = np.linalg.eigvalsh(family.derivative_at_many(ts))
+    return float(np.max(np.abs(speeds), initial=0.0))
 
 
 def _candidate_level(pool: np.ndarray, margin: float) -> tuple[float, float] | None:
@@ -191,9 +171,9 @@ def build_flow_partition(
 
     Each candidate segment is sampled at ``n_samples`` uniform times; a level
     is admissible when its distance to every sampled eigenvalue exceeds
-    ``gamma_min`` plus the certified excursion ``L * s/2`` (eigenvalue speed
-    times half the sample spacing, inflated by half the snap spacing for
-    grid-discrete families).  Segments without an admissible level are
+    ``gamma_min`` plus the certified excursion ``L * s/2``: the eigenvalue
+    speed ``L``, the largest ``||A'(t)||`` at the samples, times half the
+    sample spacing ``s``.  Segments without an admissible level are
     bisected, down to a minimal width of ``T * MIN_SEGMENT_FRACTION``
     (``T * 2^-20``), below which the family is reported as pathological.
 
@@ -216,17 +196,12 @@ def _bisected_partition(family: OperatorFamily, n_samples: int, gamma_min: float
     levels: list[float] = []
     witness: list[float] = []
     margins: list[float] = []
-    certs: list[str] = []
 
     def process(t0: float, t1: float) -> None:
         ts = np.linspace(t0, t1, n_samples)
         eigs = _eig_samples(family, ts)
-        speed, cert = _speed_bound(family, ts)
         spacing = (t1 - t0) / (n_samples - 1)
-        coverage = spacing / 2.0
-        if family.smoothness == "discrete" and family.grid is not None and family.grid.size > 1:
-            coverage += float(np.max(np.diff(family.grid))) / 2.0
-        margin = gamma_min + speed * coverage
+        margin = gamma_min + _speed_bound(family, ts) * (spacing / 2.0)
         pool = np.unique(eigs.ravel())
         found = _candidate_level(pool, margin)
         if found is not None:
@@ -235,7 +210,6 @@ def _bisected_partition(family: OperatorFamily, n_samples: int, gamma_min: float
             levels.append(level)
             witness.append(clearance)
             margins.append(margin)
-            certs.append(cert)
             return
         if (t1 - t0) / 2.0 < delta_min:
             raise NoAdmissibleLevelError(
@@ -253,7 +227,6 @@ def _bisected_partition(family: OperatorFamily, n_samples: int, gamma_min: float
         levels=np.asarray(levels),
         witness_gaps=np.asarray(witness),
         margins=np.asarray(margins),
-        certificates=tuple(certs),
     )
 
 

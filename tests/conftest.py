@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from apsflow.errors import DimensionMismatchError
+from apsflow.evolution import SCHEME_MIDPOINT
 from apsflow.families import OperatorFamily, linear_family
 from apsflow.matrixcore import TAU_ANGLE, TAU_ZERO, HermitianMatrix, Subspace
 from apsflow.spectralflow import spectral_flow
@@ -116,70 +117,83 @@ def q_between(propagator, t, s):
 
 def restricted(family, t0, t1):
     """``family`` on ``[t0, t1]``, reparametrized to start at 0."""
-    ev, dv, grid = family.eval_fn, family.derivative_fn, family.grid
-    if grid is not None:
-        grid = grid[(grid >= t0 - 1e-12) & (grid <= t1 + 1e-12)] - t0
+    ev, dv = family.eval_fn, family.derivative_fn
     return replace(
         family,
         horizon=t1 - t0,
         label=f"{family.label}|[{t0:g},{t1:g}]",
         eval_fn=lambda s: ev(t0 + s),
-        derivative_fn=None if dv is None else (lambda s: dv(t0 + s)),
-        grid=grid,
+        derivative_fn=lambda s: dv(t0 + s),
     )
+
+
+def _conjugated(family, label, path):
+    """``t -> U(t)* A(t) U(t)`` with its exact derivative ``U* (A' + i [A, K]) U``.
+
+    ``path(t)`` returns ``(U(t), K(t))`` with ``dU/dt = i K U`` at ``t``: one
+    matrix each for one float, stacks for a 1-D array of times (a constant
+    generator may stay one matrix).
+    """
+    ev, dv = family.eval_fn, family.derivative_fn
+
+    def eval_fn(t):
+        u, _ = path(t)
+        return np.conj(u).swapaxes(-1, -2) @ ev(t) @ u
+
+    def derivative_fn(t):
+        u, k = path(t)
+        a = ev(t)
+        return np.conj(u).swapaxes(-1, -2) @ (dv(t) + 1j * (a @ k - k @ a)) @ u
+
+    return replace(family, label=label, eval_fn=eval_fn, derivative_fn=derivative_fn)
+
+
+def _exponential(s, w, v):
+    """``exp(i s K)`` for ``K = v diag(w) v*``; ``s`` broadcasts against the leading axes of ``w``."""
+    phases = np.exp(1j * np.asarray(s, dtype=float)[..., None] * w)
+    return (v * phases[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
 
 
 def evolved_family(family, propagator):
-    """``t -> Q(0, t) A(t) Q(t, 0)``, evaluated at the propagator grid time nearest ``t``.
+    """``t -> U(t)* A(t) U(t)`` for ``U(t) = exp(i (t - t_k) A(m_k)) U_k`` on step ``[t_k, t_{k+1}]``.
 
-    The oracle of acceptance criterion 8: a grid-discrete family with the
-    pointwise spectrum of ``family`` and the same flow.
+    The oracle of acceptance criterion 8.  ``U_k`` are the unitaries of a
+    one-substep midpoint ``propagator`` and ``m_k`` the step midpoints, so
+    ``U`` follows the propagator's steps continuously (up to roundoff at
+    the grid times) and the family has the pointwise spectrum of ``family``,
+    the same flow and the exact derivative ``U* (A' + i [A, A(m_k)]) U``.
     """
+    if propagator.step_scheme != SCHEME_MIDPOINT or propagator.steps_per_interval != 1:
+        raise ValueError("the evolved family follows one midpoint step per interval")
     grid, u = propagator.grid, propagator.unitaries
+    mids = (grid[:-1] + grid[1:]) / 2.0
 
-    def conjugated(fn):
-        def at(t):
-            k = np.argmin(np.abs(grid - np.asarray(t, dtype=float)[..., None]), axis=-1)
-            uk = u[k]
-            return np.conj(uk).swapaxes(-1, -2) @ fn(grid[k]) @ uk
+    def path(t):
+        k = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, grid.size - 2)
+        generator = family.at_many(np.ravel(mids[k])).reshape(np.shape(k) + u.shape[1:])
+        w, v = np.linalg.eigh(generator)
+        return _exponential(t - grid[k], w, v) @ u[k], generator
 
-        return at
+    return _conjugated(family, f"{family.label}(evolved)", path)
 
-    dv = family.derivative_fn
-    return replace(
-        family,
-        label=f"{family.label}(evolved)",
-        eval_fn=conjugated(family.eval_fn),
-        derivative_fn=None if dv is None else conjugated(dv),
-        smoothness="discrete",
-        grid=grid,
+
+def unitary_conjugated_family(family, generator, start):
+    """``t -> U(t)* A(t) U(t)`` for ``U(t) = exp(i t K) U_0``, ``K`` Hermitian and constant."""
+    k = np.asarray(generator, dtype=complex)
+    w, v = np.linalg.eigh(k)
+    u0 = np.asarray(start, dtype=complex)
+    return _conjugated(
+        family, f"{family.label}(conjugated)", lambda t: (_exponential(t, w, v) @ u0, k)
     )
-
-
-def unitary_conjugated_family(family, unitary_fn):
-    """``t -> U(t)* A(t) U(t)``, with ``unitary_fn`` mapping one float to one matrix.
-
-    The derivative of ``U`` is not known, so the result has none.
-    """
-    ev = family.eval_fn
-
-    def eval_fn(t):
-        times = np.asarray(t, dtype=float)
-        u = np.array([unitary_fn(s) for s in times.ravel().tolist()], dtype=complex)
-        u = u.reshape(times.shape + u.shape[1:])
-        return np.conj(u).swapaxes(-1, -2) @ ev(t) @ u
-
-    return replace(family, label=f"{family.label}(conjugated)", eval_fn=eval_fn, derivative_fn=None)
 
 
 def conjugation_flows(family, conjugated):
     """The flows of ``family`` and ``conjugated``, and their largest spectrum deviation.
 
-    The spectra are compared at 33 uniform times, each snapped the way
-    ``conjugated`` snaps it.
+    The spectra are compared at 33 uniform times.
     """
     ts = np.linspace(0.0, family.horizon, 33)
-    w = np.linalg.eigvalsh(family.at_many(conjugated._clock(ts)))
+    w = np.linalg.eigvalsh(family.at_many(ts))
     w_conj = np.linalg.eigvalsh(conjugated.at_many(ts))
     deviation = float(np.max(np.abs(w - w_conj), initial=0.0))
     return spectral_flow(family).value, spectral_flow(conjugated).value, deviation

@@ -22,6 +22,7 @@ from apsflow.errors import (
     AmbiguousSpectralCutError,
     ConsistencyError,
     EigendecompositionError,
+    FamilyConstructionError,
     StiffnessError,
 )
 from apsflow.evolution import nonunitary_propagate, propagate
@@ -678,7 +679,7 @@ class TestSharedShotFactors:
         monkeypatch.setattr(OperatorFamily, "time_reversed", recording)
         riemannian_kernel_shooting(random_trig_family(3, np.random.default_rng(31)))
         (reversal,) = reversals
-        assert "_norm_bound" not in vars(reversal)  # cached_property: computed only when read
+        assert ("norm_bound",) not in vars(reversal).get("_memo", {})  # computed only when read
         f = constant_family(diag(-50.0, 50.0), 1.0)
         message = (
             r"^\|\|A\|\| \* T = 50 exceeds the stiffness bound 40; "
@@ -803,6 +804,38 @@ class TestRiemannianMainCheck:
             riemannian_main_check(f, 16)
         assert exc.value.record.passed is False
         assert not riemannian_main_check(f, 16, raise_on_mismatch=False).passed
+
+
+class TestDerivativeRequired:
+    """Flow certificates read ``A'``; a family without one gets a typed error, not a guess."""
+
+    @staticmethod
+    def _pair():
+        f = linear_family(diag(-0.5, 0.25), diag(1.0, 0.5), 1.0)
+        return f, replace(f, derivative_fn=None)
+
+    def test_every_flow_route_raises(self):
+        _, g = self._pair()
+        prop = propagate(g, 64)
+        checks = (
+            lambda: spectral_flow(g),
+            lambda: spectralflow.running_flows(g, [0.5, 1.0]),
+            lambda: spectralflow.flowind_check(g),
+            lambda: lorentzian_main_check(g, prop),
+            lambda: riemannian_main_check(g, 16),
+        )
+        for check in checks:
+            with pytest.raises(FamilyConstructionError, match="has no derivative"):
+                check()
+
+    def test_boundary_value_routes_never_read_it(self):
+        f, g = self._pair()
+        for route in (
+            lambda h: riemannian_index_discretized(h, 16),
+            riemannian_kernel_shooting,
+        ):
+            want, got = route(f), route(g)
+            assert (got.ker_dim, got.coker_dim) == (want.ker_dim, want.coker_dim)
 
 
 class TestAmbiguousCutAdvice:

@@ -46,6 +46,27 @@ MALFORMED_CONFIGS = {
     "steps-null": ({"propagator": {"steps": None}}, "propagator.steps must be an integer"),
     "steps-fraction": ({"propagator": {"steps": 1.7}}, "propagator.steps must be an integer"),
     "tolerance-word": ({"tolerances": {"tau_0": "small"}}, "tau_0 must be a number"),
+    # json.dumps writes these as Infinity and NaN, which json.load reads back
+    "tolerance-infinity": (
+        {"tolerances": {"tau_0": float("inf")}},
+        "config.tolerances.tau_0 must be finite, got inf",
+    ),
+    "tolerance-nan": (
+        {"tolerances": {"gamma_min": float("nan")}},
+        "config.tolerances.gamma_min must be finite, got nan",
+    ),
+    "tolerance-past-the-float-range": (
+        {"tolerances": {"sigma_cut": 10**400}},
+        "config.tolerances.sigma_cut must be finite",
+    ),
+    "oracle-tolerance-infinity": (
+        {"propagator": {"steps": 128, "oracle_tolerance": float("inf")}},
+        "config.propagator.oracle_tolerance must be finite, got inf",
+    ),
+    "oracle-tolerance-nan": (
+        {"propagator": {"steps": 128, "oracle_tolerance": float("nan")}},
+        "config.propagator.oracle_tolerance must be finite, got nan",
+    ),
     "formats-string": (
         {"output": {"path": "out", "formats": "json"}},
         "formats must be a list",
@@ -638,6 +659,43 @@ class TestFlagRanges:
         assert f"Invalid value for '{flag}'" in result.stderr
         assert "Traceback" not in result.output
         assert not (tmp_path / "out").exists()
+
+
+# each command's arguments, run with --out at or under an existing file
+OUT_COMMANDS = {
+    "run": ["run", "--config", SHIPPED_CONFIG],
+    "suite": ["suite", "counterexample", "--max-blocks", "1"],
+    "export": ["export", "eigenflow", "--config", SHIPPED_CONFIG],
+}
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("below", [False, True], ids=["at-a-file", "under-a-file"])
+    @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+    def test_blocked_output_directory_is_an_io_error(self, tmp_path, monkeypatch, command, below):
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before the output directory was made")
+
+        monkeypatch.setattr(cli, "run_suite", computed)
+        monkeypatch.setattr(cli, "execute_config", computed)
+        monkeypatch.setattr(cli, "write_eigenflow_csv", computed)
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "reports" if below else blocker
+        result = CliRunner().invoke(main, [*OUT_COMMANDS[command], "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"I/O error writing under {out}: "), result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.output
+
+    def test_unwritable_report_is_an_io_error(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        result = CliRunner().invoke(main, ["run", "--config", SHIPPED_CONFIG, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.splitlines()[-1].startswith(f"I/O error writing under {out}: ")
+        assert "Traceback" not in result.output
 
 
 class TestShippedConfigs:

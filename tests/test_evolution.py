@@ -411,7 +411,13 @@ class TestStreamedIntegrator:
             tt = np.asarray(t, dtype=float)[..., None, None]
             return base.eval_fn(t) + np.maximum(tt - 0.9, 0.0) * skew
 
-        f = OperatorFamily(dim=16, horizon=1.0, label="late-defect", eval_fn=eval_fn)
+        def derivative_fn(t):
+            tt = np.asarray(t, dtype=float)[..., None, None]
+            return base.derivative_fn(t) + (tt > 0.9) * skew
+
+        f = OperatorFamily(
+            dim=16, horizon=1.0, label="late-defect", eval_fn=eval_fn, derivative_fn=derivative_fn
+        )
         mids = np.linspace(0.0, 1.0, 1025)[:-1] + 0.5 / 1024
         with pytest.raises(ValueError) as one_shot:
             hermitian_stack(eval_fn(mids))

@@ -254,11 +254,29 @@ class TestConjugation:
     def test_constant_unitary_preserves_spectrum(self, rng):
         f = linear_family(diag(-0.5, 0.5), diag(1.0, 1.0), 1.0)
         u = random_unitary(2, rng)
-        g = unitary_conjugated_family(f, lambda t: u)
+        g = unitary_conjugated_family(f, np.zeros((2, 2)), u)
         for t in np.linspace(0, 1, 7):
             assert np.allclose(
                 np.linalg.eigvalsh(g.at(t).entries), np.linalg.eigvalsh(f.at(t).entries)
             )
+
+    @pytest.mark.parametrize("oracle", ["evolved", "conjugated"])
+    def test_oracle_derivative_matches_a_central_difference(self, rng, oracle):
+        from apsflow.evolution import propagate
+        from apsflow.zoo import random_trig_family
+
+        f = random_trig_family(3, rng)
+        if oracle == "evolved":
+            g = evolved_family(f, propagate(f, 64))
+        else:
+            g = unitary_conjugated_family(
+                f, random_hermitian_entries(3, rng, scale=4.0), random_unitary(3, rng)
+            )
+        # inside propagator steps, clear of the grid times k / 64 by far more than h
+        ts = (np.array([3.0, 17.0, 40.0, 63.0]) + 0.37) / 64.0
+        h = 1e-6
+        central = (g.at_many(ts + h) - g.at_many(ts - h)) / (2.0 * h)
+        assert np.max(np.abs(central - g.derivative_at_many(ts))) <= 1e-6
 
 
 class TestRestriction:
@@ -461,7 +479,6 @@ def _batched_cases():
     singular = singular_endpoint_family(3, rng)
     u0 = random_unitary(4, rng)
     k = random_hermitian_entries(4, rng)
-    w, v = np.linalg.eigh(k)
     return {
         "zoo-n2": zoo[0],
         "zoo-n8": zoo[2],
@@ -474,9 +491,7 @@ def _batched_cases():
         "counterexample": counterexample_family([1.0, 2.0, 3.0], profile=capped_slope_profile()),
         "singular-endpoints": singular,
         "endpoint-regularized": endpoint_regularize(singular),
-        "conjugated": unitary_conjugated_family(
-            zoo[1], lambda t: (v * np.exp(1j * t * w)) @ v.conj().T @ u0
-        ),
+        "conjugated": unitary_conjugated_family(zoo[1], k, u0),
         "restricted": restricted(zoo[3], 0.2, 0.7),
         "time-reversed": endpoint_regularize(singular).time_reversed(),
         "evolved-restricted": restricted(evolved_family(zoo[1], propagate(zoo[1], 64)), 0.3, 0.9),
@@ -517,11 +532,9 @@ class TestBatchedEvaluation:
         assert not fam.at_many(ts).flags.writeable
         # the scalar form of the contract: one float gives one matrix
         assert np.shape(fam.eval_fn(0.5 * fam.horizon)) == (fam.dim, fam.dim)
-        assert fam.has_derivative is (name != "conjugated")
-        if fam.has_derivative:
-            stacked_d = np.stack([fam.derivative_at(t).entries for t in ts])
-            assert np.array_equal(fam.derivative_at_many(ts), stacked_d)
-            assert np.shape(fam.derivative_fn(0.5 * fam.horizon)) == (fam.dim, fam.dim)
+        stacked_d = np.stack([fam.derivative_at(t).entries for t in ts])
+        assert np.array_equal(fam.derivative_at_many(ts), stacked_d)
+        assert np.shape(fam.derivative_fn(0.5 * fam.horizon)) == (fam.dim, fam.dim)
 
     def test_at_many_rejects_times_outside_horizon(self):
         fam = swap_block_family(-1.0, 1.0)
@@ -539,11 +552,22 @@ class TestBatchedEvaluation:
         def scalar_only(t):
             return np.array([[math.sin(t)]], dtype=complex)
 
+        def scalar_only_slope(t):
+            return np.array([[math.cos(t)]], dtype=complex)
+
         with pytest.raises(FamilyConstructionError, match="1-D array of times"):
-            _validated_family(1, 1.0, "scalar-only", scalar_only, None)
+            _validated_family(1, 1.0, "scalar-only", scalar_only, scalar_only_slope)
         with pytest.raises(FamilyConstructionError, match=r"shape \(1,\) for times of shape \(9,\)"):
-            _validated_family(1, 1.0, "scalar-only", lambda t: np.diag([1.0 + t]), None)
-        fam = OperatorFamily(dim=1, horizon=1.0, label="scalar-only", eval_fn=scalar_only)
+            _validated_family(
+                1, 1.0, "scalar-only", lambda t: np.diag([1.0 + t]), lambda t: np.diag([1.0])
+            )
+        fam = OperatorFamily(
+            dim=1,
+            horizon=1.0,
+            label="scalar-only",
+            eval_fn=scalar_only,
+            derivative_fn=scalar_only_slope,
+        )
         assert fam.at(0.5).dim == 1
         with pytest.raises(DimensionMismatchError, match="1-D array of times"):
             fam.at_many([0.25, 0.5])
@@ -556,7 +580,14 @@ class TestBatchedEvaluation:
             out[..., 0, 1] = 1.0 + np.asarray(t)
             return out
 
-        fam = OperatorFamily(dim=2, horizon=1.0, label="skewed", eval_fn=skewed)
+        def skewed_slope(t):
+            out = np.zeros(np.shape(t) + (2, 2), dtype=complex)
+            out[..., 0, 1] = 1.0
+            return out
+
+        fam = OperatorFamily(
+            dim=2, horizon=1.0, label="skewed", eval_fn=skewed, derivative_fn=skewed_slope
+        )
         with pytest.raises(ValueError) as single:
             fam.at(0.5)
         with pytest.raises(ValueError) as batched:
