@@ -445,6 +445,21 @@ def assemble_discretized_operator(
     )
 
 
+FROBENIUS_MARGIN = 1.0 + 1e-10  # far above the rounding of a Frobenius norm or an eigvalsh
+
+
+def _frobenius_bound(mats: np.ndarray) -> float:
+    """An upper bound on the largest spectral norm in a ``(K, n, n)`` stack.
+
+    The largest Frobenius norm, from the squares of the real and imaginary
+    parts, times ``FROBENIUS_MARGIN``; a sum of squares that overflows
+    gives ``inf``.
+    """
+    with np.errstate(over="ignore"):
+        squares = (mats.real**2 + mats.imag**2).sum(axis=(1, 2))
+    return float(np.sqrt(squares.max())) * FROBENIUS_MARGIN
+
+
 def riemannian_index_discretized(
     family: OperatorFamily,
     grid_intervals: int = DEFAULT_GRID,
@@ -472,6 +487,10 @@ def riemannian_index_discretized(
     has the eigenvalue ``-2/h`` and are singular where it has ``2/h``, so
     ``grid_intervals < ||A|| * T`` (``||A||`` the larger of ``norm_bound()``
     and the largest norm at the midpoints) raises ``StiffnessError``.  The
+    midpoint norms are read from eigenvalues only when the grid fails the
+    larger bound with the largest Frobenius norm at the midpoints
+    (:func:`_frobenius_bound`), which is at least the spectral norm: where
+    that bound passes, the spectral norms pass too.  The
     bound 40 of :func:`nonunitary_propagate` does not apply: it guards the
     unnormalized growth ``exp(+-||A|| T)``, and here the QR after every step
     brings the basis back to norm one.
@@ -496,14 +515,17 @@ def riemannian_index_discretized(
     n = family.dim
     h = family.horizon / m
     mids = family.at_many([(k + 0.5) * h for k in range(m)])
-    # the sampled norm bound can miss a peak between its samples that meets a pole
-    mid_norm = float(np.max(np.abs(np.linalg.eigvalsh(mids))))
-    stiffness = family.horizon * max(family.norm_bound(), mid_norm)
-    if m < stiffness:
-        raise StiffnessError(
-            f"||A|| * T = {stiffness:.3g} exceeds the grid of {m} intervals; "
-            "the Crank-Nicolson steps need h ||A|| <= 1, i.e. at least ||A|| * T intervals"
-        )
+    # the sampled norm bound can miss a peak between its samples that meets a pole;
+    # the midpoint eigenvalues are read only where the Frobenius bound fails the grid
+    sampled = family.norm_bound()
+    if m < family.horizon * max(sampled, _frobenius_bound(mids)):
+        mid_norm = float(np.max(np.abs(np.linalg.eigvalsh(mids))))
+        stiffness = family.horizon * max(sampled, mid_norm)
+        if m < stiffness:
+            raise StiffnessError(
+                f"||A|| * T = {stiffness:.3g} exceeds the grid of {m} intervals; "
+                "the Crank-Nicolson steps need h ||A|| <= 1, i.e. at least ||A|| * T intervals"
+            )
     boundary = aps_boundary_data(family, tau_0=tau_0)
     left = boundary.left_subspace
     right = boundary.right_subspace
@@ -595,8 +617,9 @@ def riemannian_kernel_shooting(
     loop, the stiffness gate read from the forward family, and the step
     exponentials of generators bitwise equal to the forward family's at the
     mirrored step, so at ``T = 1`` one call takes ``intervals`` exponentials
-    instead of twice that, with every byte the same.  Its boundary subspaces
-    are the forward family's complements.
+    instead of twice that and evaluates each family's midpoints once, with
+    every byte the same.  Its boundary subspaces are the forward family's
+    complements.
 
     What still separates this route from
     :func:`riemannian_index_discretized`: exponential midpoint steps on

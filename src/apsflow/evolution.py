@@ -175,36 +175,43 @@ def _mirrored_factors(first: OperatorFamily, reversal: OperatorFamily, times, ex
     """Chunks ``(L, 2, n, n)`` of the midpoint factors of a family and its time reversal.
 
     ``first``'s ``K`` factors are computed up front and held (``K n^2``
-    complex numbers).  The reversal still evaluates and checks its own
-    generators chunk by chunk in its own order, in chunks of the size one
-    chain uses.  At its step ``k`` it takes ``first``'s factor of step
-    ``K - 1 - k`` where ``first``'s generator there, evaluated again rather
-    than stored, equals its own bit for bit (compared as ``uint64``, so
-    ``-0.0 != 0.0``); every other step is exponentiated.  A factor depends
-    only on its generator's bytes and the exponent, so the sharing moves no
-    bit.  The pairs are handed out as views of one buffer of
-    ``_chunk_length(n, 2)`` steps, overwritten by the next view.
+    complex numbers), chunk by chunk.  While a chunk of ``first``'s
+    generators is in hand, the reversal evaluates and checks its own
+    generators at the mirrored steps, and one flag per step is kept:
+    whether the reversal's generator at step ``k`` equals ``first``'s at
+    step ``K - 1 - k`` bit for bit (compared as ``uint64``, so
+    ``-0.0 != 0.0``).  Where the flag holds, the reversal takes ``first``'s
+    factor of step ``K - 1 - k``; a chunk of the reversal's steps with a
+    flag down is evaluated again, in the reversal's own order, and its
+    unflagged steps are exponentiated.  A factor depends only on its
+    generator's bytes and the exponent, so the sharing moves no bit.  The
+    pairs are handed out as views of one buffer of ``_chunk_length(n, 2)``
+    steps, overwritten by the next view.
     """
     total = len(times)
-    held = np.empty((total, first.dim, first.dim), dtype=complex)
-    filled = 0
-    for factors in _step_factors(first, (times,), exponent, 1):
-        held[filled : filled + len(factors)] = factors
-        filled += len(factors)
-    chunk = _chunk_length(first.dim)
-    pair = _chunk_length(first.dim, 2)
-    buffer = np.empty((min(pair, total), 2, first.dim, first.dim), dtype=complex)
+    n = first.dim
+    chunk = _chunk_length(n)
+    held = np.empty((total, n, n), dtype=complex)
+    same = np.empty(total, dtype=bool)
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
         mirror = slice(total - stop, total - start)
-        gens = reversal.at_many(times[start:stop])
-        theirs = first.at_many(times[mirror][::-1].copy())
-        same = np.all(gens.view(np.uint64) == theirs.view(np.uint64), axis=(1, 2))
-        own = held[mirror][::-1]
-        if not same.all():
+        gens = first.at_many(times[start:stop])
+        theirs = reversal.at_many(times[mirror])
+        same[mirror] = np.all(theirs.view(np.uint64) == gens[::-1].view(np.uint64), axis=(1, 2))
+        held[start:stop] = _expi_hermitian_batch(gens, exponent)
+    gens = theirs = None  # freed before the pairs are handed out
+    pair = _chunk_length(n, 2)
+    buffer = np.empty((min(pair, total), 2, n, n), dtype=complex)
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        own = held[total - stop : total - start][::-1]
+        differ = ~same[start:stop]
+        if differ.any():
             own = own.copy()
-            own[~same] = _expi_hermitian_batch(gens[~same], exponent)
-        gens = theirs = None  # freed before the pairs are handed out
+            own[differ] = _expi_hermitian_batch(
+                reversal.at_many(times[start:stop])[differ], exponent
+            )
         for sub in range(start, stop, pair):
             factors = buffer[: min(pair, stop - sub)]
             factors[:, 0] = held[sub : sub + len(factors)]
@@ -396,7 +403,9 @@ def nonunitary_propagate(
     tuple of propagators comes back, each with the bytes its own call would
     give.  The reversal borrows the first family's step exponential wherever
     its generator equals the first one's at the mirrored step bit for bit,
-    for which the first family's ``K`` factors are held during the call.
+    for which the first family's ``K`` factors and one flag per step are
+    held during the call; each family's midpoints are evaluated once, and
+    the reversal's again only in a chunk where some step differs.
     The gate reads only the first family's ``norm_bound()``: the reversal's
     samples are the same matrices at mirrored times.
     """

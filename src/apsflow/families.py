@@ -196,7 +196,7 @@ class OperatorFamily:
         return HermitianMatrix(self.eval_fn(self._clock(t)))
 
     def derivative_at(self, t: float) -> HermitianMatrix:
-        return HermitianMatrix(self.derivative_fn(self._clock(t)))
+        return HermitianMatrix(self._derivative()(self._clock(t)))
 
     def at_many(self, ts) -> np.ndarray:
         """The read-only ``(K, n, n)`` stack of ``at(t).entries`` for ``t`` in ``ts``.
@@ -212,16 +212,19 @@ class OperatorFamily:
     def derivative_at_many(self, ts) -> np.ndarray:
         """The stack of ``derivative_at(t).entries`` for ``t`` in ``ts``.
 
-        Every flow certificate reads ``A'`` here; a family whose
-        ``derivative_fn`` was replaced by ``None`` raises
-        :class:`FamilyConstructionError`.
+        Every flow certificate reads ``A'`` here.
         """
-        if self.derivative_fn is None:
-            raise FamilyConstructionError(f"family {self.label!r} has no derivative")
+        derivative = self._derivative()
         times = self._clock(np.asarray(ts, dtype=float))
         return hermitian_stack(
-            _evaluate(self.derivative_fn, times, self.dim, self.label, DimensionMismatchError)
+            _evaluate(derivative, times, self.dim, self.label, DimensionMismatchError)
         )
+
+    def _derivative(self) -> Evaluator:
+        """``derivative_fn``; :class:`FamilyConstructionError` when it is ``None``."""
+        if self.derivative_fn is None:
+            raise FamilyConstructionError(f"family {self.label!r} has no derivative")
+        return self.derivative_fn
 
     # Facts computed once per instance live in the instance's ``_memo``
     # (:meth:`_computed_once`), not in fields: ``replace`` copies compute them
@@ -273,6 +276,7 @@ class OperatorFamily:
         return memo[key]
 
     def time_reversed(self) -> "OperatorFamily":
+        """``s -> A(T - s)`` with derivative ``-A'(T - s)``; no derivative stays ``None``."""
         ev = self.eval_fn
         dv = self.derivative_fn
         horizon = self.horizon
@@ -280,7 +284,7 @@ class OperatorFamily:
             self,
             label=f"{self.label}(reversed)",
             eval_fn=lambda s: ev(horizon - s),
-            derivative_fn=lambda s: -dv(horizon - s),
+            derivative_fn=None if dv is None else lambda s: -dv(horizon - s),
         )
 
 
@@ -559,7 +563,7 @@ def endpoint_regularize(
         return -_plateau_slope((window - t) / scale) / scale
 
     ev = family.eval_fn
-    dv = family.derivative_fn
+    dv = family._derivative()
 
     def eval_fn(t: Times) -> np.ndarray:
         left = _column(_pointwise(chi, t))

@@ -74,6 +74,13 @@ def hermitian_stack(a, *, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     Every matrix must be finite and deviate from its adjoint by at most
     ``atol * (1 + max|a_k|)``; the first offending matrix raises.  Returns
     the read-only stack of Hermitian parts ``(a_k + a_k*)/2``.
+
+    A stack equal to its adjoint bit for bit (``a - a*`` all zero) passes
+    at once, without the finiteness and deviation passes: a NaN or
+    infinite entry always leaves a non-zero (or NaN) entry in ``a - a*``,
+    and a zero deviation is within any ``atol >= 0``.  Every other stack
+    takes the full check, so the result and every error are the same on
+    both paths.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 3:
@@ -82,9 +89,20 @@ def hermitian_stack(a, *, atol: float = HERMITICITY_ATOL) -> np.ndarray:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape[1:]}")
     if a.shape[1] == 0:
         raise DimensionMismatchError("matrix dimension must be positive")
+    adjoint = a.conj().swapaxes(1, 2)
+    with np.errstate(invalid="ignore", over="ignore"):  # the full check warns as before
+        exact = not (a - adjoint).any()
+    if not exact or atol < 0.0:
+        _check_hermitian(a, adjoint, atol)
+    sym = (a + adjoint) / 2.0
+    sym.setflags(write=False)
+    return sym
+
+
+def _check_hermitian(a: np.ndarray, adjoint: np.ndarray, atol: float) -> None:
+    """The finiteness and deviation checks of :func:`hermitian_stack`."""
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    adjoint = a.conj().swapaxes(1, 2)
     scale = 1.0 + np.max(np.abs(a), axis=(1, 2))
     deviation = np.max(np.abs(a - adjoint), axis=(1, 2))
     bad = np.flatnonzero(deviation > atol * scale)
@@ -94,9 +112,6 @@ def hermitian_stack(a, *, atol: float = HERMITICITY_ATOL) -> np.ndarray:
             f"matrix is not Hermitian: max |H - H*| = {deviation[k]:.3e} "
             f"exceeds {atol:.1e} * {scale[k]:.3e}"
         )
-    sym = (a + adjoint) / 2.0
-    sym.setflags(write=False)
-    return sym
 
 
 class HermitianMatrix:

@@ -21,6 +21,32 @@ def random_hermitian_entries(n, rng, scale=1.0):
     return (g + g.conj().T) / (4.0 * np.sqrt(n)) * scale
 
 
+def hermitian_stack_full_check(a, *, atol=1e-12):
+    """``hermitian_stack`` that runs every check on every stack: the oracle of its fast path."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 3:
+        raise DimensionMismatchError(f"expected a stack of matrices, got shape {a.shape}")
+    if a.shape[1] != a.shape[2]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape[1:]}")
+    if a.shape[1] == 0:
+        raise DimensionMismatchError("matrix dimension must be positive")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    adjoint = a.conj().swapaxes(1, 2)
+    scale = 1.0 + np.max(np.abs(a), axis=(1, 2))
+    deviation = np.max(np.abs(a - adjoint), axis=(1, 2))
+    bad = np.flatnonzero(deviation > atol * scale)
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"matrix is not Hermitian: max |H - H*| = {deviation[k]:.3e} "
+            f"exceeds {atol:.1e} * {scale[k]:.3e}"
+        )
+    sym = (a + adjoint) / 2.0
+    sym.setflags(write=False)
+    return sym
+
+
 def random_projection(n, rank, rng):
     """Orthogonal projection of the given rank from a Haar-ish random frame."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

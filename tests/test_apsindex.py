@@ -536,6 +536,87 @@ class TestRiemannianDiscretized:
             assert whole == left + right
 
 
+def eigvalsh_grid_decision(f, m):
+    """The grid precondition read from the eigenvalues at every midpoint: its message or None."""
+    h = f.horizon / m
+    mids = f.at_many([(k + 0.5) * h for k in range(m)])
+    stiffness = f.horizon * max(f.norm_bound(), float(np.max(np.abs(np.linalg.eigvalsh(mids)))))
+    if m < stiffness:
+        return (
+            f"||A|| * T = {stiffness:.3g} exceeds the grid of {m} intervals; "
+            "the Crank-Nicolson steps need h ||A|| <= 1, i.e. at least ||A|| * T intervals"
+        )
+    return None
+
+
+def grid_decision(f, m):
+    """What ``riemannian_index_discretized`` decides about the grid: a message or None."""
+    try:
+        riemannian_index_discretized(f, m)
+    except StiffnessError as exc:
+        return str(exc)
+    return None
+
+
+def _rank_one(c, horizon):
+    """``c e2 e2*``: rank one, so its spectral norm is its Frobenius norm ``|c|``."""
+    return constant_family(diag(0.0, c), horizon)
+
+
+def _eigvalsh_calls(monkeypatch):
+    """A list that records the shape of every later ``np.linalg.eigvalsh`` argument."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return calls
+
+
+class TestGridPreconditionBound:
+    """The Frobenius bound decides the grid as the midpoint eigenvalues do, and skips them."""
+
+    @pytest.mark.parametrize("m, horizon", [(32, 1.0), (48, 0.5), (64, 0.25)])
+    def test_rank_one_family_at_and_one_ulp_above_the_grid(self, m, horizon, monkeypatch):
+        at = _rank_one(m / horizon, horizon)
+        above = _rank_one(np.nextafter(m / horizon, np.inf), horizon)
+        assert at.norm_bound() * horizon == m and above.norm_bound() * horizon > m
+        assert grid_decision(at, m) is None
+        assert grid_decision(above, m) == eigvalsh_grid_decision(above, m)
+        assert grid_decision(above, m) == (
+            f"||A|| * T = {m} exceeds the grid of {m} intervals; the Crank-Nicolson "
+            "steps need h ||A|| <= 1, i.e. at least ||A|| * T intervals"
+        )
+        # at ||A|| T = M the margin of the Frobenius bound fails it: the eigenvalues decide
+        calls = _eigvalsh_calls(monkeypatch)
+        assert grid_decision(at, m) is None
+        assert calls == [(m, 2, 2)]
+
+    def test_a_spike_between_the_norm_samples(self):
+        spike = sampled_family(
+            [0.0, 1 / 128, 1 / 64, 1.0],
+            [np.diag([-1.0, 1.0]), np.diag([128.0, 1.0]), np.diag([-1.0, 1.0]), np.diag([-1.0, 1.0])],
+        )
+        assert spike.norm_bound() == 1.0
+        decisions = {m: grid_decision(spike, m) for m in (8, 32, 64, 96, 128, 256)}
+        assert decisions == {m: eigvalsh_grid_decision(spike, m) for m in decisions}
+        assert decisions[8] is None and decisions[64] is not None
+
+    def test_no_midpoint_eigenvalues_when_the_bound_passes(self, monkeypatch):
+        f = random_trig_family(4, np.random.default_rng(5))
+        half = _rank_one(16.0, 1.0)
+        for g in (f, half):
+            g.norm_bound()  # kept on the family: the spy sees only the grid check
+        calls = _eigvalsh_calls(monkeypatch)
+        for m in (32, 48, 64):
+            riemannian_index_discretized(f, m)
+        assert grid_decision(half, 32) is None
+        assert calls == []
+
+
 class TestNonFiniteCayleyBasis:
     def test_a_non_finite_step_factor_is_a_typed_error(self, monkeypatch):
         solve = np.linalg.solve
@@ -691,9 +772,28 @@ class TestSharedShotFactors:
     def test_shooting_holds_the_forward_factors_and_a_small_buffer(self):
         f = random_trig_family(16, np.random.default_rng(3))
         riemannian_kernel_shooting(f, 8)  # first-call allocations of the linear-algebra kernels
-        _, peak = numpy_peak(lambda: riemannian_kernel_shooting(f))
         factors = 512 * 16 * 16 * np.dtype(complex).itemsize
-        assert peak - factors <= 2**20
+        # at T = 0.7 about half the reversal's steps are exponentiated on their own
+        for g in (f, replace(f, horizon=0.7)):
+            _, peak = numpy_peak(lambda: riemannian_kernel_shooting(g))
+            assert peak - factors <= 2**20, g.horizon
+
+    def test_each_family_evaluates_its_midpoints_once_at_horizon_one(self, monkeypatch):
+        f = random_trig_family(4, np.random.default_rng(29))
+        f.norm_bound()  # the stiffness gate's samples, kept on the family
+        evaluated = {}
+        at_many = OperatorFamily.at_many
+
+        def recording(self, ts):
+            evaluated.setdefault(self.label, []).append(np.asarray(ts, dtype=float))
+            return at_many(self, ts)
+
+        monkeypatch.setattr(OperatorFamily, "at_many", recording)
+        riemannian_kernel_shooting(f)
+        mids = np.linspace(0.0, 1.0, 513)[:-1] + 0.5 / 512
+        assert sorted(evaluated) == [f.label, f"{f.label}(reversed)"]
+        for times in evaluated.values():
+            assert np.array_equal(np.sort(np.concatenate(times)), mids)
 
 
 def _cosine_check_families():
@@ -827,6 +927,25 @@ class TestDerivativeRequired:
         for check in checks:
             with pytest.raises(FamilyConstructionError, match="has no derivative"):
                 check()
+
+    def test_derivative_at_raises(self):
+        _, g = self._pair()
+        with pytest.raises(FamilyConstructionError, match="'linear' has no derivative"):
+            g.derivative_at(0.5)
+
+    def test_the_time_reversal_has_none_either(self):
+        _, g = self._pair()
+        reversed_g = g.time_reversed()
+        assert reversed_g.derivative_fn is None
+        with pytest.raises(FamilyConstructionError, match=r"'linear\(reversed\)' has no derivative"):
+            spectral_flow(reversed_g)
+
+    def test_endpoint_regularize_raises_before_it_wraps(self):
+        singular = replace(linear_family(diag(0.0, -0.5), diag(1.0, 1.0), 1.0), derivative_fn=None)
+        with pytest.raises(FamilyConstructionError, match="'linear' has no derivative"):
+            endpoint_regularize(singular)
+        _, g = self._pair()  # invertible endpoints: returned as it is, nothing wrapped
+        assert endpoint_regularize(g) is g
 
     def test_boundary_value_routes_never_read_it(self):
         f, g = self._pair()

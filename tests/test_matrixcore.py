@@ -33,6 +33,7 @@ from apsflow.matrixcore import (
 from apsflow.reporting import canonical_json
 from conftest import (
     faulty_eigh,
+    hermitian_stack_full_check,
     random_hermitian_entries,
     random_projection,
     subspace_intersection,
@@ -460,3 +461,85 @@ class TestHermitianStack:
             hermitian_stack(np.zeros((2, 2, 3)))
         with pytest.raises(DimensionMismatchError):
             hermitian_stack(np.zeros((2, 2)))
+
+
+def _hermitian_table():
+    """``(name, stack, atol)`` inputs for the fast path of ``hermitian_stack`` and its oracle."""
+    rng = np.random.default_rng(17)
+    table = []
+    for n, k in ((1, 1), (2, 5), (3, 4), (4, 64), (16, 33)):
+        h = np.stack([random_hermitian_entries(n, rng) for _ in range(k)])
+        table.append((f"hermitian n={n} K={k}", h, 1e-12))
+        noisy = h + 1e-14 * (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
+        table.append((f"roundoff n={n} K={k}", noisy, 1e-12))
+    signed = np.array([[[1.0 + 0.0j, 2.0 - 0.0j], [2.0 + 0.0j, -3.0 - 0.0j]]])
+    signed.imag[0, 0, 0] = -0.0
+    table.append(("signed zero imaginary parts", signed, 1e-12))
+    table.append(("negative zero off the diagonal", np.array([[[0.0, -0.0], [0.0, 0.0]]]), 1e-12))
+    for name, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)):
+        for where, (i, j) in (("diagonal", (1, 1)), ("off-diagonal", (0, 1))):
+            bad = np.stack([np.eye(2, dtype=complex)] * 3)
+            bad[2, i, j] = value
+            table.append((f"{name} on the {where}", bad, 1e-12))
+            imag = np.stack([np.eye(2, dtype=complex)] * 3)
+            imag[1, i, j] = complex(0.0, value)
+            table.append((f"imaginary {name} on the {where}", imag, 1e-12))
+    pair = np.eye(3, dtype=complex)[None].repeat(2, axis=0)
+    pair[1, 0, 2] = pair[1, 2, 0] = np.inf
+    table.append(("symmetric inf pair", pair, 1e-12))
+    conj_pair = pair.copy()
+    conj_pair[1, 0, 2], conj_pair[1, 2, 0] = complex(1.0, np.inf), complex(1.0, -np.inf)
+    table.append(("conjugate imaginary inf pair", conj_pair, 1e-12))
+    table.append(("overflowing a - a*", np.array([[[0.0, 1e308], [-1e308, 0.0]]]), 1e-12))
+    table.append(("overflowing a + a*", np.array([[[1e308, 0.0], [0.0, 1.0]]]), 1e-12))
+    table.append(("huge conjugate pair", np.array([[[0.0, 1.5e308 + 1.5e308j],
+                                                    [1.5e308 - 1.5e308j, 0.0]]]), 1e-12))
+    base = np.array([[0.5, 0.0], [0.0, -1.0]], dtype=complex)
+    limit = 1e-12 * (1.0 + 1.0)  # atol * (1 + max|a|), the largest deviation that passes
+    for name, deviation in (
+        ("just below", np.nextafter(limit, 0.0)),
+        ("at", limit),
+        ("just above", np.nextafter(limit, 1.0)),
+    ):
+        skew = base.copy()
+        skew[1, 0] = deviation
+        table.append((f"asymmetry {name} atol", np.stack([base, skew]), 1e-12))
+    table.append(("exact with atol 0", np.stack([base, base]), 0.0))
+    table.append(("exact with a negative atol", base[None], -1.0))
+    table.append(("exact with a NaN atol", base[None], np.nan))
+    for shape in ((2, 2), (2, 2, 3), (2, 0, 0), (4,), ()):
+        table.append((f"shape {shape}", np.zeros(shape), 1e-12))
+    table.append(("nested lists", [[[1.0, 2j], [-2j, 0.0]]], 1e-12))
+    return table
+
+
+def _outcome(fn, a, atol):
+    """The bytes and flags ``fn`` returns, or its exception type and text."""
+    try:
+        out = fn(a, atol=atol)
+    except Exception as exc:  # the table compares every error, warnings included
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes(), out.flags.writeable
+
+
+class TestHermitianStackFastPath:
+    """Stacks equal to their adjoint skip the full check and give its bytes and errors."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, a, atol", _hermitian_table(), ids=lambda x: x if isinstance(x, str) else "")
+    def test_same_bytes_or_error_as_the_full_check(self, name, a, atol):
+        assert _outcome(hermitian_stack, a, atol) == _outcome(hermitian_stack_full_check, a, atol)
+
+    def test_the_table_reaches_both_paths(self, monkeypatch):
+        checked = []
+        full = matrixcore._check_hermitian
+
+        def recording(a, adjoint, atol):
+            checked.append(True)
+            return full(a, adjoint, atol)
+
+        monkeypatch.setattr(matrixcore, "_check_hermitian", recording)
+        hermitian_stack(np.eye(3)[None])
+        assert checked == []
+        hermitian_stack(np.array([[[1.0, 1e-14], [0.0, 1.0]]]))
+        assert checked == [True]
