@@ -119,6 +119,25 @@ def _boundary_splits(family: OperatorFamily, tau_0: float) -> APSBoundaryData:
 # transport operator d/dt - iA
 
 
+def _require_propagator_of(family: OperatorFamily, propagator: Propagator) -> None:
+    """Reject a propagator of another dimension or horizon than ``family``.
+
+    ``DimensionMismatchError`` when the dimensions differ;
+    ``ConsistencyError`` when the horizons differ by more than the
+    tolerance ``1e-9 * max(1, T)`` of ``Propagator.index_of``.
+    """
+    if propagator.dim != family.dim:
+        raise DimensionMismatchError(
+            f"propagator of dimension {propagator.dim} for family {family.label!r} of "
+            f"dimension {family.dim}"
+        )
+    if abs(propagator.horizon - family.horizon) > 1e-9 * max(1.0, propagator.horizon):
+        raise ConsistencyError(
+            f"propagator on [0, {propagator.horizon}] for family {family.label!r} on "
+            f"[0, {family.horizon}]"
+        )
+
+
 def lorentzian_index_projection(
     family: OperatorFamily,
     propagator: Propagator,
@@ -141,8 +160,10 @@ def lorentzian_index_projection(
     over its checkpoints.  What separates this route from the subspace
     route is unchanged: this route takes the relative index of two
     projections, the other counts principal cosines and the rank of a
-    restricted map.
+    restricted map.  A propagator of another dimension or horizon than
+    ``family`` raises (:func:`_require_propagator_of`).
     """
+    _require_propagator_of(family, propagator)
     p0 = _start_projection(family, tau_0)
     return _projection_pair_indices(p0, family, propagator, [family.horizon], tau_0, sigma_cut)[0]
 
@@ -232,8 +253,11 @@ def lorentzian_index_subspace(
     :func:`lorentzian_index_projection` reads: the two routes always
     computed these decompositions bit for bit alike and now read one copy.
     What separates them is unchanged: principal cosines and a restricted-map
-    rank here, the relative index of a projection pair there.
+    rank here, the relative index of a projection pair there.  A propagator
+    of another dimension or horizon than ``family`` raises
+    (:func:`_require_propagator_of`).
     """
+    _require_propagator_of(family, propagator)
     t_end = family.horizon
     u_t = propagator.unitaries[propagator.index_of(t_end)]
     boundary = aps_boundary_data(family, tau_0=tau_0)
@@ -330,8 +354,11 @@ def lorentzian_main_check(
     eigenvalue samples of ``A`` against levels that a Weyl speed bound
     certifies, and never reads the propagator; the index is the relative
     index of ``P_<0(0)`` and the propagated projection
-    ``Q(0,t) P_<0(t) Q(t,0)``, and never reads the partition.
+    ``Q(0,t) P_<0(t) Q(t,0)``, and never reads the partition.  A propagator
+    of another dimension or horizon than ``family`` raises
+    (:func:`_require_propagator_of`) before any checkpoint is read.
     """
+    _require_propagator_of(family, propagator)
     grid_count = propagator.grid.shape[0] - 1
     numbers = range(1, DEFAULT_CHECKPOINTS + 1)
     indices = sorted({max(1, round(j * grid_count / DEFAULT_CHECKPOINTS)) for j in numbers})

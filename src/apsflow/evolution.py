@@ -11,7 +11,13 @@ guard and keeps only the end transfer ``R(T, 0)`` and its condition number,
 which is all that shooting reads.  Both run one streamed integrator loop:
 generators are evaluated, exponentiated and multiplied into the products in
 chunks of at most ``STEP_CHUNK_BYTES`` per stage, so a propagation holds
-its stored products plus a small fixed buffer.  The loop multiplies a stack
+its stored products plus a small fixed buffer.  One chain's stream of two
+or more chunks computes its factors on a process-wide pool of at most two
+worker threads, at most ``FACTOR_CHUNKS_IN_FLIGHT`` chunks ahead, while the
+calling thread multiplies them in step order; a one-chunk stream runs
+inline.  The unitarity check of a propagator reduces its chunks on the same
+pool.  Every kernel works one matrix at a time and the products keep their
+order, so the threads move no bit.  The loop multiplies a stack
 of independent chains with one matrix product per step: shooting propagates
 a family and its time reversal in one call, and the reversal borrows the
 forward step exponentials where the mirrored generators agree bit for bit.
@@ -23,9 +29,13 @@ the propagator file format.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,14 +88,100 @@ def _gram(c: np.ndarray) -> np.ndarray:
     return np.einsum("kij,klj->kil", ct.conj(), ct)
 
 
+_POOL: tuple[int, object] | None = None  # (process id, executor or None), set on first use
+_POOL_LOCK = threading.Lock()
+POOL_WORKERS = 2
+FACTOR_CHUNKS_IN_FLIGHT = 3
+
+
+def _worker_pool():
+    """The process-wide pool of at most ``POOL_WORKERS`` threads; ``None`` to run inline.
+
+    Started on the first call (and again in a forked child, which inherits
+    no threads), with ``min(2, CPUs this process may run on)`` workers,
+    both started at once.  With one CPU, or when a thread cannot be
+    started, there is no pool and every caller runs inline.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            if hasattr(os, "sched_getaffinity"):
+                cpus = len(os.sched_getaffinity(0))
+            else:  # no affinity call on this platform
+                cpus = os.cpu_count() or 1
+            _POOL = (os.getpid(), _start_pool(min(POOL_WORKERS, cpus)))
+        return _POOL[1]
+
+
+def _start_pool(workers: int):
+    """An executor with ``workers`` threads, all started now.
+
+    ``None`` for fewer than two workers or when a thread cannot be started.
+    """
+    if workers < 2:
+        return None
+    from concurrent.futures import ThreadPoolExecutor  # not at import: it costs start-up time
+
+    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="apsflow")
+    release = threading.Event()
+    try:
+        # an executor starts a thread per submit while none is idle: hold each one busy
+        for _ in range(workers):
+            pool.submit(release.wait)
+    except RuntimeError:  # a thread could not be started
+        release.set()
+        pool.shutdown(wait=True, cancel_futures=True)
+        return None
+    release.set()
+    return pool
+
+
+def _in_order(fn, args):
+    """``fn(arg)`` for each of ``args``, yielded in order, computed on the pool where there is one.
+
+    Inline when there is one argument or no pool.  Otherwise at most
+    ``FACTOR_CHUNKS_IN_FLIGHT`` results are submitted and not yet handed
+    out; the next is submitted when one is taken.  The first failing call
+    in order raises its own exception, and on that or an early close the
+    queued calls are cancelled and the running ones waited for, so no
+    work outlives the generator.
+    """
+    pool = _worker_pool() if len(args) > 1 else None
+    if pool is None:
+        yield from map(fn, args)
+        return
+    rest = iter(args)
+    pending = deque(pool.submit(fn, arg) for arg in itertools.islice(rest, FACTOR_CHUNKS_IN_FLIGHT))
+    try:
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, arg) for arg in itertools.islice(rest, 1))
+            yield result
+    finally:  # after an error or an early close: drop the queued, wait for the running
+        for future in pending:
+            future.cancel()
+        for future in pending:
+            if not future.cancelled():
+                future.exception()
+
+
 def _unitarity_defect(u: np.ndarray) -> float:
-    """Max entry of ``U_k* U_k - I`` over the stack, taken chunk by chunk."""
+    """Max entry of ``U_k* U_k - I`` over the stack, taken chunk by chunk.
+
+    With the pool and at least two chunks, each worker reduces one
+    contiguous half of the chunks, one chunk at a time; the per-chunk
+    maxima are taken in stack order as inline.
+    """
     eye = np.eye(u.shape[-1])
     chunk = _chunk_length(u.shape[-1])
-    return max(
-        float(np.max(np.abs(_gram(c) - eye)))
-        for c in (u[start : start + chunk] for start in range(0, u.shape[0], chunk))
-    )
+    starts = range(0, u.shape[0], chunk)
+
+    def maxima(part: range) -> list[float]:
+        return [float(np.max(np.abs(_gram(u[start : start + chunk]) - eye))) for start in part]
+
+    half = (len(starts) + 1) // 2
+    parts = [starts[:half], starts[half:]] if half < len(starts) else [starts]
+    return max(itertools.chain.from_iterable(_in_order(maxima, parts)))
 
 
 @dataclass(frozen=True)
@@ -157,18 +253,24 @@ def _step_factors(family: OperatorFamily, stages, exponent: complex, steps: int)
 
     Each chunk of whole intervals, at most ``STEP_CHUNK_BYTES`` of generators
     per stage, is evaluated and checked (``at_many``) and exponentiated (and
-    composed, for CF4) before the next chunk is evaluated.
+    composed, for CF4).  A stream of two or more chunks computes them on the
+    worker pool, at most ``FACTOR_CHUNKS_IN_FLIGHT`` ahead of the chunk
+    handed out (:func:`_in_order`); a one-chunk stream, or one without a
+    pool, computes each chunk inline when it is asked for.  A chunk depends
+    only on its own generators, so where it is computed moves no bit.
     """
     chunk = _chunk_length(family.dim, steps) * steps
-    for start in range(0, len(stages[0]), chunk):
+
+    def factors(start: int) -> np.ndarray:
         gens = [family.at_many(times[start : start + chunk]) for times in stages]
         if len(gens) == 1:
-            yield _expi_hermitian_batch(gens[0], exponent)
-        else:
-            a1, a2 = gens
-            first = _expi_hermitian_batch(_CF4_ALPHA * a1 + _CF4_BETA * a2, exponent)
-            second = _expi_hermitian_batch(_CF4_BETA * a1 + _CF4_ALPHA * a2, exponent)
-            yield np.einsum("kij,kjl->kil", second, first)
+            return _expi_hermitian_batch(gens[0], exponent)
+        a1, a2 = gens
+        first = _expi_hermitian_batch(_CF4_ALPHA * a1 + _CF4_BETA * a2, exponent)
+        second = _expi_hermitian_batch(_CF4_BETA * a1 + _CF4_ALPHA * a2, exponent)
+        return np.einsum("kij,kjl->kil", second, first)
+
+    return _in_order(factors, range(0, len(stages[0]), chunk))
 
 
 def _mirrored_factors(first: OperatorFamily, reversal: OperatorFamily, times, exponent: complex):
@@ -242,9 +344,15 @@ def _transfer_products(
     next chunk is evaluated.  Every kernel works one matrix at a time, so
     the chunk size changes no bit.  A second family (midpoint scheme, one
     substep) is the first one's time reversal and borrows its factors at the
-    mirrored steps (:func:`_mirrored_factors`).  With ``keep_all`` the
-    result is the ``(intervals + 1, ...)`` stack of products; without it,
-    only the end product, from a two-slot ring.
+    mirrored steps (:func:`_mirrored_factors`), computed on the calling
+    thread.  One chain's factors of a stream of two or more chunks are
+    computed on the worker pool, at most ``FACTOR_CHUNKS_IN_FLIGHT`` chunks
+    ahead of the loop, and handed to it strictly in chunk order; a
+    one-chunk stream (n <= 2 at 1024 steps) or a process without a pool
+    computes them inline.  An error stops the chunks still computing before
+    it leaves.  With ``keep_all`` the result is the ``(intervals + 1, ...)``
+    stack of products; without it, only the end product, from a two-slot
+    ring.
     """
     first, *reversal = families
     grid = np.linspace(0.0, first.horizon, intervals + 1)
@@ -269,14 +377,15 @@ def _transfer_products(
         chunks = _step_factors(first, stages, exponent, steps)
     # one chain: np.dot makes matmul's cblas_zgemm call with less overhead per step
     multiply = np.matmul if reversal else np.dot
-    for factors in chunks:
-        substeps = iter(factors)
-        for factor in substeps:
-            slot = next(targets)
-            multiply(factor, prev, out=slot)
-            for _ in range(1, steps):
-                multiply(next(substeps), slot, out=slot)
-            prev = slot
+    with contextlib.closing(chunks):  # an error here stops the chunks still computing
+        for factors in chunks:
+            substeps = iter(factors)
+            for factor in substeps:
+                slot = next(targets)
+                multiply(factor, prev, out=slot)
+                for _ in range(1, steps):
+                    multiply(next(substeps), slot, out=slot)
+                prev = slot
     return grid, products if keep_all else prev
 
 
@@ -293,6 +402,15 @@ def propagate(
     ``steps`` substeps.  The midpoint scheme has global error ``O(h^2)``
     against the exact propagator (``O(h^4)`` for the fourth-order scheme)
     and is exact for constant families.
+
+    Of two or more chunks of step factors, the factors are computed on a
+    process-wide pool of at most two worker threads (none with one CPU or
+    when a thread cannot be started), at most ``FACTOR_CHUNKS_IN_FLIGHT``
+    chunks ahead, while this thread multiplies them in order; one chunk is
+    computed inline.  The unitarity defect is reduced on the same pool, one
+    contiguous half of its chunks per worker.  The earliest failing chunk
+    raises, and no pool work outlives the call.  The result has the bytes
+    of an inline run.
     """
     if intervals < 1 or steps < 1:
         raise ValueError("intervals and steps must be positive")

@@ -168,7 +168,10 @@ class OperatorFamily:
     returning the ``(K, n, n)`` stack in one call.  Both forms must agree
     bit for bit.  Times reach them already clamped to ``[0, T]``.  Flow
     certificates bound eigenvalue speeds by the sampled ``||A'(t)||``
-    (Weyl), so ``derivative_fn`` is required.
+    (Weyl), so ``derivative_fn`` is required.  ``eval_fn`` may be called
+    from a worker thread of the propagator, two calls at once on disjoint
+    time arrays, so an evaluator must not mutate shared state; every
+    evaluator the package builds only reads what it closes over.
 
     ``smoothness`` distinguishes genuinely smooth families from
     piecewise-differentiable interpolants; it decides only whether

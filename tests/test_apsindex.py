@@ -21,6 +21,7 @@ from apsflow.cli import RIEMANNIAN_NORM_CAP
 from apsflow.errors import (
     AmbiguousSpectralCutError,
     ConsistencyError,
+    DimensionMismatchError,
     EigendecompositionError,
     FamilyConstructionError,
     StiffnessError,
@@ -967,6 +968,41 @@ class TestAmbiguousCutAdvice:
 
         with pytest.raises(AmbiguousSpectralCutError, match="endpoint_regularize"):
             lorentzian_index_projection(f, p)
+
+
+TRANSPORT_ROUTES = (lorentzian_main_check, lorentzian_index_projection, lorentzian_index_subspace)
+
+
+class TestPropagatorOfAnotherFamily:
+    """Every transport route rejects a propagator of another dimension or horizon."""
+
+    @pytest.mark.parametrize("route", TRANSPORT_ROUTES, ids=lambda r: r.__name__)
+    def test_shorter_horizon_raises(self, route):
+        # the same matrices on [0, 2] and on [0, 1]: the grid of [0, 1] holds no time T = 2
+        long = linear_family(diag(-0.5, 1.0), diag(1.0, -0.5), 2.0)
+        p = propagate(replace(long, horizon=1.0), 64)
+        with pytest.raises(ConsistencyError, match=r"propagator on \[0, 1\.0\] .* on \[0, 2\.0\]"):
+            route(long, p)
+
+    @pytest.mark.parametrize("route", TRANSPORT_ROUTES, ids=lambda r: r.__name__)
+    def test_longer_horizon_raises(self, route):
+        f = linear_family(diag(-0.5, 1.0), diag(1.0, -0.5), 1.0)
+        p = propagate(replace(f, horizon=2.0), 64)
+        with pytest.raises(ConsistencyError, match=r"propagator on \[0, 2\.0\]"):
+            route(f, p)
+
+    @pytest.mark.parametrize("route", TRANSPORT_ROUTES, ids=lambda r: r.__name__)
+    def test_other_dimension_raises(self, route):
+        f = constant_family(diag(-1.0, 1.0), 1.0)
+        p = propagate(constant_family(diag(-1.0, 1.0, 2.0), 1.0), 64)
+        with pytest.raises(DimensionMismatchError, match="dimension 3 .* dimension 2"):
+            route(f, p)
+
+    @pytest.mark.parametrize("route", TRANSPORT_ROUTES, ids=lambda r: r.__name__)
+    def test_horizon_within_the_grid_tolerance_passes(self, route):
+        f = constant_family(diag(-1.0, 1.0), 1.0)
+        p = propagate(replace(f, horizon=1.0 - 1e-10), 64)
+        assert route(f, p)
 
 
 class TestImportedPropagatorReplay:

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from apsflow import evolution
+from apsflow.apsindex import riemannian_kernel_shooting
 from apsflow.errors import ConsistencyError, OffGridError, StiffnessError
 from apsflow.evolution import (
     SCHEME_CF4,
@@ -310,6 +318,45 @@ class TestNonunitaryPropagate:
         assert r.condition > 1.0
 
 
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No pool yet; records each pool started and every future submitted to it.
+
+    Yields a dict with the ``starts`` (the pool or ``None`` each start gave)
+    and the ``futures``; every pool started here is shut down afterwards.
+    """
+    seen = {"starts": [], "futures": []}
+    start = evolution._start_pool
+
+    def spy(workers):
+        pool = start(workers)
+        seen["starts"].append(pool)
+        if pool is not None:
+            submit = pool.submit
+
+            def recorded(*args, **kwargs):
+                future = submit(*args, **kwargs)
+                seen["futures"].append(future)
+                return future
+
+            pool.submit = recorded
+        return pool
+
+    monkeypatch.setattr(evolution, "_POOL", None)
+    monkeypatch.setattr(evolution, "_start_pool", spy)
+    yield seen
+    for pool in seen["starts"]:
+        if pool is not None:
+            pool.shutdown()
+
+
+def inline_propagate(monkeypatch, *args, **kwargs):
+    """``propagate`` with the pool switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(evolution, "_worker_pool", lambda: None)
+        return propagate(*args, **kwargs)
+
+
 def one_shot_products(family, intervals, steps, scheme, factor_sign):
     """The integrator as one batch: every generator and factor at once, then a plain loop."""
     grid = np.linspace(0.0, family.horizon, intervals + 1)
@@ -353,15 +400,22 @@ class TestStreamedIntegrator:
     @pytest.mark.parametrize("intervals", [7, 1024])
     @pytest.mark.parametrize("steps", [1, 3])
     @pytest.mark.parametrize("scheme", [SCHEME_MIDPOINT, SCHEME_CF4])
-    def test_products_match_the_one_shot_batch(self, scheme, steps, intervals, n):
+    def test_products_match_the_one_shot_batch(
+        self, monkeypatch, fresh_pool, scheme, steps, intervals, n
+    ):
+        # pooled (two or more chunks) and inline (pool switched off) alike
         f = self.FAMILIES[n]
         reference = one_shot_products(f, intervals, steps, scheme, 1j)
-        p = propagate(f, intervals, steps, scheme=scheme)
-        assert p.unitaries.shape == reference.shape
-        assert np.array_equal(p.unitaries, reference)
         gram = np.einsum("kji,kjl->kil", reference.conj(), reference)
         defect = float(np.max(np.abs(gram - np.eye(n))))
-        assert p.unitarity_defect() == defect
+        for p in (
+            propagate(f, intervals, steps, scheme=scheme),
+            inline_propagate(monkeypatch, f, intervals, steps, scheme=scheme),
+        ):
+            assert p.unitaries.shape == reference.shape
+            assert p.unitaries.tobytes() == reference.tobytes()
+            assert p.unitarity_defect() == defect
+        assert all(future.done() for future in fresh_pool["futures"])
 
     @pytest.mark.parametrize("n", [1, 2, 16])
     def test_transfer_matches_the_one_shot_batch(self, n):
@@ -425,6 +479,146 @@ class TestStreamedIntegrator:
         with pytest.raises(ValueError) as streamed:
             propagate(f, 1024)
         assert str(streamed.value) == str(one_shot.value)
+
+
+def two_defect_family(slow_first: bool):
+    """n = 16, non-Hermitian in chunk 2 (defect 1) and chunk 3 (defect 2) of 1024 midpoints.
+
+    With ``slow_first`` each evaluation that reaches chunk 2 sleeps 50 ms,
+    so the later chunk fails first.
+    """
+    base = random_trig_family(16, np.random.default_rng(11))
+    skew = np.zeros((16, 16))
+    skew[0, 1] = 1.0
+
+    def defect(t):
+        tt = np.asarray(t, dtype=float)[..., None, None]
+        return ((tt > 2 / 32) & (tt < 3 / 32)) * skew + 2.0 * ((tt > 3 / 32) & (tt < 4 / 32)) * skew
+
+    def eval_fn(t):
+        if slow_first and np.any((np.asarray(t) > 2 / 32) & (np.asarray(t) < 3 / 32)):
+            time.sleep(0.05)
+        return base.eval_fn(t) + defect(t)
+
+    return OperatorFamily(
+        dim=16, horizon=1.0, label="two-defects", eval_fn=eval_fn,
+        derivative_fn=base.derivative_fn,
+    )
+
+
+class TestWorkerPool:
+    """The pooled factor stream and defect give the inline bytes and leave no work behind."""
+
+    FAMILIES = streamed_families()
+
+    def test_pool_runs_the_stream_at_n_16(self, fresh_pool):
+        propagate(self.FAMILIES[16], 1024)
+        assert len(fresh_pool["starts"]) == 1 and fresh_pool["starts"][0] is not None
+        # 32 factor chunks and the defect's two halves
+        assert len(fresh_pool["futures"]) == 32 + 2
+
+    def test_pool_is_never_started_for_one_chunk(self, fresh_pool):
+        for n in (1, 2):
+            propagate(self.FAMILIES[n], 1024, scheme=SCHEME_CF4)
+        nonunitary_propagate(self.FAMILIES[2], 512)
+        assert fresh_pool["starts"] == []
+
+    def test_pool_is_never_started_by_shooting(self, fresh_pool):
+        rep = riemannian_kernel_shooting(self.FAMILIES[16])
+        assert rep.method and fresh_pool["starts"] == []
+
+    @pytest.mark.parametrize("slow_first", [False, True])
+    def test_earliest_failing_chunk_raises_and_no_work_is_left(self, fresh_pool, slow_first):
+        f = two_defect_family(slow_first)
+        mids = np.linspace(0.0, 1.0, 1025)[:-1] + 0.5 / 1024
+        with pytest.raises(ValueError) as one_shot:
+            hermitian_stack(f.eval_fn(mids))
+        assert "not Hermitian: max |H - H*| = 1.000e+00" in str(one_shot.value)
+        with pytest.raises(ValueError) as pooled:
+            propagate(f, 1024)
+        assert str(pooled.value) == str(one_shot.value)
+        futures = fresh_pool["futures"]
+        assert len(futures) > 4  # chunks 0-3, both failing chunks among them, and more
+        assert all(future.done() for future in futures)
+
+    def test_an_early_close_cancels_the_queued_and_waits_for_the_running(self, fresh_pool):
+        release = threading.Event()
+        stream = evolution._in_order(lambda k: k if k == 0 else release.wait(5.0), range(10))
+        assert next(stream) == 0
+        futures = fresh_pool["futures"]
+        deadline = time.monotonic() + 5.0
+        while not (futures[1].running() and futures[2].running()) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        # chunks 1 and 2 run on the two workers, chunk 3 is queued
+        threading.Timer(0.1, release.set).start()
+        stream.close()
+        assert len(futures) == 4 and all(future.done() for future in futures)
+        assert [future.cancelled() for future in futures] == [False, False, False, True]
+
+    def test_concurrent_callers_share_one_pool_and_keep_their_bytes(self, monkeypatch, fresh_pool):
+        families = [self.FAMILIES[n] for n in (3, 8, 16)]
+        references = [inline_propagate(monkeypatch, f, 1024).unitaries for f in families]
+        results = [None] * len(families)
+
+        def run(j):
+            results[j] = propagate(families[j], 1024).unitaries
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            callers = [threading.Thread(target=run, args=(j,)) for j in range(len(families))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert len(fresh_pool["starts"]) == 1
+        for result, reference in zip(results, references):
+            assert result.tobytes() == reference.tobytes()
+
+    def test_one_cpu_runs_inline(self, monkeypatch, fresh_pool):
+        f = self.FAMILIES[16]
+        reference = inline_propagate(monkeypatch, f, 1024)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        p = propagate(f, 1024)
+        assert fresh_pool["starts"] == [None] and evolution._POOL == (os.getpid(), None)
+        assert p.unitaries.tobytes() == reference.unitaries.tobytes()
+        assert p.unitarity_defect() == reference.unitarity_defect()
+
+    @pytest.mark.parametrize("failing_start", [1, 2])
+    def test_a_failing_thread_start_runs_inline(self, monkeypatch, fresh_pool, failing_start):
+        f = self.FAMILIES[16]
+        reference = inline_propagate(monkeypatch, f, 1024)
+        start = threading.Thread.start
+        calls = []
+
+        def start_or_fail(thread):
+            calls.append(thread)
+            if len(calls) == failing_start:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        with monkeypatch.context() as m:
+            m.setattr(threading.Thread, "start", start_or_fail)
+            p = propagate(f, 1024)
+        assert fresh_pool["starts"] == [None] and len(calls) == failing_start
+        assert all(not thread.is_alive() for thread in calls)
+        assert p.unitaries.tobytes() == reference.unitaries.tobytes()
+        assert p.unitarity_defect() == reference.unitarity_defect()
+
+    def test_importing_the_package_loads_no_thread_pool(self):
+        code = (
+            "import sys, apsflow.cli, apsflow.evolution; "
+            "print('concurrent.futures' in sys.modules)"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestSerialization:

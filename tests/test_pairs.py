@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,10 @@ def test_alternates_and_counts_the_pairs_won(tmp_path):
     summary = {line.split(":")[0]: line for line in result.stdout.splitlines() if "median" in line}
     assert "change won 4 of 4; gain" in summary["family_ms_p50"]
     assert "change won 4 of 4; gain" in summary["families_per_s"]
+    probes = re.findall(r"^seed (\d): two-thread probe (\d+\.\d\d)$", result.stdout, re.MULTILINE)
+    assert [seed for seed, _ in probes] == ["1", "2", "3", "4"]
+    assert all(0.0 < float(value) < 10.0 for _, value in probes)
+    assert re.search(r"^two-thread probe: median \d+\.\d\d over 4 pairs", summary["two-thread probe"])
 
 
 def test_different_records_fail_the_comparison(tmp_path):
@@ -71,6 +76,18 @@ def test_different_records_fail_the_comparison(tmp_path):
     assert "records sha256 differ" in result.stdout
     # equal medians: no pair won, no gain
     assert "change won 0 of 4" in result.stdout and "gain" not in result.stdout
+
+
+def test_the_probe_runs_on_one_blas_thread(monkeypatch):
+    calls = []
+
+    def fake_run(argv, env, **kwargs):
+        calls.append(env)
+        return subprocess.CompletedProcess(argv, 0, stdout="1.5\n")
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    assert pairs.two_thread_probe() == 1.5
+    assert calls[0]["OPENBLAS_NUM_THREADS"] == "1" and calls[0]["OMP_NUM_THREADS"] == "1"
 
 
 def test_quartiles_and_ties():

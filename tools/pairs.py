@@ -15,12 +15,17 @@ and the number of pairs the change won (a tie counts for neither side);
 more than that spread.  A metric's better direction comes from
 ``BENCHMARK.json`` at the root of CHANGE.  The exit status is 0 when every
 run was correct and every pair's digests matched, and 1 otherwise.
+
+Before each pair it prints a two-thread probe of the machine (see
+``PROBE``), and at the end the probe's median, so that a series measured
+without a free second CPU can be told apart.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -28,6 +33,44 @@ import sys
 from pathlib import Path
 
 DIGESTS = re.compile(r"^records sha256 ([0-9a-f ]+) \(", re.MULTILINE)
+
+# Run in a child with one BLAS thread: the fastest of 3 times of a fixed
+# eigh workload on one thread, over the fastest of 3 times of the same
+# workload on each of two threads at once, times 2.  About 2.0 when a second
+# CPU is free, 1.0 when the two threads share one.
+PROBE = """\
+import threading, time
+import numpy as np
+g = np.random.default_rng(0).standard_normal((2, 32, 16, 16))
+a = g[0] + 1j * g[1]
+a = a + a.conj().swapaxes(1, 2)
+def work():
+    for _ in range(24):
+        np.linalg.eigh(a)
+def timed(threads):
+    best = float("inf")
+    for _ in range(3):
+        ts = [threading.Thread(target=work) for _ in range(threads)]
+        start = time.perf_counter()
+        for t in ts:
+            t.start()
+        for t in ts:
+            t.join()
+        best = min(best, time.perf_counter() - start)
+    return best
+work()
+print(2.0 * timed(1) / timed(2))
+"""
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def two_thread_probe() -> float:
+    """The machine's two-thread parallel efficiency now: ``PROBE`` in a child process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE], env={**os.environ, **ONE_BLAS_THREAD},
+        capture_output=True, text=True, check=True,
+    )
+    return float(proc.stdout)
 
 
 def _seeds(spec: str) -> list[int]:
@@ -101,9 +144,11 @@ def main(argv=None) -> int:
         for m in json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     }
     sides = {"parent": args.parent, "change": args.change}
-    pairs, good = [], True
+    pairs, good, probes = [], True, []
     for j, seed in enumerate(args.seeds):
         order = ["parent", "change"] if j % 2 == 0 else ["change", "parent"]
+        probes.append(two_thread_probe())
+        print(f"seed {seed}: two-thread probe {probes[-1]:.2f}", flush=True)
         runs = {side: run_once(sides[side], args.workload, seed, args.seconds) for side in order}
         for side, run in runs.items():
             if not run["ok"]:
@@ -121,6 +166,8 @@ def main(argv=None) -> int:
             pairs.append((runs["parent"], runs["change"]))
     if pairs:
         print("\n".join(summarize(pairs, better)))
+    print(f"two-thread probe: median {statistics.median(probes):.2f} over {len(probes)} pairs"
+          " (2.0 with a free second CPU, 1.0 without)")
     return 0 if good and pairs else 1
 
 
