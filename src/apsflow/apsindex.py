@@ -33,7 +33,7 @@ from .errors import (
     DimensionMismatchError,
     StiffnessError,
 )
-from .families import OperatorFamily, endpoint_regularize
+from .families import CLOCK_ATOL, OperatorFamily, endpoint_regularize
 from .matrixcore import (
     GAMMA_MIN,
     NEGATIVE_AXIS,
@@ -124,14 +124,17 @@ def _require_propagator_of(family: OperatorFamily, propagator: Propagator) -> No
 
     ``DimensionMismatchError`` when the dimensions differ;
     ``ConsistencyError`` when the horizons differ by more than the
-    tolerance ``1e-9 * max(1, T)`` of ``Propagator.index_of``.
+    tolerance ``1e-9 * max(1, T)`` of ``Propagator.index_of``, or when the
+    propagator's horizon lies more than ``CLOCK_ATOL`` past the family's,
+    where the family's clock would refuse to read it.
     """
     if propagator.dim != family.dim:
         raise DimensionMismatchError(
             f"propagator of dimension {propagator.dim} for family {family.label!r} of "
             f"dimension {family.dim}"
         )
-    if abs(propagator.horizon - family.horizon) > 1e-9 * max(1.0, propagator.horizon):
+    past = propagator.horizon > family.horizon + CLOCK_ATOL
+    if past or abs(propagator.horizon - family.horizon) > 1e-9 * max(1.0, propagator.horizon):
         raise ConsistencyError(
             f"propagator on [0, {propagator.horizon}] for family {family.label!r} on "
             f"[0, {family.horizon}]"
@@ -636,9 +639,12 @@ def riemannian_kernel_shooting(
     cokernel solves the formal adjoint with swapped boundary conditions,
     which after time reversal is the same computation for the reversed
     family: the time-reversed family is propagated as a second chain, with
-    its own non-unitary propagator.  Both chains go through one
-    :func:`~apsflow.evolution.nonunitary_propagate` call, which multiplies
-    them in one loop, one matrix product per step on the pair.  The reversed
+    its own non-unitary propagator.  This pair is the only non-unitary
+    chain the package integrates: one
+    :func:`~apsflow.evolution.nonunitary_propagate` call multiplies both
+    in one loop, one matrix product per step on the pair, and takes no
+    unitarity defect (only :func:`~apsflow.evolution.propagate` does, for
+    each product, as it goes).  The reversed
     chain is still evaluated at its own midpoints, checked and multiplied in
     its own order, into its own product; what the two chains share is that
     loop, the stiffness gate read from the forward family, and the step
@@ -663,7 +669,7 @@ def riemannian_kernel_shooting(
     over the grid.
     """
     boundary = aps_boundary_data(family, tau_0=tau_0)
-    forward, backward = nonunitary_propagate((family, family.time_reversed()), intervals)
+    forward, backward = nonunitary_propagate(family, intervals)
     ker, ker_cosines = _shot_kernel_dim(
         forward, boundary.left_subspace, boundary.right_subspace, angle_tol
     )

@@ -5,26 +5,25 @@ one-step maps (each step is the exponential of a skew-Hermitian matrix,
 computed through the eigendecomposition of the Hermitian generator, hence
 exactly unitary up to eigensolver error).  Two schemes are provided: a
 midpoint-exponential (second order) default and a fourth-order
-commutator-free composition for accuracy studies.  A non-unitary variant
-integrates the decaying equation ``dR/dt = -A(t) R`` under a stiffness
-guard and keeps only the end transfer ``R(T, 0)`` and its condition number,
-which is all that shooting reads.  Both run one streamed integrator loop:
-generators are evaluated, exponentiated and multiplied into the products in
-chunks of at most ``STEP_CHUNK_BYTES`` per stage, so a propagation holds
-its stored products plus a small fixed buffer.  One chain's stream of two
-or more chunks computes its factors on a process-wide pool of at most two
-worker threads, at most ``FACTOR_CHUNKS_IN_FLIGHT`` chunks ahead, while the
-calling thread multiplies them in step order; a one-chunk stream runs
-inline.  The unitarity check of a propagator reduces its chunks on the same
-pool.  Every kernel works one matrix at a time and the products keep their
-order, so the threads move no bit.  The loop multiplies a stack
-of independent chains with one matrix product per step: shooting propagates
-a family and its time reversal in one call, and the reversal borrows the
+commutator-free composition for accuracy studies.  The one non-unitary
+chain is shooting's pair: a family and its time reversal integrate the
+decaying equation ``dR/dt = -A(t) R`` under a stiffness guard in one loop,
+one matrix product per step on the pair, and only the end transfers
+``R(T, 0)`` and their condition numbers are kept; the reversal borrows the
 forward step exponentials where the mirrored generators agree bit for bit.
-The 2x2 eigenline-swapping blocks admit a closed-form propagator which
-serves as an exact oracle for everything else.  The rest of the module
-reads propagators: evolved spectral projections, convergence studies, and
-the propagator file format.
+Each propagator runs its own streamed integrator loop: generators are
+evaluated, exponentiated and multiplied into the products in chunks of at
+most ``STEP_CHUNK_BYTES`` per stage, so a propagation holds its stored
+products plus a small fixed buffer.  A unitary propagation of two or more
+chunks computes its factors on a process-wide pool of at most two worker
+threads, at most ``FACTOR_CHUNKS_IN_FLIGHT`` chunks ahead, while the
+calling thread multiplies them in step order and, after each chunk, takes
+the unitarity defect of each new product; a one-chunk stream runs inline.
+Every kernel works one matrix at a time and the products keep their order,
+so the threads move no bit.  The 2x2 eigenline-swapping blocks admit a
+closed-form propagator which serves as an exact oracle for everything
+else.  The rest of the module reads propagators: evolved spectral
+projections, convergence studies, and the propagator file format.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import math
 import os
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,43 +164,30 @@ def _in_order(fn, args):
                 future.exception()
 
 
-def _unitarity_defect(u: np.ndarray) -> float:
-    """Max entry of ``U_k* U_k - I`` over the stack, taken chunk by chunk.
-
-    With the pool and at least two chunks, each worker reduces one
-    contiguous half of the chunks, one chunk at a time; the per-chunk
-    maxima are taken in stack order as inline.
-    """
-    eye = np.eye(u.shape[-1])
-    chunk = _chunk_length(u.shape[-1])
-    starts = range(0, u.shape[0], chunk)
-
-    def maxima(part: range) -> list[float]:
-        return [float(np.max(np.abs(_gram(u[start : start + chunk]) - eye))) for start in part]
-
-    half = (len(starts) + 1) // 2
-    parts = [starts[:half], starts[half:]] if half < len(starts) else [starts]
-    return max(itertools.chain.from_iterable(_in_order(maxima, parts)))
+def _defects(u: np.ndarray) -> np.ndarray:
+    """Max entry of ``|U_k* U_k - I|`` for each matrix ``U_k`` of the stack."""
+    return np.max(np.abs(_gram(u) - np.eye(u.shape[-1])), axis=(1, 2))
 
 
 @dataclass(frozen=True)
 class Propagator:
-    """Unitaries ``U_k ~ Q(t_k, 0)`` on a time grid.
+    """Unitaries ``U_k ~ Q(t_k, 0)`` on a time grid, with the unitarity defect of each.
 
     The grid is 1-D and finite, holds one time per unitary, starts at
     exactly 0 and increases strictly; ``U_0`` is exactly the identity and
-    every ``U_k`` is unitary within ``UNITARITY_ATOL`` (all validated at
-    construction).  ``Q(t, s)`` between grid points is recovered as
-    ``U_t U_s*``.
+    every ``defects[k]``, the max entry of ``|U_k* U_k - I|`` computed where
+    the unitaries were made, is at most ``UNITARITY_ATOL`` (a NaN fails;
+    all validated at construction).  ``Q(t, s)`` between grid points is
+    recovered as ``U_t U_s*``.
     """
 
     family_label: str
     grid: np.ndarray
     unitaries: np.ndarray  # (K+1, n, n)
+    defects: np.ndarray  # (K+1,)
     step_scheme: str
     steps_per_interval: int
     warnings: tuple[str, ...] = ()
-    _defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid, u = self.grid, self.unitaries
@@ -218,12 +204,11 @@ class Propagator:
             )
         if not np.array_equal(u[0], np.eye(n)):
             raise ConsistencyError("propagator does not start at the identity")
-        defect = _unitarity_defect(u)
-        if defect > UNITARITY_ATOL:
+        defect = self.unitarity_defect()
+        if not defect <= UNITARITY_ATOL:
             raise ConsistencyError(
                 f"propagator unitarity defect {defect:.3e} exceeds {UNITARITY_ATOL:.1e}"
             )
-        object.__setattr__(self, "_defect", defect)
 
     @property
     def dim(self) -> int:
@@ -234,8 +219,8 @@ class Propagator:
         return float(self.grid[-1])
 
     def unitarity_defect(self) -> float:
-        """Max entry of ``U_k* U_k - I`` over the grid, computed at construction."""
-        return self._defect
+        """Max entry of ``|U_k* U_k - I|`` over the grid: the max of ``defects``."""
+        return float(np.max(self.defects))
 
     def index_of(self, t: float) -> int:
         """Grid index of ``t``; raises ``OffGridError`` rather than interpolating."""
@@ -321,72 +306,20 @@ def _mirrored_factors(first: OperatorFamily, reversal: OperatorFamily, times, ex
             yield factors
 
 
-def _transfer_products(
-    families: tuple[OperatorFamily, ...],
-    intervals: int,
-    steps: int,
-    scheme: str,
-    factor_sign: complex,
-    *,
-    keep_all: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The uniform grid and the time-ordered step-factor products of each chain at its points.
+def _substep_grid(horizon: float, intervals: int, steps: int, scheme: str):
+    """The stored grid, the stage times of every substep and the substep length.
 
-    The one integrator loop of :func:`propagate` and
-    :func:`nonunitary_propagate`.  It multiplies ``C = len(families)``
-    (one or two) independent chains at once: one ``np.matmul`` per step on
-    a ``(C, n, n)`` slot, which multiplies each chain's matrices exactly as
-    a loop of its own would, and one ``np.dot`` per step on the ``(n, n)``
-    slot of one chain, the same BLAS product bit for bit.  The substep times
-    are computed once from the first family's horizon; the factors come in
-    chunks of at most ``STEP_CHUNK_BYTES`` of generators per stage
-    (:func:`_step_factors`), each multiplied into the products before the
-    next chunk is evaluated.  Every kernel works one matrix at a time, so
-    the chunk size changes no bit.  A second family (midpoint scheme, one
-    substep) is the first one's time reversal and borrows its factors at the
-    mirrored steps (:func:`_mirrored_factors`), computed on the calling
-    thread.  One chain's factors of a stream of two or more chunks are
-    computed on the worker pool, at most ``FACTOR_CHUNKS_IN_FLIGHT`` chunks
-    ahead of the loop, and handed to it strictly in chunk order; a
-    one-chunk stream (n <= 2 at 1024 steps) or a process without a pool
-    computes them inline.  An error stops the chunks still computing before
-    it leaves.  With ``keep_all`` the result is the ``(intervals + 1, ...)``
-    stack of products; without it, only the end product, from a two-slot
-    ring.
+    The stage times use the ``linspace`` spacing of the substeps, the length
+    (the factor of every step exponent) is ``T / (intervals steps)``.
     """
-    first, *reversal = families
-    grid = np.linspace(0.0, first.horizon, intervals + 1)
+    grid = np.linspace(0.0, horizon, intervals + 1)
     sub = np.linspace(grid[0], grid[-1], intervals * steps + 1)
-    # the times use the linspace spacing, the exponents T / (K steps)
     h_sub = float(sub[1] - sub[0])
-    exponent = factor_sign * (float(grid[-1] - grid[0]) / (intervals * steps))
     if scheme == SCHEME_MIDPOINT:
         stages = (sub[:-1] + h_sub / 2.0,)
     else:
         stages = (sub[:-1] + (0.5 - _CF4_NODE) * h_sub, sub[:-1] + (0.5 + _CF4_NODE) * h_sub)
-    n = first.dim
-    shape = (len(families), n, n) if reversal else (n, n)
-    products = np.empty((intervals + 1 if keep_all else 2, *shape), dtype=complex)
-    products[0] = np.eye(n)
-    slots = list(products)
-    prev = slots[0]
-    targets = iter(slots[1:]) if keep_all else itertools.cycle(slots[::-1])
-    if reversal:
-        chunks = _mirrored_factors(first, *reversal, stages[0], exponent)
-    else:
-        chunks = _step_factors(first, stages, exponent, steps)
-    # one chain: np.dot makes matmul's cblas_zgemm call with less overhead per step
-    multiply = np.matmul if reversal else np.dot
-    with contextlib.closing(chunks):  # an error here stops the chunks still computing
-        for factors in chunks:
-            substeps = iter(factors)
-            for factor in substeps:
-                slot = next(targets)
-                multiply(factor, prev, out=slot)
-                for _ in range(1, steps):
-                    multiply(next(substeps), slot, out=slot)
-                prev = slot
-    return grid, products if keep_all else prev
+    return grid, stages, float(grid[-1] - grid[0]) / (intervals * steps)
 
 
 def propagate(
@@ -403,22 +336,46 @@ def propagate(
     against the exact propagator (``O(h^4)`` for the fourth-order scheme)
     and is exact for constant families.
 
-    Of two or more chunks of step factors, the factors are computed on a
+    The step factors come in chunks of at most ``STEP_CHUNK_BYTES`` of
+    generators per stage (:func:`_step_factors`), and every product is
+    kept.  Of two or more chunks, the factors are computed on a
     process-wide pool of at most two worker threads (none with one CPU or
     when a thread cannot be started), at most ``FACTOR_CHUNKS_IN_FLIGHT``
-    chunks ahead, while this thread multiplies them in order; one chunk is
-    computed inline.  The unitarity defect is reduced on the same pool, one
-    contiguous half of its chunks per worker.  The earliest failing chunk
-    raises, and no pool work outlives the call.  The result has the bytes
-    of an inline run.
+    chunks ahead, while this thread multiplies them in order, one ``np.dot``
+    per substep, and then takes the unitarity defect of each product the
+    chunk made; one chunk is computed inline.  The earliest failing chunk
+    raises, and no pool work outlives the call.  Every kernel works one
+    matrix at a time, so neither the chunk size nor the pool moves a bit.
     """
     if intervals < 1 or steps < 1:
         raise ValueError("intervals and steps must be positive")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    grid, unitaries = _transfer_products((family,), intervals, steps, scheme, 1j)
+    grid, stages, h = _substep_grid(family.horizon, intervals, steps, scheme)
+    n = family.dim
+    unitaries = np.empty((intervals + 1, n, n), dtype=complex)
+    unitaries[0] = np.eye(n)
+    defects = np.empty(intervals + 1)
+    slots = list(unitaries)
+    prev = slots[0]
+    targets = iter(slots[1:])
+    start, stop = 0, 1  # the products whose defect is still to be taken
+    dot = np.dot  # bound once: the loop below makes one call per substep
+    chunks = _step_factors(family, stages, 1j * h, steps)
+    with contextlib.closing(chunks):  # an error here stops the chunks still computing
+        for factors in chunks:
+            substeps = iter(factors)
+            for factor in substeps:
+                slot = next(targets)
+                dot(factor, prev, out=slot)
+                for _ in range(1, steps):
+                    dot(next(substeps), slot, out=slot)
+                prev = slot
+            stop += len(factors) // steps
+            defects[start:stop] = _defects(unitaries[start:stop])
+            start = stop
     warnings: tuple[str, ...] = ()
-    cost = intervals * steps * family.dim**3
+    cost = intervals * steps * n**3
     if cost > COST_BUDGET:
         warnings = (
             f"propagation cost {cost:.2e} (substeps x dim^3) exceeds the "
@@ -428,6 +385,7 @@ def propagate(
         family_label=family.label,
         grid=grid,
         unitaries=unitaries,
+        defects=defects,
         step_scheme=scheme,
         steps_per_interval=steps,
         warnings=warnings,
@@ -502,45 +460,49 @@ class NonunitaryPropagator:
 
 
 def nonunitary_propagate(
-    family: OperatorFamily | tuple[OperatorFamily, OperatorFamily], intervals: int = 512
-) -> NonunitaryPropagator | tuple[NonunitaryPropagator, NonunitaryPropagator]:
-    """Integrate ``dR/dt = -A(t) R`` with one exponential midpoint step per interval.
+    family: OperatorFamily, intervals: int = 512
+) -> tuple[NonunitaryPropagator, NonunitaryPropagator]:
+    """Integrate ``dR/dt = -A(t) R`` for ``family`` and its time reversal, in one loop.
 
-    Holds the stiffness gate: ``StiffnessError`` when ``norm_bound() * T``
-    exceeds ``STIFFNESS_BOUND``, because beyond it the growth
-    ``exp(+-||A|| T)`` of the unnormalized product leaves double-precision
-    range.  Multiplies the step factors in the integrator loop that
-    :func:`propagate` uses, and returns only the end product ``R(T, 0)``
-    with its condition number ``sigma_max / sigma_min`` from one SVD; a
-    warning is attached when that number exceeds ``1e12``.  Neither the
-    partial products ``R(t_k, 0)`` nor, for one family, the step factors
-    are kept.
+    Shooting's pair, the only non-unitary chain: the kernel shot of
+    ``family`` and the cokernel shot of ``family.time_reversed()``, with
+    one exponential midpoint step per interval.  Holds the stiffness gate:
+    ``StiffnessError`` when ``norm_bound() * T`` exceeds
+    ``STIFFNESS_BOUND``, because beyond it the growth ``exp(+-||A|| T)`` of
+    the unnormalized product leaves double-precision range.  The gate reads
+    only ``family``'s ``norm_bound()``: the reversal's samples are the same
+    matrices at mirrored times.
 
-    ``family`` may also be a tuple: a family followed by its time reversal,
-    as shooting passes it.  The chains are then multiplied in one loop and a
-    tuple of propagators comes back, each with the bytes its own call would
-    give.  The reversal borrows the first family's step exponential wherever
-    its generator equals the first one's at the mirrored step bit for bit,
-    for which the first family's ``K`` factors and one flag per step are
-    held during the call; each family's midpoints are evaluated once, and
-    the reversal's again only in a chunk where some step differs.
-    The gate reads only the first family's ``norm_bound()``: the reversal's
-    samples are the same matrices at mirrored times.
+    The two chains are multiplied on the calling thread with one
+    ``np.matmul`` per step on the ``(2, n, n)`` pair of products, which
+    multiplies each chain's matrices exactly as a loop of its own would,
+    into the other of two buffers.
+    The factors come from :func:`_mirrored_factors`: the reversal borrows
+    ``family``'s step exponential wherever its generator equals
+    ``family``'s at the mirrored step bit for bit, for which ``family``'s
+    ``K`` factors and one flag per step are held during the call; each
+    family's midpoints are evaluated once, and the reversal's again only in
+    a chunk where some step differs.  Returns the pair of end products
+    ``R(T, 0)``, each with its condition number ``sigma_max / sigma_min``
+    from one SVD and a warning when that number exceeds ``1e12``; neither
+    the partial products nor the factors are kept, and no unitarity defect
+    is taken (the unitary ones are :func:`propagate`'s, taken per chunk).
     """
-    families = family if isinstance(family, tuple) else (family,)
-    if isinstance(family, tuple) and len(family) != 2:
-        raise ValueError(f"expected a family or a pair of families, got {len(family)}")
-    first = families[0]
-    stiffness = first.norm_bound() * first.horizon
+    stiffness = family.norm_bound() * family.horizon
     if stiffness > STIFFNESS_BOUND:
         raise StiffnessError(
             f"||A|| * T = {stiffness:.3g} exceeds the stiffness bound "
             f"{STIFFNESS_BOUND:g}; shrink the horizon or the spectrum"
         )
-    _, end = _transfer_products(families, intervals, 1, SCHEME_MIDPOINT, -1.0, keep_all=False)
-    ends = end if isinstance(family, tuple) else end[None]
-    results = tuple(_nonunitary_result(f, e) for f, e in zip(families, ends))
-    return results if isinstance(family, tuple) else results[0]
+    reversal = family.time_reversed()
+    _, (times,), h = _substep_grid(family.horizon, intervals, 1, SCHEME_MIDPOINT)
+    prev = np.stack([np.eye(family.dim, dtype=complex)] * 2)
+    spare = np.empty_like(prev)
+    for factors in _mirrored_factors(family, reversal, times, -h):
+        for factor in factors:
+            np.matmul(factor, prev, out=spare)
+            prev, spare = spare, prev
+    return _nonunitary_result(family, prev[0]), _nonunitary_result(reversal, prev[1])
 
 
 def _nonunitary_result(family: OperatorFamily, end: np.ndarray) -> NonunitaryPropagator:
@@ -638,15 +600,22 @@ def propagator_from_payload(payload: dict) -> Propagator:
     This is the import path for replaying an externally computed propagator
     through the index pipeline; every invariant of :class:`Propagator`
     (grid, ``U_0 = I``, unitarity) is checked again, nothing is repaired.
+    The defects are computed as :func:`propagate` computes them, one chunk
+    of unitaries at a time.
     """
     grid = np.asarray(payload["grid"], dtype=float)
     n = int(payload["dim"])
     flat = np.asarray(payload["unitaries_re_im"], dtype=float).reshape(-1, n, n, 2)
     unitaries = flat[..., 0] + 1j * flat[..., 1]
+    defects = np.empty(len(unitaries))
+    chunk = _chunk_length(n)
+    for k in range(0, len(unitaries), chunk):
+        defects[k : k + chunk] = _defects(unitaries[k : k + chunk])
     return Propagator(
         family_label=str(payload.get("family_label", "imported")),
         grid=grid,
         unitaries=unitaries,
+        defects=defects,
         step_scheme=str(payload.get("step_scheme", SCHEME_MIDPOINT)),
         steps_per_interval=int(payload.get("steps_per_interval", 1)),
     )

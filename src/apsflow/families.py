@@ -35,6 +35,7 @@ DERIVATIVE_CHECK_STEP = 1e-4
 _VALIDATION_SAMPLES = 9
 NORM_SAMPLES = 65  # uniform times behind every norm_bound, hence every stiffness gate
 SAMPLED_HERMITICITY_ATOL = 1e-10  # sampled data is read from files: looser than 1e-12
+CLOCK_ATOL = 1e-12  # times this far outside [0, T] are read at the nearest end
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +190,7 @@ class OperatorFamily:
     def _clock(self, t: Times) -> Times:
         """Range-check and clamp times: a float gives a float, an array an array."""
         times = np.asarray(t, dtype=float)
-        outside = (times < -1e-12) | (times > self.horizon + 1e-12)
+        outside = (times < -CLOCK_ATOL) | (times > self.horizon + CLOCK_ATOL)
         if np.any(outside):
             raise ValueError(f"time {float(times[outside][0])} outside [0, {self.horizon}]")
         times = np.minimum(np.maximum(times, 0.0), self.horizon)

@@ -62,11 +62,8 @@ def write_eigenflow_csv(family, path, samples: int = 101) -> None:
 
 
 def write_unitarity_drift_csv(propagator, path) -> None:
-    """Per-grid-point drift of ``U_k* U_k`` from the identity."""
-    eye = np.eye(propagator.dim)
-    rows = []
-    for t, u in zip(propagator.grid, propagator.unitaries):
-        rows.append([float(t), float(np.max(np.abs(u.conj().T @ u - eye)))])
+    """Per-grid-point drift of ``U_k* U_k`` from the identity: the propagator's ``defects``."""
+    rows = [[float(t), float(d)] for t, d in zip(propagator.grid, propagator.defects)]
     write_csv(path, ["t", "unitarity_defect"], rows)
 
 

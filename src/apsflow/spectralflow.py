@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, NoAdmissibleLevelError
-from .families import OperatorFamily
+from .families import CLOCK_ATOL, OperatorFamily
 from .matrixcore import (
     GAMMA_MIN,
     TAU_RANK_PAIR,
@@ -329,7 +329,7 @@ def running_flows(
     took is not bisected again.
     """
     times = np.asarray(times, dtype=float)
-    if np.any(times <= 0.0) or np.any(times > family.horizon + 1e-12):
+    if np.any(times <= 0.0) or np.any(times > family.horizon + CLOCK_ATOL):
         raise ValueError(f"flow times must lie in (0, {family.horizon}], got {times.tolist()}")
     times = np.minimum(times, family.horizon)  # the clock's tolerance at T
     partition = build_flow_partition(family, gamma_min=gamma_min)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from apsflow.errors import DimensionMismatchError
+from apsflow import evolution
 from apsflow.evolution import SCHEME_MIDPOINT
 from apsflow.families import OperatorFamily, linear_family
 from apsflow.matrixcore import TAU_ANGLE, TAU_ZERO, HermitianMatrix, Subspace
@@ -133,6 +134,46 @@ def subspace_intersection(u, v):
     lu, s, _ = np.linalg.svd(m)
     keep = np.clip(s, 0.0, 1.0) >= 1.0 - TAU_ANGLE
     return Subspace(u.ambient_dim, u.basis @ lu[:, : int(np.count_nonzero(keep))])
+
+
+def one_shot_products(family, intervals, steps, scheme, factor_sign):
+    """The integrator as one batch: every generator and factor at once, then a plain loop.
+
+    ``factor_sign`` is ``1j`` for the unitary propagator and ``-1.0`` for one
+    chain of the decaying equation; the result is the ``(intervals + 1, n, n)``
+    stack of products.
+    """
+    grid = np.linspace(0.0, family.horizon, intervals + 1)
+    sub = np.linspace(grid[0], grid[-1], intervals * steps + 1)
+    h_sub = float(sub[1] - sub[0])
+    h = factor_sign * (float(grid[-1] - grid[0]) / (intervals * steps))
+    if scheme == SCHEME_MIDPOINT:
+        factors = evolution._expi_hermitian_batch(family.at_many(sub[:-1] + h_sub / 2.0), h)
+    else:
+        node = np.sqrt(3.0) / 6.0
+        alpha, beta = 0.25 + node, 0.25 - node
+        a1 = family.at_many(sub[:-1] + (0.5 - node) * h_sub)
+        a2 = family.at_many(sub[:-1] + (0.5 + node) * h_sub)
+        first = evolution._expi_hermitian_batch(alpha * a1 + beta * a2, h)
+        second = evolution._expi_hermitian_batch(beta * a1 + alpha * a2, h)
+        factors = np.einsum("kij,kjl->kil", second, first)
+    products = [np.eye(family.dim, dtype=complex)]
+    for k in range(intervals):
+        product = products[-1]
+        for factor in factors[k * steps : (k + 1) * steps]:
+            product = factor @ product
+        products.append(product)
+    return np.stack(products)
+
+
+def plain_shots(family, intervals=512):
+    """Shooting's pair from two one-shot chains that share nothing: ``family``, its reversal."""
+    return tuple(
+        evolution._nonunitary_result(
+            f, one_shot_products(f, intervals, 1, SCHEME_MIDPOINT, -1.0)[-1]
+        )
+        for f in (family, family.time_reversed())
+    )
 
 
 def q_between(propagator, t, s):

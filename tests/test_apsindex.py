@@ -56,6 +56,7 @@ from conftest import (
     flow_plus_one,
     negative_count,
     numpy_peak,
+    plain_shots,
     q_between,
     restricted,
     subspace_intersection,
@@ -680,10 +681,9 @@ def _sharing_families():
 
 
 def _plain_shots(f):
-    """Shooting's outputs from two plain ``nonunitary_propagate`` calls that share nothing."""
+    """Shooting's outputs from two one-shot chains that share nothing."""
     boundary = aps_boundary_data(f)
-    forward = nonunitary_propagate(f)
-    backward = nonunitary_propagate(f.time_reversed())
+    forward, backward = plain_shots(f)
     ker = apsindex._shot_kernel_dim(
         forward, boundary.left_subspace, boundary.right_subspace, SHOOTING_ANGLE_TOL
     )
@@ -996,6 +996,14 @@ class TestPropagatorOfAnotherFamily:
         f = constant_family(diag(-1.0, 1.0), 1.0)
         p = propagate(constant_family(diag(-1.0, 1.0, 2.0), 1.0), 64)
         with pytest.raises(DimensionMismatchError, match="dimension 3 .* dimension 2"):
+            route(f, p)
+
+    @pytest.mark.parametrize("route", TRANSPORT_ROUTES, ids=lambda r: r.__name__)
+    def test_horizon_past_the_family_clock_raises(self, route):
+        # within index_of's 1e-9, but the family's clock reads no time past 1 + CLOCK_ATOL
+        f = constant_family(diag(-1.0, 1.0), 1.0)
+        p = propagate(replace(f, horizon=1.0 + 1e-10), 64)
+        with pytest.raises(ConsistencyError, match=r"propagator on \[0, 1\.0000000001\]"):
             route(f, p)
 
     @pytest.mark.parametrize("route", TRANSPORT_ROUTES, ids=lambda r: r.__name__)

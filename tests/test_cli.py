@@ -556,13 +556,29 @@ class TestWorkDoneOnce:
         assert len(calls) == expected
 
     def test_propagator_defect_computed_once(self, monkeypatch, tmp_path):
-        calls = count_calls(monkeypatch, evolution, "_unitarity_defect")
+        # one chunk of 129 scalar products: one call, none from the drift CSV
+        calls = count_calls(monkeypatch, evolution, "_defects")
         entry = execute_config(self.config("lorentzian-main"), outdir=tmp_path)["results"][0]
         assert entry["propagator"]["unitarity_defect"] <= evolution.UNITARITY_ATOL
+        assert (tmp_path / "unitarity_drift.csv").exists()
         assert len(calls) == 1
         prop = evolution.propagate(family_from_spec(FamilySpec(**SCALAR_CROSSING)), 16)
         assert prop.unitarity_defect() == prop.unitarity_defect()
         assert len(calls) == 2
+
+    def test_drift_csv_agrees_with_the_report(self, tmp_path):
+        config = parse_config(
+            {
+                "family": _family("swap-block", lambda1=-1.0, lambda2=1.0),
+                "checks": ["lorentzian-main"],
+                "output": {"formats": ["json", "csv"]},
+            }
+        )
+        entry = execute_config(config, outdir=tmp_path)["results"][0]
+        lines = (tmp_path / "unitarity_drift.csv").read_text(encoding="utf-8").splitlines()
+        drift = [float(line.split(",")[1]) for line in lines[1:]]
+        assert len(drift) == config.steps + 1
+        assert max(drift) == entry["propagator"]["unitarity_defect"]
 
     def test_one_pass_reads_every_checkpoint(self, monkeypatch):
         times = spy_keyword(monkeypatch, "_projection_pair_indices", "times")

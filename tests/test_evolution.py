@@ -41,7 +41,15 @@ from apsflow.matrixcore import (
     spectral_projection,
 )
 from apsflow.zoo import random_trig_family, random_zoo
-from conftest import cauchy_residual, cauchy_solve, evolved_family, numpy_peak, q_between
+from conftest import (
+    cauchy_residual,
+    cauchy_solve,
+    evolved_family,
+    numpy_peak,
+    one_shot_products,
+    plain_shots,
+    q_between,
+)
 
 
 def diag(*vals):
@@ -270,19 +278,20 @@ class TestCauchySolve:
 class TestNonunitaryPropagate:
     def test_scalar_decay(self):
         f = constant_family(diag(-0.5), 1.0)
-        r = nonunitary_propagate(f, 128)
-        assert r.transfer[0, 0] == pytest.approx(np.exp(0.5), rel=1e-6)
+        forward, backward = nonunitary_propagate(f, 128)
+        assert forward.transfer[0, 0] == pytest.approx(np.exp(0.5), rel=1e-6)
+        assert backward.transfer[0, 0] == pytest.approx(np.exp(0.5), rel=1e-6)
 
     def test_positive_eigenvalue_decays(self):
         f = constant_family(diag(2.0), 1.0)
-        r = nonunitary_propagate(f, 128)
-        assert r.transfer[0, 0] == pytest.approx(np.exp(-2.0), rel=1e-6)
+        forward, _ = nonunitary_propagate(f, 128)
+        assert forward.transfer[0, 0] == pytest.approx(np.exp(-2.0), rel=1e-6)
 
     def test_commutative_case_exact_integral(self):
-        # oracle: scalar equation integrates to exp(-integral of (t - 1/2))
+        # oracle: scalar equation integrates to exp(-integral of (t - 1/2)); the reversal's too
         f = linear_family(diag(-0.5), diag(1.0), 1.0)
-        r = nonunitary_propagate(f, 256)
-        assert r.transfer[0, 0] == pytest.approx(1.0, abs=1e-10)
+        for r in nonunitary_propagate(f, 256):
+            assert r.transfer[0, 0] == pytest.approx(1.0, abs=1e-10)
 
     def test_stiffness_guard(self):
         f = constant_family(diag(100.0), 1.0)
@@ -290,27 +299,26 @@ class TestNonunitaryPropagate:
         with pytest.raises(StiffnessError, match=message):
             nonunitary_propagate(f)
 
-    def test_a_tuple_is_a_family_and_its_reversal(self):
-        f = constant_family(diag(-0.5), 1.0)
-        with pytest.raises(ValueError, match="pair of families, got 1"):
-            nonunitary_propagate((f,))
-        forward, backward = nonunitary_propagate((f, f.time_reversed()), 16)
-        assert forward.transfer.tobytes() == nonunitary_propagate(f, 16).transfer.tobytes()
-        assert backward.family_label == f.time_reversed().label
+    def test_the_pair_is_a_family_and_its_reversal(self):
+        f = linear_family(diag(-0.5, 1.0), diag(1.0, -0.25), 1.0)
+        pair = nonunitary_propagate(f, 16)
+        plain = plain_shots(f, 16)
+        assert [r.transfer.tobytes() for r in pair] == [r.transfer.tobytes() for r in plain]
+        assert [r.family_label for r in pair] == [f.label, f.time_reversed().label]
 
     def test_condition_warning_under_the_stiffness_gate(self):
         # ||A|| T = 19 passes the gate; cond R(1, 0) = e^38 exceeds 1e12
         f = constant_family(diag(-19.0, 19.0), 1.0)
-        r = nonunitary_propagate(f, 64)
-        assert r.condition == pytest.approx(np.exp(38.0), rel=1e-6)
-        assert len(r.warnings) == 1
-        assert "condition number reaches" in r.warnings[0]
+        forward, _ = nonunitary_propagate(f, 64)
+        assert forward.condition == pytest.approx(np.exp(38.0), rel=1e-6)
+        assert len(forward.warnings) == 1
+        assert "condition number reaches" in forward.warnings[0]
 
     def test_transfer_is_the_end_product(self, rng):
-        # the shared integrator loop's last product, bit for bit, and its condition number
+        # the one-shot chain's last product, bit for bit, and its condition number
         f = random_trig_family(3, rng)
-        r = nonunitary_propagate(f, 64)
-        products = evolution._transfer_products((f,), 64, 1, SCHEME_MIDPOINT, -1.0)[1]
+        r, _ = nonunitary_propagate(f, 64)
+        products = one_shot_products(f, 64, 1, SCHEME_MIDPOINT, -1.0)
         assert r.transfer.shape == (3, 3)
         assert np.array_equal(r.transfer, products[-1])
         sigma = np.linalg.svd(r.transfer, compute_uv=False)
@@ -357,31 +365,6 @@ def inline_propagate(monkeypatch, *args, **kwargs):
         return propagate(*args, **kwargs)
 
 
-def one_shot_products(family, intervals, steps, scheme, factor_sign):
-    """The integrator as one batch: every generator and factor at once, then a plain loop."""
-    grid = np.linspace(0.0, family.horizon, intervals + 1)
-    sub = np.linspace(grid[0], grid[-1], intervals * steps + 1)
-    h_sub = float(sub[1] - sub[0])
-    h = factor_sign * (float(grid[-1] - grid[0]) / (intervals * steps))
-    if scheme == SCHEME_MIDPOINT:
-        factors = evolution._expi_hermitian_batch(family.at_many(sub[:-1] + h_sub / 2.0), h)
-    else:
-        node = np.sqrt(3.0) / 6.0
-        alpha, beta = 0.25 + node, 0.25 - node
-        a1 = family.at_many(sub[:-1] + (0.5 - node) * h_sub)
-        a2 = family.at_many(sub[:-1] + (0.5 + node) * h_sub)
-        first = evolution._expi_hermitian_batch(alpha * a1 + beta * a2, h)
-        second = evolution._expi_hermitian_batch(beta * a1 + alpha * a2, h)
-        factors = np.einsum("kij,kjl->kil", second, first)
-    products = [np.eye(family.dim, dtype=complex)]
-    for k in range(intervals):
-        product = products[-1]
-        for factor in factors[k * steps : (k + 1) * steps]:
-            product = factor @ product
-        products.append(product)
-    return np.stack(products)
-
-
 def streamed_families():
     rng = np.random.default_rng(7)
     families = {n: random_trig_family(n, rng) for n in (1, 2, 16)}
@@ -406,22 +389,26 @@ class TestStreamedIntegrator:
         # pooled (two or more chunks) and inline (pool switched off) alike
         f = self.FAMILIES[n]
         reference = one_shot_products(f, intervals, steps, scheme, 1j)
+        # the defects of the whole stack at once, from the strided Gram matrices
         gram = np.einsum("kji,kjl->kil", reference.conj(), reference)
-        defect = float(np.max(np.abs(gram - np.eye(n))))
+        defects = np.max(np.abs(gram - np.eye(n)), axis=(1, 2))
         for p in (
             propagate(f, intervals, steps, scheme=scheme),
             inline_propagate(monkeypatch, f, intervals, steps, scheme=scheme),
         ):
             assert p.unitaries.shape == reference.shape
             assert p.unitaries.tobytes() == reference.tobytes()
-            assert p.unitarity_defect() == defect
+            assert p.defects.tobytes() == defects.tobytes()
+            assert p.unitarity_defect() == defects.max()
         assert all(future.done() for future in fresh_pool["futures"])
 
     @pytest.mark.parametrize("n", [1, 2, 16])
     def test_transfer_matches_the_one_shot_batch(self, n):
         f = self.FAMILIES[n]
-        reference = one_shot_products(f, 512, 1, SCHEME_MIDPOINT, -1.0)
-        assert np.array_equal(nonunitary_propagate(f, 512).transfer, reference[-1])
+        pair = nonunitary_propagate(f, 512)
+        assert [r.transfer.tobytes() for r in pair] == [
+            r.transfer.tobytes() for r in plain_shots(f)
+        ]
 
     def test_propagate_holds_its_unitaries_and_a_small_buffer(self):
         f = random_trig_family(16, np.random.default_rng(3))
@@ -429,14 +416,8 @@ class TestStreamedIntegrator:
         p, peak = numpy_peak(lambda: propagate(f, 1024))
         assert peak - p.unitaries.nbytes <= 2 * 2**20
 
-    def test_shooting_holds_only_a_small_buffer(self):
-        f = random_trig_family(16, np.random.default_rng(3))
-        nonunitary_propagate(f, 8)
-        _, peak = numpy_peak(lambda: nonunitary_propagate(f, 512))
-        assert peak <= 2 * 2**20
-
     def test_gram_matches_the_strided_einsum_bit_for_bit(self):
-        # the contiguous-axis Gram matrix of _unitarity_defect keeps the summation order
+        # the contiguous-axis Gram matrix of _defects keeps the summation order
         rng = np.random.default_rng(5)
         stacks = [propagate(f, 256).unitaries for f in random_zoo(12, 3, sizes=(2, 3, 4, 8, 16))]
         stacks += [
@@ -514,8 +495,8 @@ class TestWorkerPool:
     def test_pool_runs_the_stream_at_n_16(self, fresh_pool):
         propagate(self.FAMILIES[16], 1024)
         assert len(fresh_pool["starts"]) == 1 and fresh_pool["starts"][0] is not None
-        # 32 factor chunks and the defect's two halves
-        assert len(fresh_pool["futures"]) == 32 + 2
+        # 32 factor chunks; the defects are taken on the calling thread
+        assert len(fresh_pool["futures"]) == 32
 
     def test_pool_is_never_started_for_one_chunk(self, fresh_pool):
         for n in (1, 2):
@@ -637,11 +618,19 @@ class TestSerialization:
         q = read_propagator(path)
         assert np.max(np.abs(q.unitaries - p.unitaries)) < 1e-15
 
-    def test_import_revalidates_unitarity(self, rng):
-        f = random_trig_family(2, rng)
-        p = propagate(f, 8)
+    @pytest.mark.parametrize(
+        "n,intervals,k,corrupt",
+        [
+            (2, 8, 3, lambda x: x + 0.5),
+            # U_1000 in the second of three defect chunks: a NaN maximum must not be skipped
+            (3, 2048, 1000, lambda x: float("nan")),
+        ],
+        ids=["shifted", "nan"],
+    )
+    def test_import_revalidates_unitarity(self, rng, n, intervals, k, corrupt):
+        p = propagate(random_trig_family(n, rng), intervals)
         payload = propagator_to_payload(p)
-        payload["unitaries_re_im"][3][0] += 0.5  # corrupt one entry
+        payload["unitaries_re_im"][k][0] = corrupt(payload["unitaries_re_im"][k][0])
         with pytest.raises(ConsistencyError, match="unitarity"):
             propagator_from_payload(payload)
 
