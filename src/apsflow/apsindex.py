@@ -63,6 +63,7 @@ COMPLEMENTARITY_ATOL = 1e-10
 DEFAULT_GRID = 64
 CAYLEY_ANGLE_TOL = 1e-8  # principal-cosine cut of the compactified boundary-value route
 DEFAULT_CHECKPOINTS = 8
+SHOOTING_INTERVALS = 512  # steps of each non-unitary chain riemannian_kernel_shooting propagates
 
 
 @dataclass(frozen=True)
@@ -401,38 +402,21 @@ def lorentzian_main_check(
 # boundary-value operator d/dt + A
 
 
-@dataclass(frozen=True)
-class DiscretizedOperator:
-    """The Crank-Nicolson two-point boundary-value matrix and its shape data."""
-
-    matrix: np.ndarray  # (M n) x (r_left + (M-1) n + r_right)
-    grid_intervals: int
-    dim: int
-    left_rank: int  # dim H_<0(0)
-    right_rank: int  # dim H_>=0(T)
-
-    @property
-    def domain_dim(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def codomain_dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 def assemble_discretized_operator(
     family: OperatorFamily,
     grid_intervals: int = DEFAULT_GRID,
     *,
     tau_0: float = TAU_ZERO,
-) -> DiscretizedOperator:
+) -> np.ndarray:
     """Assemble the discretized boundary-value operator for ``d/dt + A``.
 
     Unknowns are the slices ``f_0 ... f_M`` with ``f_0`` constrained to the
     negative subspace of ``A(0)`` and ``f_M`` to the nonnegative subspace of
     ``A(T)`` (the constrained slices are parametrized by orthonormal bases).
     Rows are the Crank-Nicolson equations
-    ``(f_{k+1} - f_k)/h + A(t_{k+1/2}) (f_{k+1} + f_k)/2``.  The index route
+    ``(f_{k+1} - f_k)/h + A(t_{k+1/2}) (f_{k+1} + f_k)/2``, so the matrix is
+    ``(M n) x (r_left + (M - 1) n + r_right)`` with ``r_left = dim H_<0(0)``
+    and ``r_right = dim H_>=0(T)``.  The index route
     never assembles it; it serves ``export operator`` and, in tests, as the
     dense-SVD oracle of :func:`riemannian_index_discretized`.
     """
@@ -466,13 +450,7 @@ def assemble_discretized_operator(
             block = coeff if basis is None else coeff @ basis
             width = n if basis is None else basis.shape[1]
             op[k * n : (k + 1) * n, off : off + width] += block
-    return DiscretizedOperator(
-        matrix=op,
-        grid_intervals=m,
-        dim=n,
-        left_rank=r_left,
-        right_rank=r_right,
-    )
+    return op
 
 
 FROBENIUS_MARGIN = 1.0 + 1e-10  # far above the rounding of a Frobenius norm or an eigvalsh
@@ -627,7 +605,6 @@ def _shot_kernel_dim(
 
 def riemannian_kernel_shooting(
     family: OperatorFamily,
-    intervals: int = 512,
     *,
     tau_0: float = TAU_ZERO,
     angle_tol: float = SHOOTING_ANGLE_TOL,
@@ -649,18 +626,18 @@ def riemannian_kernel_shooting(
     its own order, into its own product; what the two chains share is that
     loop, the stiffness gate read from the forward family, and the step
     exponentials of generators bitwise equal to the forward family's at the
-    mirrored step, so at ``T = 1`` one call takes ``intervals`` exponentials
-    instead of twice that and evaluates each family's midpoints once, with
-    every byte the same.  Its boundary subspaces are the forward family's
-    complements.
+    mirrored step, so at ``T = 1`` one call takes ``SHOOTING_INTERVALS``
+    exponentials instead of twice that and evaluates each family's
+    midpoints once, with every byte the same.  Its boundary subspaces are
+    the forward family's complements.
 
     What still separates this route from
     :func:`riemannian_index_discretized`: exponential midpoint steps on
-    ``intervals`` (512) intervals where that route takes Cayley steps on its
-    grid, one product ``R(T, 0)`` and then one span where it takes a QR per
-    step, its own cut ``angle_tol`` (``SHOOTING_ANGLE_TOL``), and the
-    cokernel from a propagation of the time-reversed family where it counts
-    dimensions.  The two routes share no loop, factor or decomposition
+    ``SHOOTING_INTERVALS`` (512) intervals where that route takes Cayley
+    steps on its grid, one product ``R(T, 0)`` and then one span where it
+    takes a QR per step, its own cut ``angle_tol`` (``SHOOTING_ANGLE_TOL``),
+    and the cokernel from a propagation of the time-reversed family where it
+    counts dimensions.  The two routes share no loop, factor or decomposition
     inside ``(0, T)``; both read the family's one copy of the boundary
     splits (:func:`aps_boundary_data`), which they always computed bit for
     bit alike.
@@ -669,7 +646,7 @@ def riemannian_kernel_shooting(
     over the grid.
     """
     boundary = aps_boundary_data(family, tau_0=tau_0)
-    forward, backward = nonunitary_propagate(family, intervals)
+    forward, backward = nonunitary_propagate(family, SHOOTING_INTERVALS)
     ker, ker_cosines = _shot_kernel_dim(
         forward, boundary.left_subspace, boundary.right_subspace, angle_tol
     )
@@ -678,7 +655,7 @@ def riemannian_kernel_shooting(
     )
 
     diagnostics = {
-        "intervals": intervals,
+        "intervals": SHOOTING_INTERVALS,
         "angle_tol": angle_tol,
         "kernel_cosines": ker_cosines,
         "cokernel_cosines": coker_cosines,
@@ -738,9 +715,9 @@ def riemannian_main_check(
     """Check ``index(d/dt + A) == spectral flow`` for the boundary-value operator.
 
     Computes both integers for the family as given; when an endpoint is
-    singular, repeats both on the endpoint-regularized family (default
-    ``epsilon`` of :func:`endpoint_regularize`) and requires all four
-    integers to agree.
+    singular, repeats both on the endpoint-regularized family
+    (:func:`endpoint_regularize`, whose bumps span ``REGULARIZATION_WINDOW``,
+    0.1 of the horizon, at each end) and requires all four integers to agree.
     """
     sfl_raw = spectral_flow(family, gamma_min=gamma_min, tau_0=tau_0).value
     rep_raw = riemannian_index_discretized(family, grid_intervals, tau_0=tau_0)
@@ -774,10 +751,10 @@ def riemannian_main_check(
     return record
 
 
-def operator_triplets(disc: DiscretizedOperator) -> list[tuple[int, int, float, float]]:
+def operator_triplets(op: np.ndarray) -> list[tuple[int, int, float, float]]:
     """Sparse triplet dump ``(row, col, re, im)`` of the discretized operator."""
-    rows, cols = np.nonzero(disc.matrix)
-    vals = disc.matrix[rows, cols]
+    rows, cols = np.nonzero(op)
+    vals = op[rows, cols]
     return [
         (int(r), int(c), float(v.real), float(v.imag))
         for r, c, v in zip(rows, cols, vals)

@@ -220,15 +220,6 @@ def _run_flowind(family, config: ExperimentConfig, outdir: Path | None) -> dict:
     return rec.to_dict()
 
 
-def _transport_routes(family, prop, tol: ToleranceSet):
-    """The projection-pair and subspace-geometry transport indices at ``T``."""
-    proj = lorentzian_index_projection(family, prop, tau_0=tol.tau_0, sigma_cut=tol.sigma_cut)
-    sub = lorentzian_index_subspace(
-        family, prop, tau_0=tol.tau_0, tau_angle=tol.tau_angle, sigma_cut=tol.sigma_cut
-    )
-    return proj, sub
-
-
 def _run_lorentzian_main(family, config: ExperimentConfig, outdir: Path | None) -> dict:
     tol = config.tolerances
     prop = propagate(family, config.steps, scheme=config.scheme)
@@ -304,7 +295,10 @@ def _run_counterexample_growth(family, config: ExperimentConfig, outdir: Path | 
     prop = propagate(family, config.steps, scheme=config.scheme)
     exact = closed_form_counterexample_propagator(lambdas, 1.0)
     defect = float(np.linalg.norm(prop.unitaries[-1] - exact, 2))
-    proj, sub = _transport_routes(family, prop, tol)
+    proj = lorentzian_index_projection(family, prop, tau_0=tol.tau_0, sigma_cut=tol.sigma_cut)
+    sub = lorentzian_index_subspace(
+        family, prop, tau_0=tol.tau_0, tau_angle=tol.tau_angle, sigma_cut=tol.sigma_cut
+    )
     sfl = spectral_flow(family, gamma_min=tol.gamma_min, tau_0=tol.tau_0).value
     passed = (
         defect <= config.oracle_tolerance
@@ -330,7 +324,7 @@ def _run_counterexample_growth(family, config: ExperimentConfig, outdir: Path | 
 
 
 def _run_propagator_convergence(family, config: ExperimentConfig, outdir: Path | None) -> dict:
-    study = convergence_study(family, scheme=config.scheme, base_intervals=64)
+    study = convergence_study(family, scheme=config.scheme)
     lo, hi = (3.5, 4.5) if config.scheme == SCHEME_MIDPOINT else (12.0, 20.0)
     passed = all(lo <= r <= hi for r in study.ratios)
     result = study.to_dict()
@@ -615,11 +609,13 @@ def export(what, config_path, out, samples, steps, grid):
                 path = outdir / "propagator.json"
                 write_propagator(prop, path)
             else:
-                disc = assemble_discretized_operator(family, config.grid)
+                op = assemble_discretized_operator(
+                    family, config.grid, tau_0=config.tolerances.tau_0
+                )
                 path = outdir / "operator.txt"
                 with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(f"# rows {disc.codomain_dim} cols {disc.domain_dim}\n")
-                    for r, c, re, im in operator_triplets(disc):
+                    fh.write(f"# rows {op.shape[0]} cols {op.shape[1]}\n")
+                    for r, c, re, im in operator_triplets(op):
                         fh.write(f"{r} {c} {re!r} {im!r}\n")
         except ApsflowError as exc:
             click.echo(f"export failed: {type(exc).__name__}: {exc}", err=True)

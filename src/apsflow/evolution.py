@@ -57,6 +57,7 @@ UNITARITY_ATOL = 1e-10
 STIFFNESS_BOUND = 40.0
 CONDITION_WARNING = 1e12
 COST_BUDGET = 2e10  # flop-ish budget: substeps * dim^3 before a cost warning
+CONVERGENCE_STEPS = (64, 128, 256, 512)  # the step counts convergence_study compares
 REFERENCE_MULTIPLIER = 16  # convergence reference grid / finest studied grid
 STEP_CHUNK_BYTES = 2**17  # generator stack per chunk and stage of the integrator loop
 
@@ -546,24 +547,18 @@ class ConvergenceStudy:
         }
 
 
-def convergence_study(
-    family: OperatorFamily,
-    *,
-    scheme: str = SCHEME_MIDPOINT,
-    base_intervals: int = 64,
-    halvings: int = 3,
-) -> ConvergenceStudy:
+def convergence_study(family: OperatorFamily, *, scheme: str = SCHEME_MIDPOINT) -> ConvergenceStudy:
     """Measure the convergence order of ``Q(T, 0)`` under step halving.
 
-    Deviations are taken against a single reference at
+    The step counts are ``CONVERGENCE_STEPS`` (64 to 512, each twice the
+    last).  Deviations are taken against a single reference at
     ``REFERENCE_MULTIPLIER`` times the finest grid; successive ratios should
     approach 4 for the midpoint scheme and 16 for the fourth-order scheme.
     """
-    counts = [base_intervals * 2**j for j in range(halvings + 1)]
-    reference = propagate(family, counts[-1] * REFERENCE_MULTIPLIER, scheme=scheme)
+    reference = propagate(family, CONVERGENCE_STEPS[-1] * REFERENCE_MULTIPLIER, scheme=scheme)
     ref = reference.unitaries[-1]
     deviations = []
-    for c in counts:
+    for c in CONVERGENCE_STEPS:
         p = propagate(family, c, scheme=scheme)
         deviations.append(float(np.linalg.norm(p.unitaries[-1] - ref, 2)))
     ratios = tuple(
@@ -573,7 +568,7 @@ def convergence_study(
     return ConvergenceStudy(
         family_label=family.label,
         scheme=scheme,
-        steps=tuple(counts),
+        steps=CONVERGENCE_STEPS,
         deviations=tuple(deviations),
         ratios=ratios,
         expected_ratio=4.0 if scheme == SCHEME_MIDPOINT else 16.0,

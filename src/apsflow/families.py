@@ -36,6 +36,7 @@ _VALIDATION_SAMPLES = 9
 NORM_SAMPLES = 65  # uniform times behind every norm_bound, hence every stiffness gate
 SAMPLED_HERMITICITY_ATOL = 1e-10  # sampled data is read from files: looser than 1e-12
 CLOCK_ATOL = 1e-12  # times this far outside [0, T] are read at the nearest end
+REGULARIZATION_WINDOW = 0.1  # endpoint_regularize's bumps live on this share of [0, T] at each end
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +317,8 @@ def _validated_family(
     An evaluator that does not return the ``(K, n, n)`` stack for an array
     of times raises :class:`FamilyConstructionError`.
     """
-    if horizon <= 0:
-        raise FamilyConstructionError(f"horizon must be positive, got {horizon}")
+    if not 0.0 < horizon < math.inf:  # false for NaN too
+        raise FamilyConstructionError(f"horizon must be positive and finite, got {horizon}")
     warnings = list(extra_warnings)
 
     def evaluate(fn: Evaluator, times: np.ndarray) -> np.ndarray:
@@ -522,34 +523,25 @@ def _plateau_slope(u: float) -> float:
     return (ap * b + a * bp) / (a + b) ** 2
 
 
-def kernel_projection(
-    h: HermitianMatrix | SpectralData, *, tau_0: float = TAU_ZERO
-) -> np.ndarray:
-    """Orthogonal projection onto the (snapped) kernel of ``h`` or of its decomposition."""
-    s = h if isinstance(h, SpectralData) else eigh(h)
+def kernel_projection(s: SpectralData, *, tau_0: float = TAU_ZERO) -> np.ndarray:
+    """Orthogonal projection onto the (snapped) kernel of a decomposed matrix."""
     keep = snap_eigenvalues(s.eigenvalues, tau_0) == 0.0
     v = s.eigenvectors[:, keep]
     return v @ v.conj().T
 
 
-def endpoint_regularize(
-    family: OperatorFamily,
-    epsilon: float = 0.1,
-    *,
-    tau_0: float = TAU_ZERO,
-) -> OperatorFamily:
+def endpoint_regularize(family: OperatorFamily, *, tau_0: float = TAU_ZERO) -> OperatorFamily:
     """Push endpoint kernels into the strictly positive spectrum.
 
     Adds ``chi(t) P0(A(0)) + chi(T - t) P0(A(T))`` where ``P0`` projects
     onto the snapped kernel and ``chi`` is a smooth plateau bump that is
-    identically 1 on ``[0, eps*T/3]`` and supported in ``[0, eps*T)``.  The
-    family is returned unchanged (same object) when both endpoint kernels
-    are trivial; otherwise it agrees with the input exactly outside the
-    two bump windows, has invertible endpoints, and keeps both the spectral
-    flow and the boundary-value index of the original family.
+    identically 1 on ``[0, eps*T/3]`` and supported in ``[0, eps*T)``, with
+    ``eps = REGULARIZATION_WINDOW`` (0.1).  The family is returned unchanged
+    (same object) when both endpoint kernels are trivial; otherwise it
+    agrees with the input exactly outside the two bump windows, has
+    invertible endpoints, and keeps both the spectral flow and the
+    boundary-value index of the original family.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise ConfigError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     t_end = family.horizon
     p_left, p_right = (kernel_projection(s, tau_0=tau_0) for s in family.endpoint_spectra)
     rank_left = int(round(float(np.real(np.trace(p_left)))))
@@ -557,7 +549,7 @@ def endpoint_regularize(
     if rank_left == 0 and rank_right == 0:
         return family
 
-    window = epsilon * t_end
+    window = REGULARIZATION_WINDOW * t_end
     scale = 2.0 * window / 3.0
 
     def chi(t: float) -> float:

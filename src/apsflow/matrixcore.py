@@ -78,7 +78,8 @@ def hermitian_stack(a, *, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     A stack equal to its adjoint bit for bit (``a - a*`` all zero) passes
     at once, without the finiteness and deviation passes: a NaN or
     infinite entry always leaves a non-zero (or NaN) entry in ``a - a*``,
-    and a zero deviation is within any ``atol >= 0``.  Every other stack
+    and a zero deviation is within any ``atol >= 0`` (the package passes
+    only its positive constants).  Every other stack
     takes the full check, so the result and every error are the same on
     both paths.
     """
@@ -92,7 +93,7 @@ def hermitian_stack(a, *, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     adjoint = a.conj().swapaxes(1, 2)
     with np.errstate(invalid="ignore", over="ignore"):  # the full check warns as before
         exact = not (a - adjoint).any()
-    if not exact or atol < 0.0:
+    if not exact:
         _check_hermitian(a, adjoint, atol)
     sym = (a + adjoint) / 2.0
     sym.setflags(write=False)
@@ -134,11 +135,6 @@ class HermitianMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.entries
-        return self.entries.astype(dtype)
 
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim}, hash={_matrix_hash(self.entries)})"
@@ -285,15 +281,9 @@ class Subspace:
         return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
 
     @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim, dtype=complex))
-
-    @classmethod
     def span(cls, vectors) -> "Subspace":
         """Orthonormalize the given column vectors (SVD-based, rank-revealing)."""
         a = np.asarray(vectors, dtype=complex)
-        if a.ndim == 1:
-            a = a[:, None]
         if a.shape[1] == 0:
             return cls.empty(a.shape[0])
         u, s, _ = np.linalg.svd(a, full_matrices=False)

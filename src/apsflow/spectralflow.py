@@ -34,7 +34,7 @@ from .matrixcore import (
 from .reporting import write_csv
 
 MIN_SEGMENT_FRACTION = 2.0**-20
-DEFAULT_SEGMENT_SAMPLES = 33
+SEGMENT_SAMPLES = 33  # uniform times each candidate segment is sampled at
 CROSSING_SAMPLES = 129  # uniform times the crossing log samples over [0, T]
 
 
@@ -142,11 +142,10 @@ def _candidate_level(pool: np.ndarray, margin: float) -> tuple[float, float] | N
     Gap candidates are scored by smallness of the level (keeping the counted
     window ``[0, a)`` tight around zero), breaking ties by clearance and
     then by position.  The gap above the whole spectrum backstops with a
-    unit-clearance level.  ``pool`` is sorted and unique, so the pooled value
-    nearest a candidate inside a gap is one of the gap's two edges.
+    unit-clearance level.  ``pool`` is sorted, unique and nonempty (a family
+    has dimension >= 1), so the pooled value nearest a candidate inside a
+    gap is one of the gap's two edges.
     """
-    if not pool.size:
-        return 1.0, math.inf
     left = np.concatenate(([-math.inf], pool))  # gap g lies between left[g] and right[g]
     right = np.concatenate((pool, [math.inf]))
     lo = np.maximum(left + margin, 0.0)
@@ -161,34 +160,26 @@ def _candidate_level(pool: np.ndarray, margin: float) -> tuple[float, float] | N
     return float(cand[best]), float(clearance[best])
 
 
-def build_flow_partition(
-    family: OperatorFamily,
-    n_samples: int = DEFAULT_SEGMENT_SAMPLES,
-    *,
-    gamma_min: float = GAMMA_MIN,
-) -> FlowPartition:
+def build_flow_partition(family: OperatorFamily, *, gamma_min: float = GAMMA_MIN) -> FlowPartition:
     """Construct a flow partition by adaptive bisection.
 
-    Each candidate segment is sampled at ``n_samples`` uniform times; a level
-    is admissible when its distance to every sampled eigenvalue exceeds
-    ``gamma_min`` plus the certified excursion ``L * s/2``: the eigenvalue
-    speed ``L``, the largest ``||A'(t)||`` at the samples, times half the
-    sample spacing ``s``.  Segments without an admissible level are
+    Each candidate segment is sampled at ``SEGMENT_SAMPLES`` (33) uniform
+    times; a level is admissible when its distance to every sampled
+    eigenvalue exceeds ``gamma_min`` plus the certified excursion ``L * s/2``:
+    the eigenvalue speed ``L``, the largest ``||A'(t)||`` at the samples,
+    times half the sample spacing ``s``.  Segments without an admissible level are
     bisected, down to a minimal width of ``T * MIN_SEGMENT_FRACTION``
     (``T * 2^-20``), below which the family is reported as pathological.
 
-    Computed once per family object, ``n_samples`` and ``gamma_min``; the
-    arrays of the partition returned are read-only.
+    Computed once per family object and ``gamma_min``; the arrays of the
+    partition returned are read-only.
     """
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     return family._computed_once(
-        ("build_flow_partition", n_samples, gamma_min),
-        lambda: _bisected_partition(family, n_samples, gamma_min),
+        ("build_flow_partition", gamma_min), lambda: _bisected_partition(family, gamma_min)
     )
 
 
-def _bisected_partition(family: OperatorFamily, n_samples: int, gamma_min: float) -> FlowPartition:
+def _bisected_partition(family: OperatorFamily, gamma_min: float) -> FlowPartition:
     horizon = family.horizon
     delta_min = horizon * MIN_SEGMENT_FRACTION
 
@@ -198,9 +189,9 @@ def _bisected_partition(family: OperatorFamily, n_samples: int, gamma_min: float
     margins: list[float] = []
 
     def process(t0: float, t1: float) -> None:
-        ts = np.linspace(t0, t1, n_samples)
+        ts = np.linspace(t0, t1, SEGMENT_SAMPLES)
         eigs = _eig_samples(family, ts)
-        spacing = (t1 - t0) / (n_samples - 1)
+        spacing = (t1 - t0) / (SEGMENT_SAMPLES - 1)
         margin = gamma_min + _speed_bound(family, ts) * (spacing / 2.0)
         pool = np.unique(eigs.ravel())
         found = _candidate_level(pool, margin)
@@ -274,19 +265,17 @@ def _crossing_log(family: OperatorFamily, tau_0: float) -> tuple[CrossingEvent, 
 
 
 def spectral_flow(
-    family: OperatorFamily,
-    n_samples: int = DEFAULT_SEGMENT_SAMPLES,
-    *,
-    gamma_min: float = GAMMA_MIN,
-    tau_0: float = TAU_ZERO,
+    family: OperatorFamily, *, gamma_min: float = GAMMA_MIN, tau_0: float = TAU_ZERO
 ) -> SflReport:
     """Spectral flow of the family over its full time interval.
 
     The value is the partition sum of dimension increments of the spectral
     windows ``[0, a_n)``; eigenvalues within ``tau_0`` of zero count as
-    exactly zero (hence inside the window).
+    exactly zero (hence inside the window).  The partition is the family's
+    one partition at ``gamma_min`` (:func:`build_flow_partition`, segments
+    sampled at ``SEGMENT_SAMPLES`` times).
     """
-    partition = build_flow_partition(family, n_samples, gamma_min=gamma_min)
+    partition = build_flow_partition(family, gamma_min=gamma_min)
     terms = _segment_terms(partition, _eig_samples(family, partition.points), tau_0)
     return SflReport(
         value=sum(terms),

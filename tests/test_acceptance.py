@@ -191,7 +191,7 @@ def test_criterion_5_propagator_structure(transported_zoo, zoo):
     ratios_ok = True
     ratio_log = []
     for family in zoo[:3]:
-        study = convergence_study(family, base_intervals=64, halvings=3)
+        study = convergence_study(family)
         ratio_log.append([round(r, 2) for r in study.ratios])
         ratios_ok = ratios_ok and all(3.5 <= r <= 4.5 for r in study.ratios)
     _criterion(
@@ -224,7 +224,7 @@ def test_criterion_6_boundary_value_index(zoo):
     ]
     probes += eligible[::3]
     for family in probes:
-        shoot = riemannian_kernel_shooting(family, 256)
+        shoot = riemannian_kernel_shooting(family)
         disc = riemannian_index_discretized(family, 32)
         if shoot.ker_dim != disc.ker_dim:
             shooting_failures.append(family.label)
@@ -243,7 +243,7 @@ def test_criterion_7_endpoint_regularization():
     failures = []
     for j in range(20):
         family = singular_endpoint_family(int(rng.integers(2, 5)), rng)
-        regular = endpoint_regularize(family, 0.1)
+        regular = endpoint_regularize(family)
         flow_raw = spectral_flow(family).value
         flow_reg = spectral_flow(regular).value
         idx_raw = riemannian_index_discretized(family, 48).index

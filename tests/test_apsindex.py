@@ -394,26 +394,24 @@ class TestStackedCheckpointPass:
 class TestDiscretizedOperator:
     def test_shape_matches_boundary_ranks(self, rng):
         f = random_trig_family(3, rng)
-        disc = assemble_discretized_operator(f, 16)
-        r1 = 3 - disc.left_rank  # rank of the nonnegative projection at 0
-        r2 = 3 - disc.right_rank  # rank of the negative projection at T
-        assert disc.matrix.shape == (16 * 3, 17 * 3 - r1 - r2)
+        boundary = aps_boundary_data(f)
+        r1 = 3 - boundary.left_subspace.dimension  # rank of the nonnegative projection at 0
+        r2 = 3 - boundary.right_subspace.dimension  # rank of the negative projection at T
+        assert assemble_discretized_operator(f, 16).shape == (16 * 3, 17 * 3 - r1 - r2)
 
     def test_triplets_cover_nonzeros(self, rng):
         f = random_trig_family(2, rng)
-        disc = assemble_discretized_operator(f, 8)
-        trips = operator_triplets(disc)
-        rebuilt = np.zeros_like(disc.matrix)
-        for r, c, re, im in trips:
+        op = assemble_discretized_operator(f, 8)
+        rebuilt = np.zeros_like(op)
+        for r, c, re, im in operator_triplets(op):
             rebuilt[r, c] = re + 1j * im
-        assert np.array_equal(rebuilt, disc.matrix)
+        assert np.array_equal(rebuilt, op)
 
     def test_scalar_crossing_dimensions(self):
         # oracle: no boundary constraints bind (H_<0(0) and H_>=0(1) are all
         # of C), so the domain has M+1 slices against M equations
         f = linear_family(diag(-0.5), diag(1.0), 1.0)
-        disc = assemble_discretized_operator(f, 64)
-        assert disc.matrix.shape == (64, 65)
+        assert assemble_discretized_operator(f, 64).shape == (64, 65)
 
     def test_grid_minimum(self, rng):
         f = random_trig_family(2, rng)
@@ -479,7 +477,7 @@ class TestRiemannianDiscretized:
             )
             assert f.norm_bound() * f.horizon == pytest.approx(60.0)
             rep = riemannian_index_discretized(f, 64)
-            dense = rank_kernel(assemble_discretized_operator(f, 64).matrix)
+            dense = rank_kernel(assemble_discretized_operator(f, 64))
             assert (rep.ker_dim, rep.coker_dim) == (dense.kernel_dim, dense.cokernel_dim), f.label
         rep = riemannian_index_discretized(constant_family(diag(-50.0, 50.0), 1.0), 64)
         assert (rep.ker_dim, rep.coker_dim) == (0, 0)
@@ -519,7 +517,7 @@ class TestRiemannianDiscretized:
             cases.append((replace(f, eval_fn=lambda t, ev=ev, c=c: c * ev(t), derivative_fn=None), m))
         for f, m in cases:
             rep = riemannian_index_discretized(f, m)
-            dense = rank_kernel(assemble_discretized_operator(f, m).matrix)
+            dense = rank_kernel(assemble_discretized_operator(f, m))
             assert (rep.ker_dim, rep.coker_dim) == (dense.kernel_dim, dense.cokernel_dim)
             d = rep.diagnostics
             cosines = np.asarray(d["principal_cosines"])
@@ -772,7 +770,7 @@ class TestSharedShotFactors:
 
     def test_shooting_holds_the_forward_factors_and_a_small_buffer(self):
         f = random_trig_family(16, np.random.default_rng(3))
-        riemannian_kernel_shooting(f, 8)  # first-call allocations of the linear-algebra kernels
+        riemannian_kernel_shooting(f)  # first-call allocations of the linear-algebra kernels
         factors = 512 * 16 * 16 * np.dtype(complex).itemsize
         # at T = 0.7 about half the reversal's steps are exponentiated on their own
         for g in (f, replace(f, horizon=0.7)):
@@ -1030,7 +1028,7 @@ class TestRegularizationInvariance:
     def test_flow_and_index_unchanged(self, rng):
         for _ in range(5):
             f = singular_endpoint_family(3, rng)
-            b = endpoint_regularize(f, 0.1)
+            b = endpoint_regularize(f)
             assert spectral_flow(b).value == spectral_flow(f).value
             ra = riemannian_index_discretized(f, 48)
             rb = riemannian_index_discretized(b, 48)

@@ -84,6 +84,14 @@ MALFORMED_CONFIGS = {
         {"family": _family("custom-samples", path="no-such-samples.csv")},
         "no-such-samples.csv",
     ),
+    "horizon-infinity": (
+        {"family": _family("linear", a0_diagonal=[-0.5], b_diagonal=[1.0], horizon=float("inf"))},
+        "horizon must be positive and finite, got inf",
+    ),
+    "horizon-nan": (
+        {"family": _family("linear", a0_diagonal=[-0.5], b_diagonal=[1.0], horizon=float("nan"))},
+        "horizon must be positive and finite, got nan",
+    ),
 }
 
 
@@ -824,6 +832,25 @@ class TestExportCommand:
         header = (tmp_path / "operator.txt").read_text().splitlines()[0]
         # rows M n; cols (M+1) n - rank P_>=0(0) - rank P_<0(T) = 34 - 1 - 1
         assert header == "# rows 32 cols 32"
+
+    def test_operator_export_applies_the_config_tau_0(self, tmp_path):
+        # the eigenvalue 5e-9 at t = 0 counts as zero under tau_0 = 1e-8, and
+        # lies within TAU_GAP = 1e-7 of the cut under the default 1e-9
+        path = tmp_path / "config.json"
+        write_config(
+            path,
+            family=_family("linear", a0_diagonal=[5e-9, -1.0], b_diagonal=[1.0, 0.5]),
+            tolerances={"tau_0": 1e-8},
+            checks=["riemannian-main"],
+            output={"path": str(tmp_path), "formats": ["json"]},
+        )
+        runner = CliRunner()
+        assert runner.invoke(main, ["run", "--config", str(path)]).exit_code == 0
+        result = runner.invoke(main, ["export", "operator", "--config", str(path)])
+        assert result.exit_code == 0, result.stderr
+        header = (tmp_path / "operator.txt").read_text().splitlines()[0]
+        # rows M n; cols r_left + (M - 1) n + r_right = 1 + 63 * 2 + 1
+        assert header == "# rows 128 cols 128"
 
     def test_typed_error_is_one_line_exit_one(self, tmp_path):
         # an eigenvalue 5e-8 from zero at t = 0: the boundary split cannot be decided

@@ -1,4 +1,5 @@
-"""``tools/codelines.py`` counts the lines that hold code, not docstrings, comments or blanks."""
+"""``tools/codelines.py`` counts the lines that hold code, not docstrings, comments or blanks,
+and the parameters that have defaults."""
 
 import importlib.util
 import subprocess
@@ -22,7 +23,7 @@ class Box:
 
     size = 2
 
-    def area(self):
+    def area(self, scale=1.0, *, unit="m", exact):
         """Function docstring."""
         text = """a string
 that is not a docstring"""
@@ -30,12 +31,22 @@ that is not a docstring"""
             self.size
             * math.pi
         ), text
+
+
+def plain(a, b, /, c=2, *args, d=None, **kw):
+    return (lambda x, y=1: x + y)(a)
 '''
 
 
 def test_only_code_lines_count():
-    # import, class, size, def, the two-line string, return, three lines of its expression
-    assert codelines.code_lines(SOURCE) == 10
+    # import, class, size, def, the two-line string, return, three lines of
+    # its expression; the def and return of plain
+    assert codelines.code_lines(SOURCE) == 12
+
+
+def test_defaulted_parameters():
+    # scale and unit (self and exact have none); c, d and the lambda's y
+    assert codelines.defaulted_parameters(SOURCE) == 5
 
 
 def test_files_and_total(tmp_path):
@@ -50,7 +61,7 @@ def test_files_and_total(tmp_path):
         check=True,
     )
     assert out.stdout.splitlines() == [
-        f"10 {tmp_path / 'pkg' / 'a.py'}",
-        f"1 {tmp_path / 'pkg' / 'b.py'}",
-        "11 total",
+        f"12 5 {tmp_path / 'pkg' / 'a.py'}",
+        f"1 0 {tmp_path / 'pkg' / 'b.py'}",
+        "13 5 total",
     ]

@@ -90,13 +90,13 @@ class TestPropagate:
 
     def test_order_two_richardson(self, rng):
         f = random_trig_family(3, rng)
-        study = convergence_study(f, base_intervals=64)
+        study = convergence_study(f)
         for ratio in study.ratios:
             assert 3.5 <= ratio <= 4.5
 
     def test_order_four_richardson(self):
         f = swap_block_family(-1.0, 1.0)
-        study = convergence_study(f, scheme=SCHEME_CF4, base_intervals=16)
+        study = convergence_study(f, scheme=SCHEME_CF4)
         for ratio in study.ratios:
             assert 12.0 <= ratio <= 20.0
 

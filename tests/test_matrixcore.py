@@ -328,7 +328,7 @@ class TestSubspaces:
 
     def test_empty_subspace_first_class(self):
         e = Subspace.empty(3)
-        u = Subspace.full(3)
+        u = Subspace(3, np.eye(3))
         assert subspace_intersection(e, u).dimension == 0
         assert principal_cosines(e, u).size == 0
 
@@ -505,7 +505,6 @@ def _hermitian_table():
         skew[1, 0] = deviation
         table.append((f"asymmetry {name} atol", np.stack([base, skew]), 1e-12))
     table.append(("exact with atol 0", np.stack([base, base]), 0.0))
-    table.append(("exact with a negative atol", base[None], -1.0))
     table.append(("exact with a NaN atol", base[None], np.nan))
     for shape in ((2, 2), (2, 2, 3), (2, 0, 0), (4,), ()):
         table.append((f"shape {shape}", np.zeros(shape), 1e-12))

@@ -95,17 +95,16 @@ class TestFlowPartition:
         wide = build_flow_partition(f, gamma_min=10.0)
         assert np.all(wide.witness_gaps >= 10.0)
 
-    def test_computed_once_per_sample_count_and_gamma_min(self):
+    def test_computed_once_per_gamma_min(self):
         f = linear_family(diag(-1.0, 0.3), diag(0.0, 0.1), 1.0)
-        keys = [(33, 1e-6), (33, 0.4), (17, 1e-6)]
-        kept = [build_flow_partition(f, n, gamma_min=g) for n, g in keys]
+        keys = [1e-6, 0.4]
+        kept = [build_flow_partition(f, gamma_min=g) for g in keys]
         # a clearance of 0.4 fits no level between -1 and 0.3: it moves above the spectrum
         assert kept[0].levels.tolist() == [0.0]
         assert kept[1].levels[0] > 1.0
-        assert kept[0].margins.tolist() != kept[2].margins.tolist()
-        for (n, g), part in zip(keys, kept):
-            assert build_flow_partition(f, n, gamma_min=g) is part
-            fresh = build_flow_partition(replace(f), n, gamma_min=g)
+        for g, part in zip(keys, kept):
+            assert build_flow_partition(f, gamma_min=g) is part
+            fresh = build_flow_partition(replace(f), gamma_min=g)
             assert fresh is not part
             assert fresh.to_dict() == part.to_dict()
 
@@ -268,7 +267,7 @@ class TestCandidateLevel:
         rng = np.random.default_rng(11)
         cases = 0
         for trial in range(600):
-            size = int(rng.integers(0, 40))
+            size = int(rng.integers(1, 40))  # a family has dimension >= 1
             raw = rng.standard_normal(size) * 10.0 ** rng.uniform(-9, 1)
             if trial % 3 == 1:
                 raw = np.abs(raw)  # one sign: every gap edge is positive
@@ -282,11 +281,10 @@ class TestCandidateLevel:
         assert cases > 0  # some pools admit no level at their margin
 
     def test_small_pools(self):
-        # the gap around zero gives level 0; an empty pool and the gap above
-        # the spectrum fall back to unit clearance above the top edge
+        # the gap around zero gives level 0; the gap above the spectrum
+        # falls back to unit clearance above the top edge
         pool = np.array([-3.0, -1.0, 1.0, 3.0])
         assert _candidate_level(pool, 0.5) == _candidate_level_loop(pool, 0.5) == (0.0, 1.0)
-        assert _candidate_level(np.array([]), 0.5) == (1.0, math.inf)
         assert _candidate_level(np.array([0.0]), 2.0) == (2.0, 2.0)
         assert _candidate_level_loop(np.array([0.0]), 2.0) == (2.0, 2.0)
 
@@ -347,12 +345,17 @@ class TestFlowProperties:
                 continue  # antisymmetry is only claimed for invertible endpoints
             assert spectral_flow(f.time_reversed()).value == -spectral_flow(f).value
 
-    def test_partition_refinement_invariance(self, rng):
+    def test_partition_refinement_invariance(self, rng, monkeypatch):
         for _ in range(5):
             f = random_trig_family(4, rng)
-            coarse = spectral_flow(f, n_samples=17)
-            fine = spectral_flow(f, n_samples=65)
+            flows = []
+            for samples in (17, 65):
+                with monkeypatch.context() as m:
+                    m.setattr(spectralflow, "SEGMENT_SAMPLES", samples)
+                    flows.append(spectral_flow(replace(f)))  # a fresh family: no kept partition
+            coarse, fine = flows
             assert coarse.value == fine.value
+            assert coarse.partition.margins.tolist() != fine.partition.margins.tolist()
             # forcibly refined: flow over every half-segment sums to the same
             halves = 0
             for t0, t1 in zip(coarse.partition.points[:-1], coarse.partition.points[1:]):

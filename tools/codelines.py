@@ -1,4 +1,4 @@
-"""Count the lines of Python source that hold code.
+"""Count the lines of Python source that hold code, and the defaulted parameters.
 
 Usage::
 
@@ -8,8 +8,10 @@ Each ``PATH`` is a ``.py`` file or a directory, searched for ``.py`` files
 recursively.  A line counts when some token other than a comment, a line
 break or an indentation change starts, ends or runs through it; blank lines,
 comments and docstrings (the string statement that opens a module, class or
-function body) do not count.  Prints one line per file, ``COUNT PATH``, in
-path order, then ``COUNT total``.
+function body) do not count.  A defaulted parameter is one of a function or
+lambda that has a default value, keyword-only ones included.  Prints one
+line per file, ``LINES DEFAULTED PATH``, in path order, then
+``LINES DEFAULTED total``.
 """
 
 from __future__ import annotations
@@ -57,6 +59,16 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
+def defaulted_parameters(source: str) -> int:
+    """The number of parameters in ``source`` that have a default value."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+    return count
+
+
 def python_files(paths) -> list[Path]:
     """The ``.py`` files named or found under the directories named, sorted."""
     files = set()
@@ -69,12 +81,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="+", help="Python files or directories")
     args = parser.parse_args(argv)
-    total = 0
+    total_lines = total_defaulted = 0
     for path in python_files(args.paths):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count} {path}")
-    print(f"{total} total")
+        source = path.read_text(encoding="utf-8")
+        lines, defaulted = code_lines(source), defaulted_parameters(source)
+        total_lines += lines
+        total_defaulted += defaulted
+        print(f"{lines} {defaulted} {path}")
+    print(f"{total_lines} {total_defaulted} total")
     return 0
 
 
